@@ -36,7 +36,7 @@ struct ReceivedPush {
 ///    subscription pushes — are buffered, not lost).
 ///  - Pipelined: SendQuery fires N requests without waiting, WaitQuery
 ///    collects each response by request id in any order. The server replies
-///    out of submission order when socket-layer batching reorders work.
+///    out of submission order when concurrent dispatchers reorder work.
 ///
 /// Not thread-safe: one IflsClient per thread (the load generator opens
 /// many). Any transport-level failure (connection closed, corrupt stream)

@@ -2,6 +2,7 @@
 #define IFLS_NET_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -24,25 +25,17 @@ namespace ifls {
 struct ServerOptions {
   /// Loopback TCP port; 0 picks a free port (read it back via port()).
   std::uint16_t port = 0;
-  /// Socket-layer batching: query frames decoded within one epoll cycle are
-  /// coalesced per venue and run as one BatchQueryEngine batch on a
-  /// dispatcher thread. Off routes every query through the service's
-  /// admission queue individually (SubmitQueryAsync). Answers are
-  /// bit-identical either way; batching trades per-query queue hops for
-  /// batch locality.
-  bool coalesce_batches = true;
-  /// Threads draining the dispatch queue (routed work: batches, single
-  /// queries, mutations, subscription calls). Venue hydration and solver
-  /// runs happen here, never on the event loop.
+  /// Threads draining the dispatch queue (queries, mutations, subscription
+  /// calls). Venue hydration and solves happen here, never on the event
+  /// loop.
   int num_dispatchers = 2;
-  /// Bound on queued dispatch jobs — the socket-layer mirror of
-  /// ServiceOptions::queue_capacity. Overflow is backpressure: the affected
-  /// frames are answered with kError(kUnavailable) and counted in
-  /// ifls_net_rejected_total; the connection stays open.
+  /// Bound on queued dispatch jobs: the one admission point of networked
+  /// queries, which run through IflsService::RunAdmitted and so skip the
+  /// service's own admission queue (ServiceOptions::queue_capacity).
+  /// Overflow is backpressure: the affected frames are answered with
+  /// kError(kUnavailable) and counted in ifls_net_rejected_total; the
+  /// connection stays open.
   std::size_t dispatch_queue_capacity = 256;
-  /// Thread count inside each coalesced batch run (BatchEngineOptions::
-  /// num_threads); 1 solves the batch inline on the dispatcher thread.
-  int batch_threads = 1;
 };
 
 /// Aggregate server counters (process-wide mirrors live in the metrics
@@ -52,8 +45,9 @@ struct ServerMetrics {
   std::uint64_t connections_active = 0;   // gauge
   std::uint64_t frames_received = 0;
   std::uint64_t queries = 0;
-  std::uint64_t batches = 0;          // coalesced batch runs
-  std::uint64_t batched_queries = 0;  // queries served from those batches
+  /// Always 0: every query runs on its own. Kept because the end-to-end
+  /// benchmark reads it (net.batched_share).
+  std::uint64_t batched_queries = 0;
   std::uint64_t rejected = 0;         // kUnavailable backpressure replies
   std::uint64_t errors = 0;           // kError frames sent (incl. rejected)
   std::uint64_t pushes_sent = 0;      // subscription pushes streamed out
@@ -79,11 +73,11 @@ struct ServerMetrics {
 /// hydration, admission, solver runs, mutations, subscribe/tick calls —
 /// runs on the dispatcher pool.
 ///
-/// Answer fidelity: both execution paths end in the same
-/// SolveWithObjective(objective, ctx, service->options().solvers) the
-/// in-process service uses, against a pinned ServingState, so a networked
-/// reply is bit-identical to calling IflsService::Query in process
-/// (tests/net_server_test locks this in).
+/// Answer fidelity: a networked query runs the service's own Execute
+/// (IflsService::RunAdmitted) on a dispatcher thread, so its reply is
+/// bit-identical to calling IflsService::Query in process, and the same
+/// deadline, spans, metrics and cost ledger apply (tests/net_server_test
+/// locks this in).
 class IflsServer {
  public:
   /// Single-venue server. `service` must outlive the server; requests with
@@ -119,17 +113,6 @@ class IflsServer {
   /// it): the outbound flush handshake (queue + eventfd) and the counters
   /// those callbacks bump. Owned via shared_ptr; defined in server.cc.
   struct NetShared;
-  /// One decoded query frame awaiting execution (the unit of coalescing).
-  struct PendingNetQuery {
-    std::shared_ptr<Connection> conn;
-    std::uint64_t request_id = 0;
-    IflsObjective objective = IflsObjective::kMinMax;
-    WireQueryRequest request;
-    /// Trace context propagated on the query frame (DESIGN.md §15);
-    /// has_trace false = context-free frame, server mints locally.
-    bool has_trace = false;
-    TraceContext trace;
-  };
 
   IflsServer(std::shared_ptr<IflsService> service,
              std::shared_ptr<VenueRouter> router, ServerOptions options);
@@ -139,7 +122,6 @@ class IflsServer {
   void AcceptReady();
   void HandleReadable(const std::shared_ptr<Connection>& conn);
   /// Decodes and routes every complete frame in the connection's ring.
-  /// Query frames land in cycle_queries_ for end-of-cycle coalescing.
   void DrainFrames(const std::shared_ptr<Connection>& conn);
   void HandleFrame(const std::shared_ptr<Connection>& conn, WireFrame frame);
   /// Serves the HTTP admin plane (DESIGN.md §15) on a connection whose
@@ -149,9 +131,6 @@ class IflsServer {
   /// The /venues JSON document: per-venue residency/eviction stats (fleet
   /// mode) or one synthetic always-resident entry (single-venue mode).
   std::string VenuesJson() const;
-  /// End-of-epoll-cycle: groups cycle_queries_ per venue and dispatches
-  /// batch jobs (or per-query admission jobs with coalescing off).
-  void FlushCycleQueries();
   void CloseConnection(const std::shared_ptr<Connection>& conn);
 
   /// Appends an encoded frame to the connection's outbound buffer and pokes
@@ -185,8 +164,11 @@ class IflsServer {
   Result<std::shared_ptr<IflsService>> Route(const std::string& venue_id);
 
   // Dispatcher-side request executors.
-  void RunBatch(std::string venue_id, std::vector<PendingNetQuery> batch);
-  void RunSingleQuery(PendingNetQuery query);
+  /// `received_at` is the frame's decode time: the query's admission stamp,
+  /// so its deadline and queue wait include the dispatch-queue hop.
+  void RunQuery(std::shared_ptr<Connection> conn, std::uint64_t request_id,
+                std::string venue_id, ServiceRequest request,
+                std::chrono::steady_clock::time_point received_at);
   void RunMutate(std::shared_ptr<Connection> conn, std::uint64_t request_id,
                  WireMutateRequest request);
   void RunSubscribe(std::shared_ptr<Connection> conn, std::uint64_t request_id,
@@ -217,9 +199,6 @@ class IflsServer {
 
   /// Loop-thread-owned connection table (fd -> connection).
   std::map<int, std::shared_ptr<Connection>> conns_;
-  /// Query frames decoded during the current epoll cycle, coalesced by
-  /// FlushCycleQueries. Loop thread only.
-  std::vector<PendingNetQuery> cycle_queries_;
 
   // Dispatch queue.
   std::mutex dispatch_mu_;

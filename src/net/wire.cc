@@ -52,6 +52,10 @@ IflsObjective ObjectiveForQueryOpcode(WireOpcode opcode) {
 
 namespace {
 
+/// Tail of the kQueryResult payload: once a batch flag (u8) and batch size
+/// (u32), now zero on encode and skipped on decode.
+constexpr std::size_t kQueryResponseReservedBytes = 5;
+
 // ---------------------------------------------------------------------------
 // Payload cursor helpers. The writer appends through AppendLE; the reader is
 // a bounds-checked cursor whose every primitive names the field it failed on
@@ -69,6 +73,14 @@ class PayloadReader {
     }
     *out = LoadLE<T>(data_.data() + pos_);
     pos_ += sizeof(T);
+    return Status::OK();
+  }
+
+  Status Skip(const char* what, std::size_t n) {
+    if (data_.size() - pos_ < n) {
+      return Truncated(what);
+    }
+    pos_ += n;
     return Status::OK();
   }
 
@@ -291,8 +303,7 @@ std::string EncodeQueryResultFrame(std::uint64_t request_id,
   AppendLE(&payload, response.objective);
   AppendLE(&payload, response.snapshot_epoch);
   AppendLE(&payload, response.overlay_size);
-  AppendLE(&payload, static_cast<std::uint8_t>(response.batched ? 1 : 0));
-  AppendLE(&payload, response.batch_size);
+  payload.append(kQueryResponseReservedBytes, '\0');
   std::string frame;
   AppendFrame(&frame, WireOpcode::kQueryResult, request_id, payload);
   return frame;
@@ -431,17 +442,15 @@ Result<WireQueryResponse> DecodeQueryResponse(std::string_view payload) {
   PayloadReader reader(payload);
   WireQueryResponse response;
   std::uint8_t found = 0;
-  std::uint8_t batched = 0;
   IFLS_RETURN_NOT_OK(reader.Read("found flag", &found));
   IFLS_RETURN_NOT_OK(reader.Read("answer", &response.answer));
   IFLS_RETURN_NOT_OK(reader.Read("objective", &response.objective));
   IFLS_RETURN_NOT_OK(reader.Read("snapshot epoch", &response.snapshot_epoch));
   IFLS_RETURN_NOT_OK(reader.Read("overlay size", &response.overlay_size));
-  IFLS_RETURN_NOT_OK(reader.Read("batched flag", &batched));
-  IFLS_RETURN_NOT_OK(reader.Read("batch size", &response.batch_size));
+  IFLS_RETURN_NOT_OK(
+      reader.Skip("reserved bytes", kQueryResponseReservedBytes));
   IFLS_RETURN_NOT_OK(reader.ExpectEnd("query response"));
   response.found = found != 0;
-  response.batched = batched != 0;
   return response;
 }
 

@@ -35,7 +35,7 @@ namespace ifls {
 // encode as u32 length + raw bytes; the checksum reuses the v3 snapshot's
 // FNV-1a-64 (src/common/hash.h). Responses are matched by request id, not
 // order: a pipelined connection may receive replies out of submission order
-// (socket-layer batching and worker scheduling reorder freely), and
+// (concurrent dispatcher threads reorder freely), and
 // subscription pushes interleave with responses on the same stream.
 //
 // Frame extensions (DESIGN.md §15): the former reserved word at offset 20 is
@@ -100,8 +100,7 @@ enum class WireOpcode : std::uint16_t {
 /// Stable name for logs/tests ("QueryMinMax", "Error", ...).
 const char* WireOpcodeName(WireOpcode opcode);
 
-/// True for the three query opcodes (the ones the server may coalesce into
-/// socket-layer batches).
+/// True for the three query opcodes.
 inline bool IsQueryOpcode(WireOpcode op) {
   return op == WireOpcode::kQueryMinMax || op == WireOpcode::kQueryMinDist ||
          op == WireOpcode::kQueryMaxSum;
@@ -128,7 +127,9 @@ struct WireFrame {
 
 /// Query request (kQueryMinMax/kQueryMinDist/kQueryMaxSum; the objective is
 /// the opcode). `venue_id` routes through VenueRouter on fleet servers and
-/// must be empty on single-venue servers.
+/// must be empty on single-venue servers. `deadline_seconds` follows
+/// ServiceRequest (0 = the service default, < 0 = none) and runs from the
+/// server's decode of the frame.
 struct WireQueryRequest {
   std::string venue_id;
   double deadline_seconds = 0.0;
@@ -137,17 +138,15 @@ struct WireQueryRequest {
 
 /// kQueryResult. `answer`/`objective` are the solver's exact bits, so a
 /// client can differentially check a networked reply against an in-process
-/// solve with bit equality. `batched`/`batch_size` report whether the server
-/// served this query from a coalesced socket-layer batch (observability;
-/// answers are identical either way).
+/// solve with bit equality. The payload ends in 5 reserved bytes, written
+/// as zero and ignored on decode (older servers filled them with a batch
+/// flag and size), so the frame layout and version are unchanged.
 struct WireQueryResponse {
   bool found = false;
   PartitionId answer = kInvalidPartition;
   double objective = 0.0;
   std::uint64_t snapshot_epoch = 0;
   std::uint64_t overlay_size = 0;
-  bool batched = false;
-  std::uint32_t batch_size = 0;
 };
 
 /// kMutate request.
@@ -206,8 +205,9 @@ struct WireSubscriptionPush {
 };
 
 /// kError: a typed Status travelling the wire. kUnavailable is the
-/// backpressure signal (admission queue full / deadline exceeded at the
-/// server) — the connection stays open and the caller may retry.
+/// backpressure signal (dispatch queue full at the server) and
+/// kDeadlineExceeded an expired wire deadline — the connection stays open
+/// either way and the caller may retry.
 struct WireError {
   StatusCode code = StatusCode::kInternal;
   std::string message;

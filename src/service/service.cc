@@ -217,11 +217,12 @@ std::uint64_t IflsService::snapshot_epoch() const {
 // Query path
 // ---------------------------------------------------------------------------
 
-IflsService::PendingQuery IflsService::MakePending(ServiceRequest request) {
+IflsService::PendingQuery IflsService::MakePending(
+    ServiceRequest request, Clock::time_point admitted_at) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   PendingQuery item;
   item.request = std::move(request);
-  item.admitted_at = Clock::now();
+  item.admitted_at = admitted_at;
   // The admission stamp doubles as the queue-wait span start, so tracing
   // adds no clock read here; the id is one relaxed fetch_add.
   if (item.request.trace_id != 0) {
@@ -269,7 +270,7 @@ void IflsService::Deliver(PendingQuery* item, ServiceReply reply) {
 
 Result<std::future<ServiceReply>> IflsService::SubmitQuery(
     ServiceRequest request) {
-  PendingQuery item = MakePending(std::move(request));
+  PendingQuery item = MakePending(std::move(request), Clock::now());
   std::future<ServiceReply> future = item.promise.get_future();
   IFLS_RETURN_NOT_OK(Admit(std::move(item)));
   return future;
@@ -277,9 +278,28 @@ Result<std::future<ServiceReply>> IflsService::SubmitQuery(
 
 Status IflsService::SubmitQueryAsync(ServiceRequest request,
                                      std::function<void(ServiceReply)> done) {
-  PendingQuery item = MakePending(std::move(request));
+  PendingQuery item = MakePending(std::move(request), Clock::now());
   item.done = std::move(done);
   return Admit(std::move(item));
+}
+
+ServiceReply IflsService::RunAdmitted(ServiceRequest request,
+                                      Clock::time_point admitted_at) {
+  PendingQuery item = MakePending(std::move(request), admitted_at);
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    if (stopping_) {
+      shed_.fetch_add(1, std::memory_order_relaxed);
+      ServiceReply reply;
+      reply.status = Status::Unavailable("service is stopping");
+      return reply;
+    }
+    admitted_.fetch_add(1, std::memory_order_relaxed);
+    ++executing_;
+  }
+  ServiceReply reply = Execute(&item);
+  FinishOneTask();
+  return reply;
 }
 
 ServiceReply IflsService::Query(ServiceRequest request) {
@@ -322,7 +342,7 @@ bool IflsService::ProcessOneInline() {
     ++executing_;
   }
   if (have_query) {
-    Execute(std::move(item));
+    Deliver(&item, Execute(&item));
   } else {
     pump->Pump();
   }
@@ -377,7 +397,7 @@ void IflsService::WorkerLoop() {
       ++executing_;
     }
     if (have_query) {
-      Execute(std::move(item));
+      Deliver(&item, Execute(&item));
     } else {
       pump->Pump();
     }
@@ -385,11 +405,11 @@ void IflsService::WorkerLoop() {
   }
 }
 
-void IflsService::Execute(PendingQuery item) {
+ServiceReply IflsService::Execute(PendingQuery* item) {
   const Clock::time_point start = Clock::now();
   ServiceReply reply;
-  reply.trace_id = item.trace_id;
-  reply.queue_seconds = Seconds(start - item.admitted_at);
+  reply.trace_id = item->trace_id;
+  reply.queue_seconds = Seconds(start - item->admitted_at);
 
   // Spans below this point carry the query's trace id; a query that lost
   // the 1-in-N sampling draw records nothing at all. Propagated contexts
@@ -398,24 +418,23 @@ void IflsService::Execute(PendingQuery item) {
   // that didn't must not pay for one (DESIGN.md §15).
   TraceRecorder& recorder = TraceRecorder::Global();
   const bool sampled =
-      item.trace_propagated
-          ? (TraceEnabled() && item.trace_sampled)
-          : (TraceEnabled() && item.trace_id != 0 &&
-             recorder.Sampled(item.trace_id));
-  TraceIdScope trace_scope(item.trace_id, sampled);
+      item->trace_propagated
+          ? (TraceEnabled() && item->trace_sampled)
+          : (TraceEnabled() && item->trace_id != 0 &&
+             recorder.Sampled(item->trace_id));
+  TraceIdScope trace_scope(item->trace_id, sampled);
   if (sampled) {
-    recorder.Record(TraceCategory::kService, "queue_wait", item.trace_id,
-                    TraceNanosFrom(item.admitted_at), TraceNanosFrom(start));
+    recorder.Record(TraceCategory::kService, "queue_wait", item->trace_id,
+                    TraceNanosFrom(item->admitted_at), TraceNanosFrom(start));
   }
 
-  if (start > item.deadline) {
+  if (start > item->deadline) {
     deadline_expired_.fetch_add(1, std::memory_order_relaxed);
     reply.status = Status::DeadlineExceeded(
         "deadline passed after " + std::to_string(reply.queue_seconds) +
         "s in queue");
     latency_.Record(reply.queue_seconds);
-    Deliver(&item, std::move(reply));
-    return;
+    return reply;
   }
 
   // One atomic acquire pins a mutually consistent (snapshot, overlay) pair
@@ -435,14 +454,14 @@ void IflsService::Execute(PendingQuery item) {
     ctx.oracle = &state->oracle();
     ctx.existing = state->overlay.effective_existing();
     ctx.candidates = state->overlay.effective_candidates();
-    ctx.clients = std::move(item.request.clients);
+    ctx.clients = std::move(item->request.clients);
   }
 
   Stopwatch solve_watch;
   Result<IflsResult> solved = Status::Internal("solver did not run");
   {
     TraceSpan span(TraceCategory::kService, "solve");
-    solved = SolveWithObjective(item.request.objective, ctx, options_.solvers);
+    solved = SolveWithObjective(item->request.objective, ctx, options_.solvers);
   }
   reply.solve_seconds = solve_watch.ElapsedSeconds();
 
@@ -470,9 +489,9 @@ void IflsService::Execute(PendingQuery item) {
     // has no spans to retain.
     QueryCostSample sample;
     sample.venue = options_.venue_label;
-    sample.objective = item.request.objective;
-    sample.trace_id = item.trace_id;
-    sample.parent_span_id = item.request.parent_span_id;
+    sample.objective = item->request.objective;
+    sample.trace_id = item->trace_id;
+    sample.parent_span_id = item->request.parent_span_id;
     sample.queue_seconds = reply.queue_seconds;
     sample.solve_seconds = reply.solve_seconds;
     sample.stats = stats;
@@ -481,13 +500,13 @@ void IflsService::Execute(PendingQuery item) {
     reply.status = solved.status();
     failed_.fetch_add(1, std::memory_order_relaxed);
   }
-  const double elapsed = Seconds(Clock::now() - item.admitted_at);
+  const double elapsed = Seconds(Clock::now() - item->admitted_at);
   latency_.Record(elapsed);
   if (options_.slow_query_threshold_seconds > 0.0 &&
       elapsed >= options_.slow_query_threshold_seconds) {
-    LogSlowQuery(reply, item.request.objective, elapsed);
+    LogSlowQuery(reply, item->request.objective, elapsed);
   }
-  Deliver(&item, std::move(reply));
+  return reply;
 }
 
 void IflsService::LogSlowQuery(const ServiceReply& reply,

@@ -186,15 +186,24 @@ class IflsService {
   /// stopping; otherwise the future carries the reply.
   Result<std::future<ServiceReply>> SubmitQuery(ServiceRequest request);
 
-  /// Callback-completion variant of SubmitQuery for event-driven fronts (the
-  /// network server): on admission, `done` fires exactly once — on the
-  /// worker thread that executed the query (or the pumping thread in
-  /// admission-only mode), or on the Stop() caller for requests orphaned in
-  /// the queue. Returns kUnavailable *without invoking the callback* when
+  /// Callback-completion variant of SubmitQuery for event-driven callers
+  /// (the end-to-end benchmark's in-process replay): on admission, `done`
+  /// fires exactly once — on the worker thread that executed the query (or
+  /// the pumping thread in admission-only mode), or on the Stop() caller for
+  /// requests orphaned in the queue. Returns kUnavailable *without invoking the callback* when
   /// the request is shed at admission, so the caller can map backpressure to
   /// its own error path synchronously. `done` must not re-enter the service.
   Status SubmitQueryAsync(ServiceRequest request,
                           std::function<void(ServiceReply)> done);
+
+  /// Runs `request` on the calling thread, for a front that owns its own
+  /// bounded admission queue (the network server's dispatch queue): the
+  /// query was admitted at `admitted_at`, which starts its queue wait and
+  /// its deadline. Everything else matches a queued query — queue_wait and
+  /// solve spans, ServiceMetrics, the cost ledger — and Drain() waits for
+  /// it. Answers kUnavailable once the service is stopping.
+  ServiceReply RunAdmitted(ServiceRequest request,
+                           std::chrono::steady_clock::time_point admitted_at);
 
   /// Submit + wait convenience. Shed/stopped submissions surface in the
   /// reply's status.
@@ -285,9 +294,10 @@ class IflsService {
 
   /// Routes `reply` to the item's completion channel (callback or promise).
   static void Deliver(PendingQuery* item, ServiceReply reply);
-  /// Stamps admission time, trace id and deadline; shared by both submit
-  /// fronts.
-  PendingQuery MakePending(ServiceRequest request);
+  /// Stamps admission time, trace id and deadline; shared by every query
+  /// front.
+  PendingQuery MakePending(ServiceRequest request,
+                           std::chrono::steady_clock::time_point admitted_at);
   /// Bounded admission under queue_mu_: kUnavailable when full or stopping.
   Status Admit(PendingQuery item);
 
@@ -301,7 +311,9 @@ class IflsService {
   /// Builds and publishes a snapshot folding the overlay as cut at call
   /// time. Runs on the compactor thread (single snapshot writer).
   void CompactOnce();
-  void Execute(PendingQuery item);
+  /// Solves `item` against the current state; the caller delivers the
+  /// reply.
+  ServiceReply Execute(PendingQuery* item);
   void PublishStateLocked();
   /// Queues `sub` for pumping unless it is already queued or the service is
   /// stopping, and wakes a worker.

@@ -1,6 +1,7 @@
 // Integration coverage of the wire server + client (DESIGN.md §13): every
-// networked answer must be bit-identical to the in-process service, with
-// both batching configs; backpressure travels as typed kUnavailable error
+// networked answer must be bit-identical to the in-process service and run
+// through the service's own query path (deadlines, ServiceMetrics);
+// backpressure from the dispatch queue travels as typed kUnavailable error
 // frames (never dropped connections); mutations, standing subscriptions,
 // metrics/trace pulls and corrupt-stream teardown all ride the same loop;
 // and a thousand concurrent loopback connections verify differentially via
@@ -63,6 +64,10 @@ std::vector<Client> SomeClients(const Venue& venue, std::size_t n,
   return clients;
 }
 
+/// Client count of a query that keeps a dispatcher busy for a while on the
+/// tiny venue (the backpressure test parks the dispatcher on it).
+constexpr std::size_t kHeavyQueryClients = 200000;
+
 std::shared_ptr<IflsService> MakeTinyService(ServiceOptions options = {}) {
   TinyVenue tiny = BuildTinyVenue();
   return std::shared_ptr<IflsService>(Unwrap(IflsService::Create(
@@ -70,52 +75,49 @@ std::shared_ptr<IflsService> MakeTinyService(ServiceOptions options = {}) {
       options)));
 }
 
-// ------------------------------------------------- queries, both configs
+// ----------------------------------------------------------------- queries
 
-TEST(NetServerTest, QueryBitIdenticalToInProcessBothBatchingModes) {
-  for (bool coalesce : {true, false}) {
-    std::shared_ptr<IflsService> service = MakeTinyService();
-    const std::vector<Client> clients =
-        SomeClients(service->AcquireState()->snapshot->venue(), 6, 11);
+TEST(NetServerTest, QueryBitIdenticalToInProcess) {
+  std::shared_ptr<IflsService> service = MakeTinyService();
+  const std::vector<Client> clients =
+      SomeClients(service->AcquireState()->snapshot->venue(), 6, 11);
 
-    // In-process ground truth, one per objective.
-    std::vector<ServiceReply> expected;
-    for (IflsObjective objective :
-         {IflsObjective::kMinMax, IflsObjective::kMinDist,
-          IflsObjective::kMaxSum}) {
-      ServiceRequest request;
-      request.objective = objective;
-      request.clients = clients;
-      expected.push_back(service->Query(std::move(request)));
-      ASSERT_TRUE(expected.back().status.ok());
-    }
-
-    ServerOptions server_options;
-    server_options.coalesce_batches = coalesce;
-    std::unique_ptr<IflsServer> server =
-        Unwrap(IflsServer::Create(service, server_options));
-    std::unique_ptr<IflsClient> client =
-        Unwrap(IflsClient::Connect(server->port()));
-
-    int idx = 0;
-    for (IflsObjective objective :
-         {IflsObjective::kMinMax, IflsObjective::kMinDist,
-          IflsObjective::kMaxSum}) {
-      WireQueryRequest request;
-      request.clients = clients;
-      const WireQueryResponse response =
-          Unwrap(client->Query(objective, request));
-      EXPECT_EQ(response.found, expected[idx].result.found);
-      EXPECT_EQ(response.answer, expected[idx].result.answer);
-      EXPECT_TRUE(
-          BitEqual(response.objective, expected[idx].result.objective))
-          << "objective " << idx << " coalesce=" << coalesce;
-      EXPECT_EQ(response.batched, coalesce);
-      ++idx;
-    }
-    server->Stop();
-    service->Stop();
+  // In-process ground truth, one per objective.
+  std::vector<ServiceReply> expected;
+  for (IflsObjective objective :
+       {IflsObjective::kMinMax, IflsObjective::kMinDist,
+        IflsObjective::kMaxSum}) {
+    ServiceRequest request;
+    request.objective = objective;
+    request.clients = clients;
+    expected.push_back(service->Query(std::move(request)));
+    ASSERT_TRUE(expected.back().status.ok());
   }
+  const std::uint64_t completed_in_process = service->Metrics().completed;
+
+  std::unique_ptr<IflsServer> server = Unwrap(IflsServer::Create(service));
+  std::unique_ptr<IflsClient> client =
+      Unwrap(IflsClient::Connect(server->port()));
+
+  int idx = 0;
+  for (IflsObjective objective :
+       {IflsObjective::kMinMax, IflsObjective::kMinDist,
+        IflsObjective::kMaxSum}) {
+    WireQueryRequest request;
+    request.clients = clients;
+    const WireQueryResponse response =
+        Unwrap(client->Query(objective, request));
+    EXPECT_EQ(response.found, expected[idx].result.found);
+    EXPECT_EQ(response.answer, expected[idx].result.answer);
+    EXPECT_TRUE(BitEqual(response.objective, expected[idx].result.objective))
+        << "objective " << idx;
+    EXPECT_EQ(response.snapshot_epoch, expected[idx].snapshot_epoch);
+    ++idx;
+  }
+  // Networked queries ran through the service's own Execute.
+  EXPECT_EQ(service->Metrics().completed, completed_in_process + 3);
+  server->Stop();
+  service->Stop();
 }
 
 TEST(NetServerTest, PipelinedResponsesMatchedByRequestId) {
@@ -156,22 +158,32 @@ TEST(NetServerTest, PipelinedResponsesMatchedByRequestId) {
 // ----------------------------------------------------------- backpressure
 
 TEST(NetServerTest, BackpressureTravelsAsTypedErrorFrame) {
-  // Admission-only service with a one-slot queue: the first routed query is
-  // admitted and parks (nothing drains), every subsequent one is shed with
-  // kUnavailable — which must arrive as a typed error frame on a healthy
-  // connection, not a dropped one.
-  ServiceOptions service_options;
-  service_options.num_workers = 0;
-  service_options.queue_capacity = 1;
-  std::shared_ptr<IflsService> service = MakeTinyService(service_options);
+  // One dispatcher and a one-slot dispatch queue, the networked path's only
+  // admission point. A heavy query parks the dispatcher; of the burst sent
+  // while it solves, the first query waits in the queue and every later one
+  // is shed with kUnavailable — which must arrive as a typed error frame on
+  // a healthy connection, not a dropped one.
+  std::shared_ptr<IflsService> service = MakeTinyService();
   const Venue& venue = service->AcquireState()->snapshot->venue();
 
   ServerOptions server_options;
-  server_options.coalesce_batches = false;  // route through the admission queue
+  server_options.num_dispatchers = 1;
+  server_options.dispatch_queue_capacity = 1;
   std::unique_ptr<IflsServer> server =
       Unwrap(IflsServer::Create(service, server_options));
   std::unique_ptr<IflsClient> client =
       Unwrap(IflsClient::Connect(server->port()));
+
+  WireQueryRequest heavy;
+  heavy.clients = SomeClients(venue, kHeavyQueryClients, 5);
+  const std::uint64_t heavy_id =
+      Unwrap(client->SendQuery(IflsObjective::kMinMax, heavy));
+  // admitted == 1: the dispatcher popped the heavy query and is solving it,
+  // so the dispatch queue is empty again.
+  for (int spin = 0; spin < 5000 && service->Metrics().admitted < 1; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(service->Metrics().admitted, 1u);
 
   constexpr int kBurst = 6;
   std::vector<std::uint64_t> ids;
@@ -181,20 +193,7 @@ TEST(NetServerTest, BackpressureTravelsAsTypedErrorFrame) {
     ids.push_back(
         Unwrap(client->SendQuery(IflsObjective::kMinMax, request)));
   }
-  // Wait until every shed has been issued: a shed requires a full admission
-  // queue, so rejected == kBurst-1 also proves the one admitted query is
-  // already parked in the queue — safe to drain it from this thread
-  // (num_workers == 0 means nobody else will).
-  for (int spin = 0;
-       spin < 5000 && server->Metrics().rejected <
-                          static_cast<std::uint64_t>(kBurst - 1);
-       ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_GE(server->Metrics().rejected,
-            static_cast<std::uint64_t>(kBurst - 1));
-  while (service->ProcessOneInline()) {
-  }
+  EXPECT_TRUE(client->WaitQuery(heavy_id).ok());
   int ok = 0;
   int unavailable = 0;
   for (std::uint64_t id : ids) {
@@ -209,14 +208,41 @@ TEST(NetServerTest, BackpressureTravelsAsTypedErrorFrame) {
   }
   EXPECT_EQ(ok, 1);
   EXPECT_EQ(unavailable, kBurst - 1);
-  EXPECT_GE(server->Metrics().rejected,
+  EXPECT_EQ(server->Metrics().rejected,
             static_cast<std::uint64_t>(kBurst - 1));
+  // Shed before reaching the service: it admitted only the two that ran.
+  EXPECT_EQ(service->Metrics().admitted, 2u);
   // The connection survived the shedding: a ping still round-trips.
   EXPECT_TRUE(client->Ping().ok());
 
   // The rejected counter is visible over the wire too.
   const std::string metrics = Unwrap(client->PullMetrics());
   EXPECT_NE(metrics.find("ifls_net_rejected_total"), std::string::npos);
+  server->Stop();
+  service->Stop();
+}
+
+TEST(NetServerTest, WireDeadlineExpiresOnTheDefaultServer) {
+  // The deadline runs from frame decode, so 1 ns has always passed by the
+  // time a dispatcher runs the query: a typed kDeadlineExceeded frame, and
+  // the service counts the expiry.
+  std::shared_ptr<IflsService> service = MakeTinyService();
+  const Venue& venue = service->AcquireState()->snapshot->venue();
+  std::unique_ptr<IflsServer> server = Unwrap(IflsServer::Create(service));
+  std::unique_ptr<IflsClient> client =
+      Unwrap(IflsClient::Connect(server->port()));
+
+  WireQueryRequest request;
+  request.deadline_seconds = 1e-9;
+  request.clients = SomeClients(venue, 4, 9);
+  Result<WireQueryResponse> response =
+      client->Query(IflsObjective::kMinMax, request);
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kDeadlineExceeded)
+      << response.status().ToString();
+  EXPECT_EQ(service->Metrics().deadline_expired, 1u);
+  EXPECT_EQ(service->Metrics().completed, 0u);
+  EXPECT_TRUE(client->Ping().ok());
   server->Stop();
   service->Stop();
 }
@@ -524,12 +550,7 @@ TEST(NetServerTest, TraceContextPropagatesAcrossTheWire) {
 
   std::shared_ptr<IflsService> service = MakeTinyService();
   const Venue& venue = service->AcquireState()->snapshot->venue();
-  ServerOptions server_options;
-  // Coalesced batches deliberately do not adopt per-query scopes; the
-  // propagation contract is on the admission path.
-  server_options.coalesce_batches = false;
-  std::unique_ptr<IflsServer> server =
-      Unwrap(IflsServer::Create(service, server_options));
+  std::unique_ptr<IflsServer> server = Unwrap(IflsServer::Create(service));
   std::unique_ptr<IflsClient> client =
       Unwrap(IflsClient::Connect(server->port()));
 
@@ -717,8 +738,8 @@ TEST(NetServerTest, ThousandConnectionsBitIdenticalUnderLoad) {
     }
   }
 
+  const std::uint64_t completed_in_process = service->Metrics().completed;
   ServerOptions server_options;
-  server_options.coalesce_batches = true;
   server_options.num_dispatchers = 4;
   server_options.dispatch_queue_capacity = 8192;  // errors==0 asserted below
   std::unique_ptr<IflsServer> server =
@@ -736,11 +757,12 @@ TEST(NetServerTest, ThousandConnectionsBitIdenticalUnderLoad) {
   EXPECT_EQ(report.completed,
             load.num_connections * load.queries_per_connection);
   EXPECT_GT(report.qps, 0.0);
-  // Socket-layer batching actually engaged under concurrent arrivals.
+  // Every networked query ran through the service's own Execute.
   const ServerMetrics metrics = server->Metrics();
   EXPECT_EQ(metrics.queries,
             load.num_connections * load.queries_per_connection);
-  EXPECT_GT(metrics.batched_queries, 0u);
+  EXPECT_EQ(service->Metrics().completed - completed_in_process,
+            load.num_connections * load.queries_per_connection);
   server->Stop();
   service->Stop();
 }

@@ -78,12 +78,14 @@ TEST(WireRoundTripTest, QueryResponse) {
   response.objective = 13.625;
   response.snapshot_epoch = 5;
   response.overlay_size = 2;
-  response.batched = true;
-  response.batch_size = 17;
   WireFrame frame =
       DecodeOne(EncodeQueryResultFrame(0xFFFF'FFFF'FFFF'FFFEull, response));
   EXPECT_EQ(frame.opcode, WireOpcode::kQueryResult);
   EXPECT_EQ(frame.request_id, 0xFFFF'FFFF'FFFF'FFFEull);
+  // found u8, answer i32, objective f64, epoch u64, overlay u64, then the
+  // 5 reserved bytes, written as zero.
+  ASSERT_EQ(frame.payload.size(), 1u + 4 + 8 + 8 + 8 + 5);
+  EXPECT_EQ(frame.payload.substr(29), std::string(5, '\0'));
   auto decoded = DecodeQueryResponse(frame.payload);
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded.value().found);
@@ -91,8 +93,34 @@ TEST(WireRoundTripTest, QueryResponse) {
   EXPECT_EQ(decoded.value().objective, 13.625);
   EXPECT_EQ(decoded.value().snapshot_epoch, 5u);
   EXPECT_EQ(decoded.value().overlay_size, 2u);
-  EXPECT_TRUE(decoded.value().batched);
-  EXPECT_EQ(decoded.value().batch_size, 17u);
+}
+
+TEST(WireRoundTripTest, QueryResponseFromOlderServerDecodes) {
+  // Older servers filled the reserved tail with a batch flag (u8) and batch
+  // size (u32); the decoder reads past both.
+  std::string payload;
+  AppendLE<std::uint8_t>(&payload, 1);        // found
+  AppendLE<std::int32_t>(&payload, 42);       // answer
+  AppendLE<double>(&payload, 13.625);         // objective
+  AppendLE<std::uint64_t>(&payload, 5);       // snapshot epoch
+  AppendLE<std::uint64_t>(&payload, 2);       // overlay size
+  AppendLE<std::uint8_t>(&payload, 1);        // batched
+  AppendLE<std::uint32_t>(&payload, 17);      // batch size
+  std::string bytes;
+  AppendFrame(&bytes, WireOpcode::kQueryResult, 3, payload);
+  WireFrame frame = DecodeOne(bytes);
+  auto decoded = DecodeQueryResponse(frame.payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(decoded.value().found);
+  EXPECT_EQ(decoded.value().answer, 42);
+  EXPECT_EQ(decoded.value().objective, 13.625);
+  EXPECT_EQ(decoded.value().snapshot_epoch, 5u);
+  EXPECT_EQ(decoded.value().overlay_size, 2u);
+  // Cut inside the reserved tail: still a typed truncation.
+  EXPECT_EQ(DecodeQueryResponse(std::string_view(payload).substr(0, 31))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(WireRoundTripTest, MutateRequestAndResponse) {

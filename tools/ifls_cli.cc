@@ -22,11 +22,11 @@
 //                [--budget-mb MB] [--max-resident N] [--workers N]
 //                [--parse-load] [--seed S] [--metrics]
 //   serve        [--preset MC|CH|CPH|MZB] [--port P] [--workers N]
-//                [--existing N] [--candidates N] [--no-coalesce]
+//                [--existing N] [--candidates N] [--queue N]
 //                [--smoke N] [--seed S] [--metrics]
 //   bench-net    [--preset MC|CH|CPH|MZB] [--connections N] [--threads N]
 //                [--pipeline D] [--queries N] [--clients N] [--distinct N]
-//                [--workers N] [--dispatchers N] [--no-coalesce] [--seed S]
+//                [--workers N] [--dispatchers N] [--seed S]
 //
 // `trace` runs a traced IflsService session (queries across all three
 // objectives, a facility-mutation + compaction cycle, and a graph-oracle
@@ -42,8 +42,7 @@
 // queue/solve/oracle spans (pid 2) under the same trace ids. The --preset
 // and --seed must match the serve invocation (the client pool is
 // regenerated locally and must be valid in the server's venue). Start the
-// server with --no-coalesce: per-query server spans are recorded on the
-// admission path, which coalesced batches bypass.
+// server with IFLS_TRACE=1 so it records its half of the spans.
 //
 // `subscribe` registers standing IFLS queries over trajectory-driven
 // crowds, drives ticks plus a candidate-mutation/compaction cycle through
@@ -62,14 +61,15 @@
 //
 // `serve` starts the binary wire-protocol server (DESIGN.md §13) over a
 // preset-backed service on a loopback TCP port (--port 0 picks one and
-// prints it) and serves until SIGINT/SIGTERM. --smoke N instead runs an
+// prints it) and serves until SIGINT/SIGTERM. --queue N bounds the
+// server's dispatch queue, the one admission point of networked queries
+// (overflow is answered kUnavailable). --smoke N instead runs an
 // N-query loopback self-test — every wire answer differentially checked
 // against the same in-process service — and exits, which is what CI runs.
 //
 // `bench-net` is the command-line front end of the network load generator:
 // N concurrent loopback connections replay a pool of pre-answered queries
 // against a fresh server and every response is verified bit-identically.
-// See bench/bench_network_throughput.cc for the JSON-reporting variant.
 //
 // Exit code 0 on success, 1 on any error (message on stderr).
 
@@ -875,8 +875,6 @@ Result<std::shared_ptr<IflsService>> BuildServeService(const Args& args) {
   if (!sets.ok()) return sets.status();
   ServiceOptions options;
   options.num_workers = static_cast<int>(args.GetInt("workers", 2));
-  options.queue_capacity =
-      static_cast<std::size_t>(args.GetInt("queue", 1024));
   // The preset name doubles as the cost-ledger venue label, so the served
   // ifls_ledger_* series carry venue="MC" etc. out of the box.
   options.venue_label = args.GetOr("preset", "MC");
@@ -892,14 +890,14 @@ int Serve(const Args& args) {
 
   ServerOptions sopts;
   sopts.port = static_cast<std::uint16_t>(args.GetInt("port", 0));
-  sopts.coalesce_batches = !args.Has("no-coalesce");
+  sopts.dispatch_queue_capacity =
+      static_cast<std::size_t>(args.GetInt("queue", 1024));
   Result<std::unique_ptr<IflsServer>> server =
       IflsServer::Create(*service, sopts);
   if (!server.ok()) return Fail(server.status());
-  std::printf("serving %s on 127.0.0.1:%u (%s batching, %ld workers)\n",
+  std::printf("serving %s on 127.0.0.1:%u (%d dispatchers, queue %zu)\n",
               args.GetOr("preset", "MC").c_str(), (*server)->port(),
-              sopts.coalesce_batches ? "coalesced" : "per-query",
-              args.GetInt("workers", 2));
+              sopts.num_dispatchers, sopts.dispatch_queue_capacity);
   std::fflush(stdout);
 
   if (args.Has("smoke")) {
@@ -1002,7 +1000,6 @@ int BenchNet(const Args& args) {
   }
 
   ServerOptions sopts;
-  sopts.coalesce_batches = !args.Has("no-coalesce");
   sopts.num_dispatchers = static_cast<int>(args.GetInt("dispatchers", 4));
   sopts.dispatch_queue_capacity =
       connections * (static_cast<std::size_t>(pipeline) + 1);
@@ -1022,12 +1019,10 @@ int BenchNet(const Args& args) {
 
   const ServerMetrics sm = (*server)->Metrics();
   std::printf(
-      "bench-net (%s batching): %llu ok / %llu err / %llu mismatch across "
+      "bench-net: %llu ok / %llu err / %llu mismatch across "
       "%zu connections in %.3fs\n"
       "  %.0f qps, p50 %.3fms, p99 %.3fms, p999 %.3fms\n"
-      "  server: %llu frames, %llu batches (%llu queries batched), "
-      "%llu rejected\n",
-      sopts.coalesce_batches ? "coalesced" : "per-query",
+      "  server: %llu frames, %llu rejected\n",
       static_cast<unsigned long long>(report->completed),
       static_cast<unsigned long long>(report->errors),
       static_cast<unsigned long long>(report->mismatches),
@@ -1035,8 +1030,6 @@ int BenchNet(const Args& args) {
       report->p50_seconds * 1e3, report->p99_seconds * 1e3,
       report->p999_seconds * 1e3,
       static_cast<unsigned long long>(sm.frames_received),
-      static_cast<unsigned long long>(sm.batches),
-      static_cast<unsigned long long>(sm.batched_queries),
       static_cast<unsigned long long>(sm.rejected));
   (*server)->Stop();
   (*service)->Stop();
