@@ -92,24 +92,19 @@ Status WriteVenueSnapshot(const std::string& dir, const Venue& venue,
   }
   IFLS_RETURN_NOT_OK(SaveVenueToFile(venue, Join(dir, kFleetVenueFileName)));
   IFLS_RETURN_NOT_OK(tree.SaveV3ToFile(Join(dir, kFleetIndexV3FileName)));
-  IFLS_RETURN_NOT_OK(tree.SaveToFile(Join(dir, kFleetIndexV2FileName)));
   return SaveFacilities(Join(dir, kFleetFacilitiesFileName), existing,
                         candidates);
 }
 
 Result<LoadedVenueSnapshot> LoadVenueSnapshot(const std::string& dir,
-                                              SnapshotLoadMode mode) {
+                                              SnapshotLoadMode /*mode*/) {
   Result<Venue> venue = LoadVenueFromFile(Join(dir, kFleetVenueFileName));
   if (!venue.ok()) return venue.status();
   LoadedVenueSnapshot snapshot;
   snapshot.venue = std::make_shared<const Venue>(std::move(venue).value());
 
-  Result<VipTree> tree =
-      mode == SnapshotLoadMode::kMmap
-          ? VipTree::LoadV3FromFile(snapshot.venue.get(),
-                                    Join(dir, kFleetIndexV3FileName))
-          : VipTree::LoadFromFile(snapshot.venue.get(),
-                                  Join(dir, kFleetIndexV2FileName));
+  Result<VipTree> tree = VipTree::LoadV3FromFile(
+      snapshot.venue.get(), Join(dir, kFleetIndexV3FileName));
   if (!tree.ok()) return tree.status();
   snapshot.tree = std::make_shared<const VipTree>(std::move(tree).value());
 

@@ -18,27 +18,23 @@ namespace ifls {
 //
 //   <root>/<venue_id>/venue.txt       IFLS_VENUE text (io/venue_io)
 //   <root>/<venue_id>/index.v3.ifls   VIP-tree snapshot, format v3 (mmap)
-//   <root>/<venue_id>/index.v2.txt    same index, format v2 text (the
-//                                     parse-load comparison path)
 //   <root>/<venue_id>/facilities.txt  base existing/candidate sets
 //
 // Venue ids are the subdirectory names. Writing is offline (build once,
-// serve many); loading picks the mmap path or the parse path per
-// SnapshotLoadMode, so cold-load vs zero-copy-load is measurable on the
-// exact same snapshot.
+// serve many). The v3 image is the venue's only persisted index and the
+// only format the serving path reads; v1/v2 text indexes load solely
+// through VipTree::LoadFromFile, to be migrated with SaveV3ToFile. Other
+// files in a venue directory (e.g. an old v2 text index) are ignored.
 
 inline constexpr char kFleetVenueFileName[] = "venue.txt";
 inline constexpr char kFleetIndexV3FileName[] = "index.v3.ifls";
-inline constexpr char kFleetIndexV2FileName[] = "index.v2.txt";
 inline constexpr char kFleetFacilitiesFileName[] = "facilities.txt";
 
-/// How LoadVenueSnapshot hydrates the index.
+/// How LoadVenueSnapshot hydrates the index: v3 mmap only. The enum and the
+/// parameter stay because the benchmark (e2ebench/) passes kMmap explicitly.
 enum class SnapshotLoadMode {
   /// Zero-copy: mmap the v3 file; arenas stay file-backed.
   kMmap,
-  /// Legacy parse of the v2 text file into heap arenas (the before-world,
-  /// kept as the bench baseline and a fallback).
-  kParse,
 };
 
 /// One venue's snapshot, hydrated. The tree points at the venue, so the two
@@ -51,14 +47,14 @@ struct LoadedVenueSnapshot {
 };
 
 /// Writes one venue's snapshot under `dir` (created if missing): the venue,
-/// the index in both v3 and v2 formats, and the facility sets. Overwrites
-/// existing files; partial writes surface as IOError.
+/// the v3 index image and the facility sets. Overwrites existing files;
+/// partial writes surface as IOError.
 Status WriteVenueSnapshot(const std::string& dir, const Venue& venue,
                           const VipTree& tree,
                           std::span<const PartitionId> existing,
                           std::span<const PartitionId> candidates);
 
-/// Hydrates the snapshot written to `dir`, via mmap or parse.
+/// Hydrates the snapshot written to `dir` by mapping its v3 index.
 Result<LoadedVenueSnapshot> LoadVenueSnapshot(const std::string& dir,
                                               SnapshotLoadMode mode);
 

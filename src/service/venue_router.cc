@@ -32,6 +32,8 @@ Result<std::unique_ptr<VenueRouter>> VenueRouter::Open(
 
 Result<std::shared_ptr<IflsService>> VenueRouter::Service(
     const std::string& venue_id) {
+  // Declared before `lock`, so evicted services die after mu_ is released.
+  std::vector<std::shared_ptr<IflsService>> evicted;
   std::unique_lock<std::mutex> lock(mu_);
   auto it = entries_.find(venue_id);
   if (it == entries_.end()) {
@@ -58,7 +60,7 @@ Result<std::shared_ptr<IflsService>> VenueRouter::Service(
   std::size_t mapped_bytes = 0;
   {
     Result<LoadedVenueSnapshot> snapshot =
-        LoadVenueSnapshot(dir, options_.load_mode);
+        LoadVenueSnapshot(dir, SnapshotLoadMode::kMmap);
     if (!snapshot.ok()) {
       load_status = snapshot.status();
     } else {
@@ -93,7 +95,7 @@ Result<std::shared_ptr<IflsService>> VenueRouter::Service(
   entry.last_used = ++touch_clock_;
   ++entry.loads;
   ++loads_;
-  EvictOverBudgetLocked(venue_id);
+  evicted = EvictOverBudgetLocked(venue_id);
   return entry.service;
 }
 
@@ -156,13 +158,15 @@ Status VenueRouter::Preload(const std::string& venue_id) {
 }
 
 Status VenueRouter::Evict(const std::string& venue_id) {
+  // Declared before `lock`, so the evicted service dies after mu_ is free.
+  std::shared_ptr<IflsService> evicted;
   std::unique_lock<std::mutex> lock(mu_);
   auto it = entries_.find(venue_id);
   if (it == entries_.end()) {
     return Status::NotFound("unknown venue '" + venue_id + "'");
   }
   while (it->second.loading) loaded_cv_.wait(lock);
-  if (it->second.service != nullptr) EvictEntryLocked(venue_id, it->second);
+  if (it->second.service != nullptr) evicted = EvictEntryLocked(it->second);
   return Status::OK();
 }
 
@@ -213,7 +217,9 @@ VenueRouterMetrics VenueRouter::Metrics() const {
   return m;
 }
 
-void VenueRouter::EvictOverBudgetLocked(const std::string& keep) {
+std::vector<std::shared_ptr<IflsService>> VenueRouter::EvictOverBudgetLocked(
+    const std::string& keep) {
+  std::vector<std::shared_ptr<IflsService>> evicted;
   auto over_budget = [&]() {
     std::size_t resident = 0;
     std::size_t bytes = 0;
@@ -244,22 +250,22 @@ void VenueRouter::EvictOverBudgetLocked(const std::string& keep) {
     }
     // Only the protected venue remains: serving it beats the budget.
     if (victim == entries_.end()) break;
-    EvictEntryLocked(victim->first, victim->second);
+    evicted.push_back(EvictEntryLocked(victim->second));
   }
+  return evicted;
 }
 
-void VenueRouter::EvictEntryLocked(const std::string& id, Entry& entry) {
-  (void)id;
-  // Dropping our reference is the whole eviction: in-flight callers hold
+std::shared_ptr<IflsService> VenueRouter::EvictEntryLocked(Entry& entry) {
+  // Giving up our reference is the whole eviction: in-flight callers hold
   // their own shared_ptr, so the service (and, once they finish, the tree
   // and its mapping) is destroyed after the last request completes. The
   // mapped file bytes stay in the page cache — that is the warm-restart
   // path Service() re-maps on the next touch.
-  entry.service.reset();
   entry.resident_bytes = 0;
   entry.mapped_bytes = 0;
   ++entry.evictions;
   ++evictions_;
+  return std::move(entry.service);
 }
 
 void VenueRouter::RegisterMetrics() {

@@ -28,8 +28,6 @@ struct VenueRouterOptions {
   std::size_t memory_budget_bytes = 0;
   /// Hard cap on simultaneously resident venues; 0 = unlimited.
   std::size_t max_resident_venues = 0;
-  /// How snapshots hydrate (mmap zero-copy vs legacy v2 parse).
-  SnapshotLoadMode load_mode = SnapshotLoadMode::kMmap;
   /// Template for every per-venue service.
   ServiceOptions service;
 };
@@ -130,9 +128,14 @@ class VenueRouter {
   VenueRouter(std::string root, VenueRouterOptions options);
 
   /// Evicts LRU venues until budget and count hold, never touching
-  /// `keep` or a loading entry. Caller holds mu_.
-  void EvictOverBudgetLocked(const std::string& keep);
-  void EvictEntryLocked(const std::string& id, Entry& entry);
+  /// `keep` or a loading entry. Caller holds mu_ and must let the returned
+  /// services go only after releasing it (see EvictEntryLocked).
+  std::vector<std::shared_ptr<IflsService>> EvictOverBudgetLocked(
+      const std::string& keep);
+  /// Marks `entry` cold and hands the router's reference to the caller.
+  /// ~IflsService takes the registry mutex, which a /metrics scrape holds
+  /// while calling Metrics() (-> mu_), so the service must die outside mu_.
+  std::shared_ptr<IflsService> EvictEntryLocked(Entry& entry);
   void RegisterMetrics();
 
   const std::string root_;

@@ -1,23 +1,29 @@
 // VenueRouter tests: fleet snapshot round-trip, lazy hydration, routed
 // query correctness against a directly-built solver, LRU eviction under a
-// resident-memory budget, warm reload after eviction, and queries racing
-// eviction/reload from concurrent threads (run under TSan via the
-// `parallel` label).
+// resident-memory budget, warm reload after eviction, a corrupt snapshot
+// failing cleanly, and queries and metrics scrapes racing eviction/reload
+// (run under TSan via the `parallel` label).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/metrics_registry.h"
 #include "src/core/solve_dispatch.h"
 #include "src/datasets/client_generator.h"
 #include "src/datasets/facility_selector.h"
 #include "src/datasets/venue_generator.h"
+#include "src/index/vip_tree_io_v3.h"
 #include "src/service/fleet_store.h"
 #include "src/service/venue_router.h"
 #include "tests/test_util.h"
@@ -63,15 +69,22 @@ class VenueRouterTest : public ::testing::Test {
 
 TEST_F(VenueRouterTest, FleetSnapshotRoundTripsFacilitySets) {
   BuildFleet(2);
-  for (SnapshotLoadMode mode :
-       {SnapshotLoadMode::kMmap, SnapshotLoadMode::kParse}) {
-    LoadedVenueSnapshot snapshot =
-        Unwrap(LoadVenueSnapshot(root_ + "/venue0", mode));
-    EXPECT_EQ(snapshot.existing, sets_[0].existing);
-    EXPECT_EQ(snapshot.candidates, sets_[0].candidates);
-    EXPECT_EQ(snapshot.tree->is_mapped(), mode == SnapshotLoadMode::kMmap);
-    EXPECT_EQ(snapshot.venue->num_partitions(), venues_[0].num_partitions());
+  LoadedVenueSnapshot snapshot = Unwrap(
+      LoadVenueSnapshot(root_ + "/venue0", SnapshotLoadMode::kMmap));
+  EXPECT_EQ(snapshot.existing, sets_[0].existing);
+  EXPECT_EQ(snapshot.candidates, sets_[0].candidates);
+  EXPECT_TRUE(snapshot.tree->is_mapped());
+  EXPECT_EQ(snapshot.venue->num_partitions(), venues_[0].num_partitions());
+
+  // The v3 image is the venue's only persisted index.
+  std::set<std::string> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(root_ + "/venue0")) {
+    files.insert(entry.path().filename().string());
   }
+  EXPECT_EQ(files, (std::set<std::string>{kFleetVenueFileName,
+                                          kFleetIndexV3FileName,
+                                          kFleetFacilitiesFileName}));
 }
 
 TEST_F(VenueRouterTest, ListsVenuesSorted) {
@@ -133,7 +146,7 @@ TEST_F(VenueRouterTest, LazyHydrationAndManualEviction) {
   EXPECT_EQ(m.loads, 1u);
   EXPECT_EQ(m.resident_venues, 1u);
   EXPECT_GT(m.resident_bytes, 0u);
-  EXPECT_GT(m.mapped_bytes, 0u);  // default load mode is mmap
+  EXPECT_GT(m.mapped_bytes, 0u);  // the v3 index is mapped
 
   ASSERT_TRUE(router->Evict("venue0").ok());
   EXPECT_FALSE(router->IsResident("venue0"));
@@ -204,29 +217,65 @@ TEST_F(VenueRouterTest, MemoryBudgetEvictsAndWarmReloadAnswersIdentically) {
   EXPECT_GE(router->Metrics().loads, 4u);  // venue0 twice
 }
 
-TEST_F(VenueRouterTest, ParseLoadModeServesIdenticalAnswers) {
-  BuildFleet(1);
-  const std::vector<Client> clients = ClientsFor(0, 99);
+/// The v3 image is a venue's only index, so a corrupt one must fail the
+/// query with a typed status, leave the venue cold (not half-loaded) and
+/// the rest of the fleet serving, and hydrate normally once repaired.
+TEST_F(VenueRouterTest, CorruptSnapshotFailsTypedAndStaysCold) {
+  BuildFleet(2);
+  const std::string path = root_ + "/venue0/" + kFleetIndexV3FileName;
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  auto write_file = [&](const std::string& contents) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+  };
+  V3Header header;
+  ASSERT_GE(bytes.size(), sizeof(header));
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  std::string corrupt = bytes;
+  corrupt[header.dist_offset + 3] ^= 0xff;  // one payload byte
+  write_file(corrupt);
+
+  std::unique_ptr<VenueRouter> router = Unwrap(VenueRouter::Open(root_, {}));
   ServiceRequest request;
-  request.objective = IflsObjective::kMinDist;
-  request.clients = clients;
+  request.objective = IflsObjective::kMinMax;
+  request.clients = ClientsFor(0, 21);
+  const ServiceReply failed = router->Query("venue0", request);
+  EXPECT_TRUE(failed.status.IsInvalidArgument()) << failed.status.ToString();
+  EXPECT_FALSE(router->IsResident("venue0"));
 
-  VenueRouterOptions mmap_opts;
-  std::unique_ptr<VenueRouter> mmap_router =
-      Unwrap(VenueRouter::Open(root_, mmap_opts));
-  const ServiceReply from_mmap = mmap_router->Query("venue0", request);
-  ASSERT_TRUE(from_mmap.status.ok());
+  ServiceRequest other;
+  other.objective = IflsObjective::kMinMax;
+  other.clients = ClientsFor(1, 22);
+  EXPECT_TRUE(router->Query("venue1", other).status.ok());
 
-  VenueRouterOptions parse_opts;
-  parse_opts.load_mode = SnapshotLoadMode::kParse;
-  std::unique_ptr<VenueRouter> parse_router =
-      Unwrap(VenueRouter::Open(root_, parse_opts));
-  const ServiceReply from_parse = parse_router->Query("venue0", request);
-  ASSERT_TRUE(from_parse.status.ok());
+  write_file(bytes);
+  const ServiceReply repaired = router->Query("venue0", request);
+  EXPECT_TRUE(repaired.status.ok()) << repaired.status.ToString();
+  EXPECT_TRUE(router->IsResident("venue0"));
+}
 
-  EXPECT_EQ(from_mmap.result.answer, from_parse.result.answer);
-  EXPECT_EQ(from_mmap.result.objective, from_parse.result.objective);
-  EXPECT_EQ(parse_router->Metrics().mapped_bytes, 0u);  // no mmap in parse
+/// An evicted service must be destroyed outside the router mutex: its
+/// destructor unregisters metrics under the registry mutex, and a scrape
+/// holds that mutex while the ifls_router_* callbacks take the router
+/// mutex. TSan's lock-order detector needs only the two orders, not a race,
+/// so this single-threaded sequence is enough.
+TEST_F(VenueRouterTest, MetricsScrapeDuringEvictionHasNoLockInversion) {
+  BuildFleet(2);
+  VenueRouterOptions options;
+  options.max_resident_venues = 1;
+  std::unique_ptr<VenueRouter> router =
+      Unwrap(VenueRouter::Open(root_, options));
+  ASSERT_TRUE(router->Preload("venue0").ok());
+  const std::string text = DumpMetricsText();
+  EXPECT_NE(text.find("ifls_router_resident_venues"), std::string::npos);
+  ASSERT_TRUE(router->Preload("venue1").ok());
+  EXPECT_FALSE(router->IsResident("venue0"));
+  EXPECT_TRUE(router->IsResident("venue1"));
+  EXPECT_EQ(router->Metrics().evictions, 1u);
 }
 
 TEST_F(VenueRouterTest, MutationsRouteToTheRightVenue) {

@@ -20,7 +20,7 @@
 //   fleet        --dir DIR [--build] [--venues N] [--rooms N] [--levels N]
 //                [--existing N] [--candidates N] [--clients N] [--queries N]
 //                [--budget-mb MB] [--max-resident N] [--workers N]
-//                [--parse-load] [--seed S] [--metrics]
+//                [--seed S] [--metrics]
 //   serve        [--preset MC|CH|CPH|MZB] [--port P] [--workers N]
 //                [--existing N] [--candidates N] [--queue N]
 //                [--smoke N] [--seed S] [--metrics]
@@ -52,12 +52,11 @@
 //
 // `fleet` is the multi-venue serving demo (DESIGN.md §12). With --build it
 // first generates N distinct synthetic venues, builds their VIP-trees and
-// writes a fleet snapshot directory (v3 mmap images + v2 text + facility
-// sets) under --dir. It then opens a VenueRouter over the directory —
-// optionally under a resident-memory budget (--budget-mb / --max-resident,
-// which force LRU eviction of cold venues) or in --parse-load mode (v2
-// text parsing instead of zero-copy mmap) — and round-robins queries
-// across the whole fleet, printing per-venue residency and router totals.
+// writes a fleet snapshot directory (v3 mmap images + facility sets) under
+// --dir. It then opens a VenueRouter over the directory — optionally under
+// a resident-memory budget (--budget-mb / --max-resident, which force LRU
+// eviction of cold venues) — and round-robins queries across the whole
+// fleet, printing per-venue residency and router totals.
 //
 // `serve` starts the binary wire-protocol server (DESIGN.md §13) over a
 // preset-backed service on a loopback TCP port (--port 0 picks one and
@@ -791,17 +790,13 @@ int Fleet(const Args& args) {
       static_cast<std::size_t>(args.GetInt("budget-mb", 0)) * (1 << 20);
   ropts.max_resident_venues =
       static_cast<std::size_t>(args.GetInt("max-resident", 0));
-  ropts.load_mode = args.Has("parse-load") ? SnapshotLoadMode::kParse
-                                           : SnapshotLoadMode::kMmap;
   ropts.service.num_workers = static_cast<int>(args.GetInt("workers", 2));
   Result<std::unique_ptr<VenueRouter>> router = VenueRouter::Open(*dir, ropts);
   if (!router.ok()) return Fail(router.status());
   const std::vector<std::string> ids = (*router)->venue_ids();
-  std::printf("fleet %s: %zu venues (%s load, budget %ld MiB, "
-              "max resident %zu)\n",
-              dir->c_str(), ids.size(),
-              ropts.load_mode == SnapshotLoadMode::kMmap ? "mmap" : "parse",
-              args.GetInt("budget-mb", 0), ropts.max_resident_venues);
+  std::printf("fleet %s: %zu venues (budget %ld MiB, max resident %zu)\n",
+              dir->c_str(), ids.size(), args.GetInt("budget-mb", 0),
+              ropts.max_resident_venues);
 
   // Round-robin the fleet. Client sets are generated per venue (partition
   // ids are venue-local) and reused across that venue's queries.
