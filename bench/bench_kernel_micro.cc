@@ -1,7 +1,7 @@
 // Per-kernel microbench over the full ISA tier ladder: every min-plus
 // kernel is timed pinned to each tier this binary compiled in and this CPU
-// supports (scalar / sse4 / avx2 / avx512), across a size sweep that
-// straddles the 2/4/8-lane block boundaries. Reports ns/op curves and
+// supports (scalar / avx2 / avx512), across a size sweep that straddles
+// the 4/8-lane block boundaries. Reports ns/op curves and
 // speedup-vs-scalar per (kernel, size, tier), plus two summary gates:
 //
 //   * bit_identical — every tier reproduced the scalar reference exactly

@@ -1,46 +1,20 @@
 # CPU-feature build infrastructure for the min-plus kernel tiers
-# (DESIGN.md §9). Each ISA backend lives in its own translation unit under
-# src/index/kernels/ and is compiled with a per-file -m<isa> flag — the rest
+# (DESIGN.md §9). Each SIMD backend lives in its own translation unit under
+# src/index/kernels/ and is compiled with a per-file -m<isa> flag; the rest
 # of the project keeps the baseline ISA, so one binary still runs on any
 # x86-64 machine and the right tier is chosen at runtime from cpuid.
 #
-# Per tier this module:
-#   1. exposes an IFLS_KERNEL_<TIER> option (default ON) to opt a backend
-#      out of the build entirely;
-#   2. probes whether the compiler accepts the tier's flag
-#      (check_cxx_compiler_flag), skipping the probe off x86-64;
-#   3. when both hold, sets IFLS_KERNEL_TIER_<TIER> and defines the
-#      project-wide IFLS_HAVE_<TIER> guard that kernel_table.h / dispatch.cc
-#      key their declarations and choose-best ladder on.
-#
-# src/CMakeLists.txt consumes IFLS_KERNEL_TIER_<TIER> to add each enabled
-# minplus_<tier>.cc with its IFLS_KERNEL_TIER_<TIER>_FLAGS. Adding a tier =
-# one ifls_probe_kernel_tier() line here, one conditional source block
-# there, one table TU, one dispatch.cc case.
+# Per tier this module probes whether the compiler accepts the tier's flag
+# (check_cxx_compiler_flag, skipped off x86-64) and, when it does, sets
+# IFLS_KERNEL_TIER_<TIER> and defines the project-wide IFLS_HAVE_<TIER>
+# guard that kernel_table.h / dispatch.cc key their declarations and
+# choose-best ladder on. src/CMakeLists.txt consumes IFLS_KERNEL_TIER_<TIER>
+# to add each minplus_<tier>.cc with its IFLS_KERNEL_TIER_<TIER>_FLAGS.
 #
 # The scalar reference backend has no entry here: it is always compiled,
 # with no extra flags, and is the guaranteed fallback on every platform.
 
 include(CheckCXXCompilerFlag)
-
-option(IFLS_KERNEL_SSE4 "Compile the SSE4.2 min-plus kernel backend" ON)
-option(IFLS_KERNEL_AVX2 "Compile the AVX2 min-plus kernel backend" ON)
-option(IFLS_KERNEL_AVX512F "Compile the AVX-512F min-plus kernel backend" ON)
-
-# The pre-multi-tier switch compiled scalar+AVX2 from one TU. Keep old
-# configure lines working: IFLS_KERNEL_SIMD=OFF now means "scalar only".
-if(DEFINED IFLS_KERNEL_SIMD)
-  message(WARNING "IFLS_KERNEL_SIMD is deprecated; use IFLS_KERNEL_SSE4/"
-                  "AVX2/AVX512F per-tier options instead")
-  if(NOT IFLS_KERNEL_SIMD)
-    set(IFLS_KERNEL_SSE4 OFF)
-    set(IFLS_KERNEL_AVX2 OFF)
-    set(IFLS_KERNEL_AVX512F OFF)
-  endif()
-  # Drop the cached entry so the warning fires once per explicit use, not on
-  # every reconfigure of a build tree that predates the tier options.
-  unset(IFLS_KERNEL_SIMD CACHE)
-endif()
 
 if(CMAKE_SYSTEM_PROCESSOR MATCHES "^(x86_64|amd64|AMD64)$")
   set(IFLS_KERNEL_X86_64 TRUE)
@@ -49,14 +23,10 @@ else()
 endif()
 
 # ifls_probe_kernel_tier(<TIER> <flag>): sets IFLS_KERNEL_TIER_<TIER> and
-# IFLS_KERNEL_TIER_<TIER>_FLAGS, and defines IFLS_HAVE_<TIER> when the tier
-# is opted in, the host is x86-64 and the compiler accepts <flag>.
+# IFLS_KERNEL_TIER_<TIER>_FLAGS, and defines IFLS_HAVE_<TIER> when the host
+# is x86-64 and the compiler accepts <flag>.
 function(ifls_probe_kernel_tier tier flag)
   set(IFLS_KERNEL_TIER_${tier} FALSE PARENT_SCOPE)
-  if(NOT IFLS_KERNEL_${tier})
-    message(STATUS "ifls kernels: ${tier} tier disabled (IFLS_KERNEL_${tier}=OFF)")
-    return()
-  endif()
   if(NOT IFLS_KERNEL_X86_64)
     message(STATUS "ifls kernels: ${tier} tier skipped (non-x86-64 target "
                    "'${CMAKE_SYSTEM_PROCESSOR}')")
@@ -73,6 +43,5 @@ function(ifls_probe_kernel_tier tier flag)
   message(STATUS "ifls kernels: ${tier} tier enabled (${flag})")
 endfunction()
 
-ifls_probe_kernel_tier(SSE4 "-msse4.2")
 ifls_probe_kernel_tier(AVX2 "-mavx2")
 ifls_probe_kernel_tier(AVX512F "-mavx512f")

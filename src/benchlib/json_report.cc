@@ -161,7 +161,7 @@ Status WriteBenchReportToFile(const std::string& path, const std::string& name,
   // Attribution envelope (schema v2, tier fields added in v3): which
   // commit, build flavor and kernel tier produced the numbers, so archived
   // BENCH_*.json artifacts stay comparable. kernel_dispatch is the tier
-  // active when the report was written ("scalar|sse4|avx2|avx512");
+  // active when the report was written ("scalar|avx2|avx512");
   // kernel_tiers_compiled lists every backend baked into the binary.
   w.Field("git_sha", IFLS_GIT_SHA);
   w.Field("build_type", IFLS_BUILD_TYPE);

@@ -75,7 +75,7 @@ std::string BenchReportPath(const std::string& name);
 ///     "kernel_tiers_compiled": [...], ...body fields... }
 /// Schema v2 added the attribution fields (commit, CMAKE_BUILD_TYPE, active
 /// min-plus kernel backend); v3 widened kernel_dispatch to the tier ladder
-/// ("scalar|sse4|avx2|avx512") and added the compiled-tier list. Readers
+/// ("scalar|avx2|avx512") and added the compiled-tier list. Readers
 /// that ignore unknown fields are unaffected. `body` receives the writer
 /// positioned inside the envelope object and adds its fields via
 /// Field()/Key() + nested containers.

@@ -190,7 +190,7 @@ class ArenaBuffer {
     if (error_.empty()) error_ = "ArenaBuffer: " + message;
   }
 
-  std::vector<T, TrackingAllocator<T>> data_;
+  TrackedVector<T> data_;
 
   // Mapped-mode state. `mapped_data_` doubles as the mode discriminant.
   const T* mapped_data_ = nullptr;

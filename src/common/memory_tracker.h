@@ -4,6 +4,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
 namespace ifls {
 
@@ -165,6 +170,20 @@ class TrackingAllocator {
     return false;
   }
 };
+
+/// The tracked containers, spelled once: a query structure declared with
+/// one of these charges the thread's active MemoryTracker as it grows.
+template <typename T>
+using TrackedVector = std::vector<T, TrackingAllocator<T>>;
+
+template <typename K, typename V>
+using TrackedHashMap =
+    std::unordered_map<K, V, std::hash<K>, std::equal_to<K>,
+                       TrackingAllocator<std::pair<const K, V>>>;
+
+template <typename K>
+using TrackedHashSet = std::unordered_set<K, std::hash<K>, std::equal_to<K>,
+                                          TrackingAllocator<K>>;
 
 }  // namespace ifls
 

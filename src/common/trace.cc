@@ -47,10 +47,10 @@ std::chrono::steady_clock::time_point TraceClockBase() {
   return base;
 }
 
-/// Opt-in tracing from the environment (same idiom as IFLS_KERNELS):
-/// IFLS_TRACE=1 records every query, IFLS_TRACE=N samples 1-in-N, unset/0
-/// leaves tracing off. Lets CI rerun existing suites — e.g. the TSan
-/// `parallel` label — with the recorder live, without touching the tests.
+/// Opt-in tracing from the environment: IFLS_TRACE=1 records every query,
+/// IFLS_TRACE=N samples 1-in-N, unset/0 leaves tracing off. Lets CI rerun
+/// existing suites — e.g. the TSan `parallel` label — with the recorder
+/// live, without touching the tests.
 const bool g_env_enable = [] {
   const char* env = std::getenv("IFLS_TRACE");
   if (env == nullptr || *env == '\0' || std::strcmp(env, "0") == 0) {
@@ -122,6 +122,20 @@ struct TraceRecorder::ThreadBuffer {
     head.store(h + 1, std::memory_order_release);
   }
 
+  /// Appends every readable span held in the ring to `out`, or only those
+  /// of `trace_id` when it is non-zero.
+  void Collect(std::uint64_t trace_id, std::vector<TraceEvent>* out) const {
+    const std::uint64_t h = head.load(std::memory_order_acquire);
+    const std::uint64_t count = std::min<std::uint64_t>(h, kSlotsPerThread);
+    for (std::uint64_t i = h - count; i < h; ++i) {
+      TraceEvent event;
+      if (Read(static_cast<std::size_t>(i % kSlotsPerThread), &event) &&
+          (trace_id == 0 || event.trace_id == trace_id)) {
+        out->push_back(event);
+      }
+    }
+  }
+
   /// Seqlock read of one slot; false when a writer was mid-publish.
   bool Read(std::size_t index, TraceEvent* out) const {
     const Slot& slot = slots[index];
@@ -174,7 +188,7 @@ bool TraceRecorder::Sampled(std::uint64_t trace_id) const {
   return n <= 1 || trace_id % n == 1;
 }
 
-TraceRecorder::ThreadBuffer* TraceRecorder::LocalBuffer() {
+TraceRecorder::ThreadBuffer*& TraceRecorder::LocalSlot() {
   // The handle hands the ring back (events intact) when the thread exits; a
   // later thread adopts the ring and resets it, so the total footprint is
   // bounded by the peak number of concurrently-recording threads.
@@ -187,7 +201,12 @@ TraceRecorder::ThreadBuffer* TraceRecorder::LocalBuffer() {
     }
   };
   thread_local Handle handle;
-  if (handle.buffer != nullptr) return handle.buffer;
+  return handle.buffer;
+}
+
+TraceRecorder::ThreadBuffer* TraceRecorder::LocalBuffer() {
+  ThreadBuffer*& local = LocalSlot();
+  if (local != nullptr) return local;
 
   std::lock_guard<std::mutex> lock(registry_mu_);
   for (auto& buffer : buffers_) {
@@ -197,14 +216,14 @@ TraceRecorder::ThreadBuffer* TraceRecorder::LocalBuffer() {
                          std::memory_order_relaxed);
       buffer->head.store(0, std::memory_order_relaxed);
       buffer->in_use.store(true, std::memory_order_relaxed);
-      handle.buffer = buffer.get();
-      return handle.buffer;
+      local = buffer.get();
+      return local;
     }
   }
   buffers_.push_back(
       std::make_unique<ThreadBuffer>(static_cast<std::uint32_t>(buffers_.size())));
-  handle.buffer = buffers_.back().get();
-  return handle.buffer;
+  local = buffers_.back().get();
+  return local;
 }
 
 void TraceRecorder::Record(TraceCategory category, const char* name,
@@ -231,28 +250,29 @@ std::uint64_t TraceRecorder::dropped_events() const {
   return dropped_.load(std::memory_order_relaxed);
 }
 
-std::vector<TraceEvent> TraceRecorder::Snapshot() const {
-  std::vector<TraceEvent> events;
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  for (const auto& buffer : buffers_) {
-    const std::uint64_t head = buffer->head.load(std::memory_order_acquire);
-    const std::uint64_t count = std::min<std::uint64_t>(head, kSlotsPerThread);
-    for (std::uint64_t i = head - count; i < head; ++i) {
-      TraceEvent event;
-      if (buffer->Read(static_cast<std::size_t>(i % kSlotsPerThread),
-                       &event)) {
-        events.push_back(event);
-      }
-    }
-  }
-  std::sort(events.begin(), events.end(),
+namespace {
+
+/// (tid, start) order, parents before children.
+void SortEvents(std::vector<TraceEvent>* events) {
+  std::sort(events->begin(), events->end(),
             [](const TraceEvent& a, const TraceEvent& b) {
               if (a.tid != b.tid) return a.tid < b.tid;
               if (a.start_nanos != b.start_nanos) {
                 return a.start_nanos < b.start_nanos;
               }
-              return a.end_nanos > b.end_nanos;  // parents before children
+              return a.end_nanos > b.end_nanos;
             });
+}
+
+}  // namespace
+
+std::vector<TraceEvent> TraceRecorder::Snapshot() const {
+  std::vector<TraceEvent> events;
+  {
+    std::lock_guard<std::mutex> lock(registry_mu_);
+    for (const auto& buffer : buffers_) buffer->Collect(0, &events);
+  }
+  SortEvents(&events);
   return events;
 }
 
@@ -264,6 +284,16 @@ std::vector<TraceEvent> TraceRecorder::SnapshotTrace(
                                 return e.trace_id != trace_id;
                               }),
                events.end());
+  return events;
+}
+
+std::vector<TraceEvent> TraceRecorder::SnapshotLocalTrace(
+    std::uint64_t trace_id) const {
+  std::vector<TraceEvent> events;
+  const ThreadBuffer* local = LocalSlot();
+  if (local == nullptr || trace_id == 0) return events;
+  local->Collect(trace_id, &events);
+  SortEvents(&events);
   return events;
 }
 

@@ -116,8 +116,14 @@ class TraceRecorder {
   /// All currently-held spans, ordered by (tid, start). Safe to call while
   /// other threads record; concurrently-written slots are skipped.
   std::vector<TraceEvent> Snapshot() const;
-  /// Snapshot() filtered to one trace id (slow-query capture).
+  /// Snapshot() filtered to one trace id, across every thread's ring.
   std::vector<TraceEvent> SnapshotTrace(std::uint64_t trace_id) const;
+  /// One trace id's spans from the calling thread's ring only, in start
+  /// order, without taking the registry lock. This is the slow-query
+  /// capture: a query's span tree is recorded on the thread that executes
+  /// it, so scanning one ring is enough and concurrent queries never
+  /// serialise on each other's capture.
+  std::vector<TraceEvent> SnapshotLocalTrace(std::uint64_t trace_id) const;
 
   /// Spans lost to ring wrap-around (or buffer reuse) since the last Clear.
   std::uint64_t dropped_events() const;
@@ -146,6 +152,8 @@ class TraceRecorder {
   /// The calling thread's ring, created on first record and returned to a
   /// reuse pool (events intact) when the thread exits.
   ThreadBuffer* LocalBuffer();
+  /// The calling thread's ring slot: null until the thread first records.
+  static ThreadBuffer*& LocalSlot();
 
   mutable std::mutex registry_mu_;
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;

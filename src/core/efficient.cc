@@ -5,7 +5,6 @@
 #include <memory>
 #include <queue>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -17,26 +16,13 @@
 namespace ifls {
 namespace {
 
-template <typename T>
-using TrackedVector = std::vector<T, TrackingAllocator<T>>;
-
-using CandidateMap =
-    std::unordered_map<PartitionId, double, std::hash<PartitionId>,
-                       std::equal_to<PartitionId>,
-                       TrackingAllocator<std::pair<const PartitionId, double>>>;
-
-using VisitedSet =
-    std::unordered_set<std::int64_t, std::hash<std::int64_t>,
-                       std::equal_to<std::int64_t>,
-                       TrackingAllocator<std::int64_t>>;
-
 /// A group of clients sharing one partition (or a singleton when grouping is
 /// disabled). The traversal enqueues one entry stream per group.
 struct Group {
   PartitionId partition = kInvalidPartition;
   TrackedVector<std::uint32_t> clients;
   std::int32_t alive = 0;
-  VisitedSet visited;
+  TrackedHashSet<std::int64_t> visited;
 };
 
 /// Priority-queue entry of the bottom-up traversal: (group's partition,
@@ -78,7 +64,7 @@ struct ClientState {
   double best_existing = kInfDistance;
   double best_any = kInfDistance;
   std::uint32_t group = 0;
-  CandidateMap candidates;
+  TrackedHashMap<PartitionId, double> candidates;
 };
 
 std::int64_t EncodeEntity(std::int32_t entity, bool is_partition) {
@@ -581,7 +567,7 @@ class EfficientSolver {
   FacilityIndex index_;
 
   TrackedVector<ClientState> clients_;
-  std::vector<Group, TrackingAllocator<Group>> groups_;
+  TrackedVector<Group> groups_;
   std::priority_queue<TraversalEntry,
                       TrackedVector<TraversalEntry>,
                       std::greater<TraversalEntry>>

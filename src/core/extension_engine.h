@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <queue>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -18,18 +17,8 @@
 namespace ifls {
 namespace internal {
 
-template <typename T>
-using TrackedVector = std::vector<T, TrackingAllocator<T>>;
-
-using RetrievedMap =
-    std::unordered_map<PartitionId, double, std::hash<PartitionId>,
-                       std::equal_to<PartitionId>,
-                       TrackingAllocator<std::pair<const PartitionId, double>>>;
-
-using EntitySet =
-    std::unordered_set<std::int64_t, std::hash<std::int64_t>,
-                       std::equal_to<std::int64_t>,
-                       TrackingAllocator<std::int64_t>>;
+/// Retrieved candidates and their exact distances, as the policies see them.
+using RetrievedMap = TrackedHashMap<PartitionId, double>;
 
 /// Generic single-pass bottom-up retrieval over a distance oracle's node
 /// hierarchy (the paper's Algorithm 3 traversal) parameterized by an
@@ -151,7 +140,7 @@ class IncrementalObjectiveSolver {
     PartitionId partition = kInvalidPartition;
     TrackedVector<std::uint32_t> clients;
     std::int32_t alive = 0;
-    EntitySet visited;
+    TrackedHashSet<std::int64_t> visited;
   };
 
   static std::int64_t Encode(std::int32_t entity, bool is_partition) {

@@ -12,9 +12,6 @@
 namespace ifls {
 namespace {
 
-template <typename T>
-using TrackedVector = std::vector<T, TrackingAllocator<T>>;
-
 /// One entry of the sorted list Ls: a client and its nearest existing
 /// facility distance.
 struct NefEntry {

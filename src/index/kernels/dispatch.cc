@@ -1,15 +1,10 @@
 // Runtime dispatch for the min-plus kernel tiers: one immutable function
 // table per compiled-in backend (kernel_table.h), an atomic pointer to the
-// active one, and a choose-best ladder keyed on runtime cpuid. Resolution
-// order at first use:
-//
-//   1. IFLS_KERNELS=scalar|sse4|avx2|avx512 — explicit pin; unknown names
-//      and tiers this build/CPU cannot run are typed errors (logged here,
-//      returned as Status from ApplyKernelEnvOverride / PinKernelTier),
-//      never a silent fallback;
-//   2. otherwise the highest tier that is both compiled in
-//      (IFLS_HAVE_<TIER>, cmake/cpu_features.cmake) and reported by
-//      __builtin_cpu_supports.
+// active one, and a choose-best ladder keyed on runtime cpuid. At first use
+// the highest tier that is both compiled in (IFLS_HAVE_<TIER>,
+// cmake/cpu_features.cmake) and reported by __builtin_cpu_supports wins.
+// PinKernelTier moves dispatch in-process (tests and bench_kernel_micro
+// use it for the tier product against the scalar reference).
 //
 // The selected backend is logged once at startup, published as the
 // ifls_kernel_backend info metric (one series per compiled tier, active
@@ -17,7 +12,6 @@
 // envelope (src/benchlib/json_report) reads ActiveKernelName() directly.
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 
@@ -33,20 +27,13 @@ namespace {
 
 using internal::KernelTable;
 
-const char* const kTierNames[kNumKernelTiers] = {"scalar", "sse4", "avx2",
-                                                 "avx512"};
+const char* const kTierNames[kNumKernelTiers] = {"scalar", "avx2", "avx512"};
 
 /// The tier's table when its translation unit was compiled in, else null.
 const KernelTable* CompiledTable(KernelTier tier) {
   switch (tier) {
     case KernelTier::kScalar:
       return internal::GetScalarKernelTable();
-    case KernelTier::kSse4:
-#if defined(IFLS_HAVE_SSE4)
-      return internal::GetSse4KernelTable();
-#else
-      return nullptr;
-#endif
     case KernelTier::kAvx2:
 #if defined(IFLS_HAVE_AVX2)
       return internal::GetAvx2KernelTable();
@@ -68,8 +55,6 @@ bool CpuReportsTier(KernelTier tier) {
   switch (tier) {
     case KernelTier::kScalar:
       return true;
-    case KernelTier::kSse4:
-      return __builtin_cpu_supports("sse4.2") != 0;
     case KernelTier::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
     case KernelTier::kAvx512:
@@ -116,41 +101,14 @@ void InstallTable(const KernelTable* table) {
   TraceRecorder::Global().SetMetadata("kernel_backend", table->name);
 }
 
-/// Env resolution shared by the lazy init and ApplyKernelEnvOverride.
-/// Returns OK with *applied=false when IFLS_KERNELS is unset.
-Status ResolveEnvOverride(bool* applied) {
-  *applied = false;
-  const char* env = std::getenv("IFLS_KERNELS");
-  if (env == nullptr || *env == '\0') return Status::OK();
-  Result<KernelTier> tier = ParseKernelTier(env);
-  if (!tier.ok()) return tier.status();
-  Status pinned = PinKernelTier(*tier);
-  if (!pinned.ok()) {
-    return Status(pinned.code(),
-                  "IFLS_KERNELS=" + std::string(env) + ": " + pinned.message());
-  }
-  *applied = true;
-  return Status::OK();
-}
-
-/// One-time lazy resolution, shared by every public entry point. The
-/// resolved tier is logged exactly once; an invalid IFLS_KERNELS value is
-/// loud (kError log) and auto dispatch proceeds on the best tier so the
-/// process stays serviceable — callers that want the typed error fatal
-/// call ApplyKernelEnvOverride() themselves.
+/// One-time lazy resolution, shared by every public entry point: installs
+/// the best supported tier and logs it exactly once.
 void EnsureInitialized() {
   static std::once_flag once;
   std::call_once(once, [] {
-    bool applied = false;
-    const Status env = ResolveEnvOverride(&applied);
-    if (!env.ok()) {
-      IFLS_LOG(ERROR) << "invalid kernel tier override: " << env.ToString()
-                       << "; falling back to auto dispatch";
-    }
-    if (!applied) InstallTable(CompiledTable(BestKernelTier()));
+    InstallTable(CompiledTable(BestKernelTier()));
     IFLS_LOG(INFO) << "min-plus kernel dispatch: tier="
                     << ActiveTableSlot().load(std::memory_order_acquire)->name
-                    << (applied ? " (IFLS_KERNELS pin)" : " (auto)")
                     << ", compiled tiers: " << CompiledTierList();
   });
 }
@@ -171,27 +129,6 @@ const char* KernelTierName(KernelTier tier) {
   const int t = static_cast<int>(tier);
   IFLS_CHECK(t >= 0 && t < kNumKernelTiers) << "bad KernelTier " << t;
   return kTierNames[t];
-}
-
-Result<KernelTier> ParseKernelTier(const std::string& name) {
-  for (int t = 0; t < kNumKernelTiers; ++t) {
-    if (name == kTierNames[t]) return static_cast<KernelTier>(t);
-  }
-  if (name == "avx512f") return KernelTier::kAvx512;
-  if (name == "simd") {
-    // Legacy two-backend pin: the best SIMD tier this machine can run. A
-    // scalar-only build/CPU cannot honor a SIMD request.
-    const KernelTier best = BestKernelTier();
-    if (best == KernelTier::kScalar) {
-      return Status::FailedPrecondition(
-          "kernel tier 'simd' (legacy alias): no SIMD tier is compiled in "
-          "and supported on this CPU");
-    }
-    return best;
-  }
-  return Status::InvalidArgument(
-      "unknown kernel tier '" + name +
-      "' (valid: scalar, sse4, avx2, avx512; legacy alias: simd)");
 }
 
 bool KernelTierCompiled(KernelTier tier) {
@@ -227,20 +164,7 @@ Status PinKernelTier(KernelTier tier) {
   return Status::OK();
 }
 
-Status ApplyKernelEnvOverride() {
-  bool applied = false;
-  return ResolveEnvOverride(&applied);
-}
-
-void ResetKernelTierAuto() {
-  bool applied = false;
-  const Status env = ResolveEnvOverride(&applied);
-  if (!env.ok()) {
-    IFLS_LOG(ERROR) << "invalid kernel tier override: " << env.ToString()
-                     << "; using best supported tier";
-  }
-  if (!applied) InstallTable(CompiledTable(BestKernelTier()));
-}
+void ResetKernelTierAuto() { InstallTable(CompiledTable(BestKernelTier())); }
 
 KernelTier ActiveKernelTier() { return Active().tier; }
 

@@ -12,9 +12,11 @@ namespace internal {
 
 /// One immutable function table per ISA tier. Each tier's translation unit
 /// (minplus_<tier>.cc, compiled with that tier's per-file -m<isa> flag)
-/// defines exactly one of the Get*KernelTable() factories below; dispatch.cc
-/// assembles the choose-best ladder from whichever factories the build
-/// compiled in (the IFLS_HAVE_<TIER> guards from cmake/cpu_features.cmake).
+/// defines exactly one of the Get*KernelTable() factories below; the two
+/// SIMD tiers build theirs from the shared body in minplus_simd_body.h.
+/// dispatch.cc assembles the choose-best ladder from whichever factories
+/// the build compiled in (the IFLS_HAVE_<TIER> guards from
+/// cmake/cpu_features.cmake).
 ///
 /// Every entry implements the same bit-identity contract as the scalar
 /// reference in minplus_scalar.cc: left-associated sums, min returns an
@@ -41,9 +43,6 @@ struct KernelTable {
 /// Always present: the portable reference backend.
 const KernelTable* GetScalarKernelTable();
 
-#if defined(IFLS_HAVE_SSE4)
-const KernelTable* GetSse4KernelTable();
-#endif
 #if defined(IFLS_HAVE_AVX2)
 const KernelTable* GetAvx2KernelTable();
 #endif

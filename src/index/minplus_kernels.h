@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "src/common/status.h"
 
@@ -14,29 +13,25 @@ namespace kernels {
 /// door matrices: min_k (src[k] + M[k][j] + dst[j]) and friends, executed
 /// millions of times per workload directly on the arena-resident matrix
 /// spans. This family implements those reductions as blocked, contiguous
-/// kernels over a ladder of ISA tiers, one translation unit per tier
-/// (src/index/kernels/):
+/// kernels over three ISA tiers (src/index/kernels/):
 ///
 ///  * scalar    — portable reference, always compiled, always available;
-///  * sse4      — 2-lane __m128d blocks (-msse4.2), for older serving
-///                hardware without AVX;
 ///  * avx2      — 4-lane __m256d blocks with vgatherdpd (-mavx2);
 ///  * avx512    — 8-lane __m512d blocks (-mavx512f).
 ///
-/// cmake/cpu_features.cmake probes the compiler per tier and compiles each
-/// backend's translation unit with its own per-file ISA flag (no global
-/// -m<isa>; the rest of the binary keeps the baseline ISA and still runs
-/// anywhere). At startup a choose-best table keyed on runtime cpuid
+/// The two SIMD tiers are one algorithm (minplus_simd_body.h) instantiated
+/// over per-ISA lane traits, each in its own translation unit compiled with
+/// its own per-file ISA flag (cmake/cpu_features.cmake; no global -m<isa>,
+/// so the rest of the binary keeps the baseline ISA and still runs
+/// anywhere). At first use a choose-best table keyed on runtime cpuid
 /// (__builtin_cpu_supports) selects the highest compiled-in tier this CPU
-/// reports; IFLS_KERNELS=scalar|sse4|avx2|avx512 pins any tier, and naming
-/// an unknown or unavailable tier is a typed error, never a silent
-/// fallback.
+/// reports. Only PinKernelTier moves dispatch off that choice.
 ///
 /// Bit-identity contract: every tier produces bit-identical doubles. The
 /// candidate terms are the exact same IEEE expressions — left-associated
 /// sums like (a[i] + m) + b[j], no FMA contraction, no reassociation — and
 /// the reduction operator `min` always returns one of its operands, so the
-/// reduction order (scalar loop vs 2/4/8-lane tree) cannot change a single
+/// reduction order (scalar loop vs 4/8-lane tree) cannot change a single
 /// bit. Argmin kernels additionally pin the tie-break: lowest index
 /// attaining the minimal sum wins, matching the reference `cand < best`
 /// loops. tests/minplus_kernels_test.cc locks both properties in across
@@ -47,22 +42,15 @@ namespace kernels {
 /// [0, kNumKernelTiers)).
 enum class KernelTier : int {
   kScalar = 0,
-  kSse4 = 1,
-  kAvx2 = 2,
-  kAvx512 = 3,
+  kAvx2 = 1,
+  kAvx512 = 2,
 };
-inline constexpr int kNumKernelTiers = 4;
+inline constexpr int kNumKernelTiers = 3;
 
-/// Stable lower-case tier name: "scalar", "sse4", "avx2", "avx512". These
-/// are exactly the IFLS_KERNELS values, the ifls_kernel_backend metric
-/// labels and the bench-report kernel_dispatch strings.
+/// Stable lower-case tier name: "scalar", "avx2", "avx512". These are
+/// exactly the ifls_kernel_backend metric labels, the ledger's tier label
+/// and the bench-report kernel_dispatch strings.
 const char* KernelTierName(KernelTier tier);
-
-/// Parses a tier name ("avx512f" is accepted as an alias for "avx512", and
-/// the legacy "simd" pin from the two-backend era resolves to the best
-/// supported SIMD tier). Unknown names are kInvalidArgument listing the
-/// valid values.
-Result<KernelTier> ParseKernelTier(const std::string& name);
 
 /// True when the tier's backend is compiled into this binary (its
 /// IFLS_HAVE_<TIER> translation unit was built).
@@ -81,16 +69,8 @@ KernelTier BestKernelTier();
 /// finish on the table they started with.
 Status PinKernelTier(KernelTier tier);
 
-/// Applies the IFLS_KERNELS environment override, if set. Unset: OK, no
-/// change. Set to a valid supported tier: pins it. Set to an unknown name
-/// or an unavailable tier: a typed error and no change. Called by the lazy
-/// dispatch init (which logs any error and falls back to BestKernelTier())
-/// and directly by tools/benches that want the error to be fatal.
-Status ApplyKernelEnvOverride();
-
-/// Restores auto dispatch: the IFLS_KERNELS override when valid, else the
-/// best supported tier (any invalid override is logged once per call).
-/// Tests and benches that pinned a tier call this to hand dispatch back.
+/// Restores auto dispatch: the best supported tier. Tests and benches that
+/// pinned a tier call this to hand dispatch back.
 void ResetKernelTierAuto();
 
 /// The tier the dispatch table currently points at.

@@ -46,8 +46,7 @@ void IncrementalSearch(const FacilityIndex& index, const Point& query,
   const DistanceOracle& oracle = index.oracle();
   // The queue charges the caller's active MemoryTracker so a query's search
   // footprint shows up in its memory stats.
-  std::priority_queue<Entry, std::vector<Entry, TrackingAllocator<Entry>>,
-                      std::greater<Entry>>
+  std::priority_queue<Entry, TrackedVector<Entry>, std::greater<Entry>>
       queue;
 
   auto push = [&](const Entry& e) {

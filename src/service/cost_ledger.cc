@@ -162,7 +162,7 @@ void QueryCostLedger::OfferSlow(const QueryCostSample& sample,
   record->sample = sample;
   record->tier = tier;
   if (capture_spans && sample.trace_id != 0) {
-    record->spans = TraceRecorder::Global().SnapshotTrace(sample.trace_id);
+    record->spans = TraceRecorder::Global().SnapshotLocalTrace(sample.trace_id);
   }
   std::lock_guard<std::mutex> lock(slow_ring_[victim].mu);
   slow_ring_[victim].record = std::move(record);

@@ -528,7 +528,7 @@ void IflsService::LogSlowQuery(const ServiceReply& reply,
     // Spans of this query only; rings are per-thread so the whole query's
     // tree lives in the executing thread's buffer (plus none elsewhere).
     message += FormatSpanTree(
-        TraceRecorder::Global().SnapshotTrace(reply.trace_id));
+        TraceRecorder::Global().SnapshotLocalTrace(reply.trace_id));
   }
   IFLS_LOG(WARNING) << message;
 }

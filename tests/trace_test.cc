@@ -18,6 +18,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -276,6 +277,24 @@ TEST_F(TraceTest, SnapshotTraceFiltersToOneQuery) {
   const std::string tree = FormatSpanTree(mine);
   EXPECT_NE(tree.find("[service] a"), std::string::npos);
   EXPECT_NE(tree.find("[solver] b"), std::string::npos);
+}
+
+TEST_F(TraceTest, SnapshotLocalTraceReadsOnlyTheCallingThreadsRing) {
+  TraceRecorder& recorder = TraceRecorder::Global();
+  recorder.Enable();
+  recorder.Record(TraceCategory::kService, "local", 9, 10, 20);
+  recorder.Record(TraceCategory::kSolver, "other_query", 10, 12, 18);
+  std::thread([&recorder] {
+    recorder.Record(TraceCategory::kService, "remote", 9, 11, 19);
+  }).join();
+  const std::vector<TraceEvent> mine = recorder.SnapshotLocalTrace(9);
+  ASSERT_EQ(mine.size(), 1u);
+  EXPECT_STREQ(mine[0].name, "local");
+  // The cross-thread snapshot still sees both rings.
+  EXPECT_EQ(recorder.SnapshotTrace(9).size(), 2u);
+  std::vector<TraceEvent> none;
+  std::thread([&] { none = recorder.SnapshotLocalTrace(9); }).join();
+  EXPECT_TRUE(none.empty());
 }
 
 // -------------------------------------------------------------- bit identity

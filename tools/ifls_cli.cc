@@ -1035,18 +1035,8 @@ int BenchNet(const Args& args) {
 }
 
 // `ifls_cli kernels` prints the ISA tier ladder (compiled / CPU-supported /
-// active per tier). With --supports=TIER it is silent and answers via exit
-// code (0 = this binary can pin TIER here, 1 = it cannot, 2 = unknown name),
-// which is what the CI matrix uses to skip pins a runner cannot execute.
-int Kernels(const Args& args) {
-  if (const auto query = args.Get("supports")) {
-    const Result<kernels::KernelTier> tier = kernels::ParseKernelTier(*query);
-    if (!tier.ok()) {
-      std::fprintf(stderr, "%s\n", tier.status().ToString().c_str());
-      return 2;
-    }
-    return kernels::KernelTierSupported(*tier) ? 0 : 1;
-  }
+// active per tier) and the tier auto dispatch picks.
+int Kernels() {
   const kernels::KernelTier active = kernels::ActiveKernelTier();
   std::printf("%-8s %-9s %-10s %s\n", "tier", "compiled", "supported",
               "active");
@@ -1073,7 +1063,7 @@ int Run(int argc, char** argv) {
   const std::string command = argv[1];
   Args args(argc, argv, 2);
   if (!args.ok()) return 1;
-  if (command == "kernels") return Kernels(args);
+  if (command == "kernels") return Kernels();
   if (command == "gen-venue") return GenVenue(args);
   if (command == "gen-workload") return GenWorkload(args);
   if (command == "solve") return Solve(args);
