@@ -41,7 +41,6 @@ class DoorMatrixView {
 
   /// Raw payload pointers (arena cell addressing; null when default-built).
   const double* dist_data() const { return dist_; }
-  const DoorId* first_hop_data() const { return first_hop_; }
   bool has_first_hop() const { return first_hop_ != nullptr; }
 
   /// Index of `d` among rows, or -1.
@@ -82,10 +81,9 @@ class DoorMatrixView {
   const DoorId* first_hop_ = nullptr;
 };
 
-/// Owning dense distance matrix between two (sorted) door sets. Retained for
-/// the v1 serialization migration path, standalone uses, and as the
-/// pointer-chasing comparison layout in bench_index_micro; the tree itself
-/// now stores its payloads in arenas exposed through DoorMatrixView.
+/// Owning dense distance matrix between two (sorted) door sets: the
+/// per-node, pointer-chasing comparison layout in bench_index_micro. The
+/// tree itself stores its payloads in arenas exposed through DoorMatrixView.
 class DoorMatrix {
  public:
   DoorMatrix() = default;

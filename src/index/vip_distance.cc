@@ -187,9 +187,11 @@ double VipTree::PointToPartition(const Point& a, PartitionId pa,
                                  PartitionId target) const {
   if (pa == target) return 0.0;
   const Partition& part_a = venue_->partition(pa);
-  if (options_.single_door_optimization && part_a.doors.size() == 1) {
+  if (part_a.doors.size() == 1) {
     // Paper §5.3.1 Case 1: the single exit door makes the partition-level
-    // distance reusable; only the local leg differs per point.
+    // distance reusable; only the local leg differs per point. Bit-identical
+    // to the generic composition below: rounding is monotone, so
+    // leg + min(d) == min(leg + d).
     const Door& only = venue_->door(part_a.doors[0]);
     return PointToDoorDistance(a, only) +
            DoorToPartition(only.id, target);
@@ -230,7 +232,7 @@ double VipTree::PointToNode(const Point& a, PartitionId pa, NodeId n) const {
 }
 
 DoorId VipTree::FirstHop(DoorId a, DoorId b) const {
-  if (a == b || !options_.store_first_hop) return kInvalidDoor;
+  if (a == b) return kInvalidDoor;
   const Door& door_a = venue_->door(a);
   NodeId leaves_a[2];
   int count_a = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <queue>
 #include <sstream>
@@ -105,6 +106,35 @@ std::vector<int> ChunkBySpatialOrder(std::vector<SpatialItem> items,
 }
 
 }  // namespace
+
+VipTree::NodeDoors VipTree::DeriveNodeDoors(
+    const Venue& venue, const VipTreeStructure& structure, NodeId id,
+    const std::function<bool(NodeId, PartitionId)>& contains) {
+  const VipTreeStructure::Node& n =
+      structure.nodes[static_cast<std::size_t>(id)];
+  std::vector<DoorId> doors;
+  if (n.is_leaf()) {
+    for (PartitionId p : n.partitions) {
+      const auto& pd = venue.partition(p).doors;
+      doors.insert(doors.end(), pd.begin(), pd.end());
+    }
+  } else {
+    for (NodeId ch : n.children) {
+      const auto& cad =
+          structure.nodes[static_cast<std::size_t>(ch)].access_doors;
+      doors.insert(doors.end(), cad.begin(), cad.end());
+    }
+  }
+  NodeDoors out;
+  out.doors = SortedUnique(std::move(doors));
+  for (DoorId d : out.doors) {
+    const Door& door = venue.door(d);
+    if (contains(id, door.partition_a) != contains(id, door.partition_b)) {
+      out.access_doors.push_back(d);  // subset of sorted -> sorted
+    }
+  }
+  return out;
+}
 
 VipTree::VipTree(VipTree&& other) noexcept
     : venue_(other.venue_),
@@ -292,7 +322,8 @@ Result<VipTree> VipTree::Build(const Venue* venue, VipTreeOptions options) {
     }
   }
 
-  // ---- Door sets and access doors. ---------------------------------------
+  // ---- Door sets and access doors: leaves first, then internal nodes in
+  // ascending id order (children first).
   const auto contains = [&](NodeId nid, PartitionId p) {
     NodeId cur = leaf_of[static_cast<std::size_t>(p)];
     while (cur != kInvalidNode &&
@@ -302,43 +333,13 @@ Result<VipTree> VipTree::Build(const Venue* venue, VipTreeOptions options) {
     }
     return cur == nid;
   };
-  for (VipTreeStructure::Node& n : structure.nodes) {
-    if (!n.is_leaf()) continue;
-    std::vector<DoorId> doors;
-    for (PartitionId p : n.partitions) {
-      const auto& pd = venue->partition(p).doors;
-      doors.insert(doors.end(), pd.begin(), pd.end());
+  for (const bool leaves : {true, false}) {
+    for (VipTreeStructure::Node& n : structure.nodes) {
+      if (n.is_leaf() != leaves) continue;
+      NodeDoors derived = DeriveNodeDoors(*venue, structure, n.id, contains);
+      n.doors = std::move(derived.doors);
+      n.access_doors = std::move(derived.access_doors);
     }
-    n.doors = SortedUnique(std::move(doors));
-    std::vector<DoorId> access;
-    for (DoorId d : n.doors) {
-      const Door& door = venue->door(d);
-      const bool a_in =
-          leaf_of[static_cast<std::size_t>(door.partition_a)] == n.id;
-      const bool b_in =
-          leaf_of[static_cast<std::size_t>(door.partition_b)] == n.id;
-      if (a_in != b_in) access.push_back(d);
-    }
-    n.access_doors = std::move(access);  // subset of sorted -> sorted
-  }
-  // Internal nodes in ascending id order (children first).
-  for (VipTreeStructure::Node& n : structure.nodes) {
-    if (n.is_leaf()) continue;
-    std::vector<DoorId> doors;
-    for (NodeId ch : n.children) {
-      const auto& cad =
-          structure.nodes[static_cast<std::size_t>(ch)].access_doors;
-      doors.insert(doors.end(), cad.begin(), cad.end());
-    }
-    n.doors = SortedUnique(std::move(doors));
-    std::vector<DoorId> access;
-    for (DoorId d : n.doors) {
-      const Door& door = venue->door(d);
-      const bool a_in = contains(n.id, door.partition_a);
-      const bool b_in = contains(n.id, door.partition_b);
-      if (a_in != b_in) access.push_back(d);
-    }
-    n.access_doors = std::move(access);
   }
 
   IFLS_RETURN_NOT_OK(tree.InitFromStructure(structure));
@@ -389,12 +390,13 @@ Result<VipTree> VipTree::Build(const Venue* venue, VipTreeOptions options) {
 }
 
 Status VipTree::InitFromStructure(const VipTreeStructure& structure) {
-  // Both Build and Load funnel through here with options_ already set, so
-  // this is the one place the door memo gets sized. Allocated only when
-  // enabled: the sharded slot array is a fixed upfront cost.
+  // Both Build and LoadV3FromFile funnel through here with options_
+  // already set, so this is the one place the door memo gets allocated.
+  // Allocated only when enabled: the sharded slot array is a fixed upfront
+  // cost.
   if (options_.enable_door_distance_cache) {
     door_cache_ = std::make_unique<ConcurrentDoorCache>(
-        options_.door_distance_cache_capacity);
+        ConcurrentDoorCache::kDefaultCapacity);
   } else {
     door_cache_.reset();
   }
@@ -427,7 +429,12 @@ Status VipTree::InitFromStructure(const VipTreeStructure& structure) {
   leaf_of_partition_.assign(venue_->num_partitions(), kInvalidNode);
   num_leaves_ = 0;
   for (const VipTreeStructure::Node& n : structure.nodes) {
-    if (!n.is_leaf()) continue;
+    if (!n.is_leaf()) {
+      if (!n.partitions.empty()) {
+        return Status::InvalidArgument("internal node owns partitions");
+      }
+      continue;
+    }
     ++num_leaves_;
     for (PartitionId p : n.partitions) {
       if (p < 0 ||
@@ -451,7 +458,9 @@ Status VipTree::InitFromStructure(const VipTreeStructure& structure) {
   std::vector<int> depth(n_nodes, 0);
   std::vector<std::int32_t> subtree(n_nodes, 0);
   {
-    std::size_t visited = 0;
+    // A child listed twice would be reached twice, and could stand in for
+    // an unreachable node in the count below.
+    std::vector<bool> reached(n_nodes, false);
     std::queue<NodeId> bfs;
     bfs.push(root_);
     height_ = 0;
@@ -460,7 +469,10 @@ Status VipTree::InitFromStructure(const VipTreeStructure& structure) {
     while (!bfs.empty()) {
       const NodeId cur = bfs.front();
       bfs.pop();
-      ++visited;
+      if (reached[static_cast<std::size_t>(cur)]) {
+        return Status::InvalidArgument("node reached twice from the root");
+      }
+      reached[static_cast<std::size_t>(cur)] = true;
       order.push_back(cur);
       const VipTreeStructure::Node& n =
           structure.nodes[static_cast<std::size_t>(cur)];
@@ -475,7 +487,7 @@ Status VipTree::InitFromStructure(const VipTreeStructure& structure) {
         bfs.push(ch);
       }
     }
-    if (visited != n_nodes) {
+    if (order.size() != n_nodes) {
       return Status::InvalidArgument("tree contains unreachable nodes");
     }
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
@@ -559,7 +571,7 @@ Status VipTree::InitFromStructure(const VipTreeStructure& structure) {
   }
   ids_.Reserve(id_total);
   dist_.Reserve(dist_total);
-  if (options_.store_first_hop) hops_.Reserve(dist_total);
+  hops_.Reserve(dist_total);
   // Mapped arenas validate the computed totals against their section sizes
   // instead of allocating; a mismatch means the snapshot's descriptors and
   // payload disagree, and continuing would hand out spans past the mapping.
@@ -593,18 +605,15 @@ Status VipTree::InitFromStructure(const VipTreeStructure& structure) {
 
   // ---- Pass 2: matrix payload slots and views (node id ascending; per
   // node the main matrix, then — VIP leaves — ancestor matrices
-  // k = 0..depth-1). This order is also the v2 serialization payload order.
+  // k = 0..depth-1). This order is also the v3 snapshot's payload order.
   const auto allocate_matrix = [this](std::span<const DoorId> rows,
                                       std::span<const DoorId> cols) {
     const std::size_t cells = rows.size() * cols.size();
     const std::size_t off = dist_.Allocate(cells, kInfDistance);
-    const DoorId* hop_ptr = nullptr;
-    if (options_.store_first_hop) {
-      const std::size_t hop_off = hops_.Allocate(cells, kInvalidDoor);
-      IFLS_DCHECK(hop_off == off);
-      hop_ptr = hops_.data() + hop_off;
-    }
-    return DoorMatrixView(rows, cols, dist_.data() + off, hop_ptr);
+    const std::size_t hop_off = hops_.Allocate(cells, kInvalidDoor);
+    IFLS_DCHECK(hop_off == off);
+    return DoorMatrixView(rows, cols, dist_.data() + off,
+                          hops_.data() + hop_off);
   };
   for (std::size_t i = 0; i < n_nodes; ++i) {
     VipNode& n = nodes_[i];
@@ -636,18 +645,14 @@ void VipTree::FillMatrixRow(const DoorMatrixView& view, DoorId row,
   const std::size_t base =
       static_cast<std::size_t>(view.dist_data() - dist_.data()) +
       static_cast<std::size_t>(r) * cols;
+  // First hops share the distance cells' offsets (see allocate_matrix).
   double* dist_row = dist_.mutable_data() + base;
-  DoorId* hop_row = nullptr;
-  if (view.has_first_hop()) {
-    hop_row = hops_.mutable_data() +
-              (static_cast<std::size_t>(view.first_hop_data() - hops_.data()) +
-               static_cast<std::size_t>(r) * cols);
-  }
+  DoorId* hop_row = hops_.mutable_data() + base;
   const std::span<const DoorId> col_ids = view.cols();
   for (std::size_t c = 0; c < cols; ++c) {
     const auto target = static_cast<std::size_t>(col_ids[c]);
     dist_row[c] = paths.distance[target];
-    if (hop_row != nullptr) hop_row[c] = paths.first_hop[target];
+    hop_row[c] = paths.first_hop[target];
   }
 }
 

@@ -2,7 +2,7 @@
 #define IFLS_INDEX_VIP_TREE_H_
 
 #include <cstdint>
-#include <iosfwd>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -29,12 +29,6 @@ struct VipTreeOptions {
   /// access-door matrices; when false (IP-tree), those distances are composed
   /// through the node chain at query time.
   bool build_leaf_to_ancestor = true;
-  /// Store first-hop doors alongside distances (path reconstruction).
-  bool store_first_hop = true;
-  /// Use the paper's single-door shortcut (§5.3.1 Case 1): clients in a
-  /// one-door partition reuse the partition-level distance plus their local
-  /// leg. Toggleable for the ablation benchmark.
-  bool single_door_optimization = true;
   /// Worker threads for the matrix-building Dijkstra sweep (one global run
   /// per door; each door writes its own disjoint matrix rows, so the built
   /// index is bit-identical for any thread count). <= 0 uses all hardware
@@ -49,10 +43,6 @@ struct VipTreeOptions {
   /// memo would hand that advantage to the baseline too. The ablation bench
   /// measures the memoized configuration separately.
   bool enable_door_distance_cache = false;
-  /// Slot budget for the sharded door-distance memo (rounded up to a power
-  /// of two per shard). Runtime tuning only — not part of the serialized
-  /// index format.
-  std::size_t door_distance_cache_capacity = ConcurrentDoorCache::kDefaultCapacity;
 };
 
 /// One tree node. Leaves own a contiguous group of adjacent partitions;
@@ -110,9 +100,9 @@ struct VipNode {
 };
 
 /// Transient structural description of a tree: plain per-node vectors, as
-/// produced by the build clustering phase or parsed by the serialization
-/// loaders, before conversion into the flat arena layout. Internal API
-/// shared by vip_tree.cc and vip_tree_io.cc.
+/// produced by the build clustering phase or sliced out of a v3 snapshot's
+/// ids section, before conversion into the flat arena layout. Internal API
+/// shared by vip_tree.cc and vip_tree_io_v3.cc.
 struct VipTreeStructure {
   struct Node {
     NodeId id = kInvalidNode;
@@ -158,15 +148,18 @@ struct VipTreeLayoutStats {
 /// DESIGN.md §3.2).
 ///
 /// This is the materialized DistanceOracle backend: solvers consume it
-/// through the interface, while serialization, path reconstruction and the
-/// benches may use the concrete structure below.
+/// through the interface, while the v3 snapshot I/O, path reconstruction and
+/// the benches may use the concrete structure below. Every distance of a
+/// built tree carries a first-hop door (path reconstruction), and the one
+/// persisted form of the index is the v3 snapshot (vip_tree_io_v3.h).
 ///
-/// Thread-safety: after Build/Load, every distance/structure accessor is a
-/// read-only path safe to call from any number of threads concurrently —
-/// counters go to per-thread sinks or the atomic aggregate, and the door
-/// memo (when enabled) is a sharded lock-free cache (ConcurrentDoorCache),
-/// so query threads never serialize on it. Only Save/Load/Build and moves
-/// require external exclusivity.
+/// Thread-safety: after Build/LoadV3FromFile, every distance/structure
+/// accessor is a read-only path safe to call from any number of threads
+/// concurrently — counters go to per-thread sinks or the atomic aggregate,
+/// and the door memo (when enabled) is a sharded lock-free cache
+/// (ConcurrentDoorCache), so query threads never serialize on it. Only
+/// Build/SaveV3ToFile/LoadV3FromFile and moves require external
+/// exclusivity.
 class VipTree : public DistanceOracle {
  public:
   /// Builds the index over `venue`. The venue must outlive the tree.
@@ -215,7 +208,8 @@ class VipTree : public DistanceOracle {
 
   /// Exact indoor distance from a point to the nearest reachable boundary of
   /// partition `target` (paper iDist(c, p)); 0 when pa == target. Applies
-  /// the single-door optimization when enabled.
+  /// the paper's single-door shortcut (§5.3.1 Case 1), which is bit-identical
+  /// to the generic composition.
   double PointToPartition(const Point& a, PartitionId pa,
                           PartitionId target) const override;
 
@@ -227,40 +221,17 @@ class VipTree : public DistanceOracle {
   /// nearest access door of node `n` (0 when the node contains pa).
   double PointToNode(const Point& a, PartitionId pa, NodeId n) const override;
 
-  /// First door to take from door `a` toward door `b`, when first-hop
-  /// storage is enabled and both doors share a leaf; kInvalidDoor otherwise.
+  /// First door to take from door `a` toward door `b` when both doors share
+  /// a leaf; kInvalidDoor otherwise.
   DoorId FirstHop(DoorId a, DoorId b) const;
 
-  // ---- Serialization (vip_tree_io.cc) ------------------------------------
-
-  /// Writes the complete index (structure + matrices) in the IFLS_VIPTREE
-  /// text format v2 (flat payload), so the offline build can be done once
-  /// and shipped. Deterministic: identical trees serialize byte-identically.
-  Status Save(std::ostream* out) const;
-  Status SaveToFile(const std::string& path) const;
-
-  /// Writes the legacy v1 (per-node matrix) format; kept so the v1->v2
-  /// migration path stays testable against freshly built trees.
-  Status SaveLegacyV1(std::ostream* out) const;
+  // ---- Serialization (vip_tree_io_v3.cc) ---------------------------------
 
   /// Writes the complete index in the binary snapshot format v3
   /// (page-aligned, checksummed, directly mappable; see vip_tree_io_v3.h).
   /// Deterministic and backing-agnostic: heap-built and mapped trees of the
   /// same index serialize byte-identically.
   Status SaveV3ToFile(const std::string& path) const;
-
-  /// Loads an index previously saved for (a venue identical to) `venue`
-  /// from a text stream. Accepts format v2 and legacy v1 (migrated into the
-  /// arena layout on load). Validates structural consistency against the
-  /// venue.
-  static Result<VipTree> Load(const Venue* venue, std::istream* in);
-
-  /// Loads from a file of any supported format, sniffing the magic: v3
-  /// files are mmap-ed zero-copy (arenas stay file-backed for the tree's
-  /// lifetime), v1/v2 files take the legacy parse path, bit-identically to
-  /// before v3 existed.
-  static Result<VipTree> LoadFromFile(const Venue* venue,
-                                      const std::string& path);
 
   /// Maps a format-v3 snapshot: validates magic/version/checksums/venue,
   /// adopts the payload sections as read-only mapped arenas, and replays
@@ -308,9 +279,26 @@ class VipTree : public DistanceOracle {
   /// totals, and lays out every id list and matrix payload (distances
   /// initialized to kInfDistance, first hops to kInvalidDoor) in
   /// deterministic order — node id ascending; per node the main matrix then
-  /// ancestor matrices k = 0..depth-1. Shared by Build and Load; the caller
-  /// then fills the payload cells in place.
+  /// ancestor matrices k = 0..depth-1. Shared by Build, which then fills
+  /// the payload cells in place, and LoadV3FromFile, whose mapped arenas
+  /// verify the replayed layout instead.
   Status InitFromStructure(const VipTreeStructure& structure);
+
+  /// A node's sorted door universe and its access doors (the doors with
+  /// exactly one side inside the node's subtree).
+  struct NodeDoors {
+    std::vector<DoorId> doors;
+    std::vector<DoorId> access_doors;
+  };
+
+  /// Derives node `id`'s door sets from the venue: a leaf's doors are its
+  /// partitions' doors, an internal node's are its children's access doors
+  /// (read from `structure`), and `contains(node, p)` decides subtree
+  /// membership. Build fills its structure with it; LoadV3FromFile checks a
+  /// snapshot's door sets against it.
+  static NodeDoors DeriveNodeDoors(
+      const Venue& venue, const VipTreeStructure& structure, NodeId id,
+      const std::function<bool(NodeId, PartitionId)>& contains);
 
   /// Fills matrix row `row` of `view` (which must alias this tree's arenas)
   /// from a completed single-source run.
@@ -357,9 +345,6 @@ class VipTree : public DistanceOracle {
   /// share one mapping.
   std::shared_ptr<const MappedFile> mapping_;
 };
-
-/// The materialized-index implementation of DistanceOracle.
-using VipTreeOracle = VipTree;
 
 }  // namespace ifls
 

@@ -61,8 +61,10 @@ Status VipTree::SaveV3ToFile(const std::string& path) const {
   h.leaf_capacity = options_.leaf_capacity;
   h.internal_fanout = options_.internal_fanout;
   h.build_leaf_to_ancestor = options_.build_leaf_to_ancestor ? 1 : 0;
-  h.store_first_hop = options_.store_first_hop ? 1 : 0;
-  h.single_door_optimization = options_.single_door_optimization ? 1 : 0;
+  // Fixed: first hops are always stored, and the single-door shortcut
+  // always applies.
+  h.store_first_hop = 1;
+  h.single_door_optimization = 1;
   h.enable_door_distance_cache = options_.enable_door_distance_cache ? 1 : 0;
   h.num_partitions = venue_->num_partitions();
   h.num_doors = venue_->num_doors();
@@ -170,9 +172,13 @@ Result<VipTree> VipTree::LoadV3FromFile(const Venue* venue,
   }
 
   // ---- Descriptor table. ----------------------------------------------
+  // The node count is bounded by the file size before it is multiplied, so
+  // the size product cannot wrap.
   if (h.structure_offset != kV3SectionAlignment ||
-      h.structure_bytes != h.num_nodes * sizeof(V3NodeRecord) ||
-      h.structure_offset + h.structure_bytes > h.file_bytes) {
+      h.structure_offset > h.file_bytes ||
+      h.num_nodes >
+          (h.file_bytes - h.structure_offset) / sizeof(V3NodeRecord) ||
+      h.structure_bytes != h.num_nodes * sizeof(V3NodeRecord)) {
     return Status::InvalidArgument(
         "v3 snapshot descriptor table is truncated or mis-sized");
   }
@@ -211,10 +217,12 @@ Result<VipTree> VipTree::LoadV3FromFile(const Venue* venue,
         "index was built for a different venue (partition/door counts "
         "differ)");
   }
-  const bool store_first_hop = h.store_first_hop != 0;
-  if (store_first_hop ? h.hops_count != h.dist_count : h.hops_count != 0) {
+  // Every matrix cell carries a first hop; the header's single-door byte is
+  // ignored (the shortcut is bit-identical to the generic composition).
+  if (h.hops_count != h.dist_count) {
     return Status::InvalidArgument(
-        "v3 snapshot first-hop section size contradicts the header options");
+        "v3 snapshot first-hop section size differs from the distance "
+        "section");
   }
 
   // ---- Rebuild the transient structure by slicing the mapped ids arena
@@ -283,20 +291,29 @@ Result<VipTree> VipTree::LoadV3FromFile(const Venue* venue,
   tree.options_.leaf_capacity = h.leaf_capacity;
   tree.options_.internal_fanout = h.internal_fanout;
   tree.options_.build_leaf_to_ancestor = h.build_leaf_to_ancestor != 0;
-  tree.options_.store_first_hop = store_first_hop;
-  tree.options_.single_door_optimization = h.single_door_optimization != 0;
   tree.options_.enable_door_distance_cache =
       h.enable_door_distance_cache != 0;
   tree.ids_.AdoptMapped(ids, static_cast<std::size_t>(h.ids_count));
   tree.dist_.AdoptMapped(dist, static_cast<std::size_t>(h.dist_count));
-  if (store_first_hop) {
-    tree.hops_.AdoptMapped(hops, static_cast<std::size_t>(h.hops_count));
-  }
+  tree.hops_.AdoptMapped(hops, static_cast<std::size_t>(h.hops_count));
   IFLS_RETURN_NOT_OK(tree.InitFromStructure(structure));
+  // The fixup pass checks the door sets only against each other; DoorToDoor
+  // trusts them to hold every door of a leaf's partitions, so check them
+  // against the venue as well.
+  const auto contains = [&tree](NodeId n, PartitionId p) {
+    return tree.NodeContainsPartition(n, p);
+  };
   for (std::size_t i = 0; i < h.num_nodes; ++i) {
     if (records[i].num_ancestors != tree.nodes_[i].ancestor_matrices.size()) {
       return Status::InvalidArgument(
           "ancestor matrix count does not match the tree structure");
+    }
+    const VipTreeStructure::Node& n = structure.nodes[i];
+    const NodeDoors derived =
+        DeriveNodeDoors(*venue, structure, n.id, contains);
+    if (derived.doors != n.doors || derived.access_doors != n.access_doors) {
+      return Status::InvalidArgument(
+          "v3 snapshot door sets do not match the venue");
     }
   }
   tree.mapping_ = std::move(mapping);

@@ -9,11 +9,11 @@
 namespace ifls {
 
 // On-disk layout of the IFLS VIP-tree snapshot format v3 (binary,
-// little-endian, page-aligned, checksummed). Unlike the v1/v2 text formats,
-// a v3 file is *directly mappable*: the three arena sections are the bytes
-// the in-memory index reads at query time, so loading is mmap + a descriptor
-// fixup pass over the (small) node-record table — never a parse or a copy of
-// the bulk payload.
+// little-endian, page-aligned, checksummed), the index's only persisted
+// form. A v3 file is *directly mappable*: the three arena sections are the
+// bytes the in-memory index reads at query time, so loading is mmap + a
+// descriptor fixup pass over the (small) node-record table — never a parse
+// or a copy of the bulk payload.
 //
 //   [ V3Header, zero-padded to kV3SectionAlignment ]
 //   [ num_nodes x V3NodeRecord  (the descriptor table) ]  -> checksummed
@@ -45,12 +45,15 @@ struct V3Header {
   /// Total file size; a mapping smaller than this is a short map.
   std::uint64_t file_bytes = 0;
 
-  // VipTreeOptions (build-relevant subset; runtime tuning fields such as the
-  // door-cache capacity are not part of the format).
+  // VipTreeOptions (build-relevant subset; build_threads is not part of the
+  // format).
   std::int32_t leaf_capacity = 0;
   std::int32_t internal_fanout = 0;
   std::uint8_t build_leaf_to_ancestor = 0;
+  /// Always 1: first hops are always stored, so hops_count == dist_count.
   std::uint8_t store_first_hop = 0;
+  /// Always written as 1 and ignored on load: the single-door shortcut is
+  /// unconditional.
   std::uint8_t single_door_optimization = 0;
   std::uint8_t enable_door_distance_cache = 0;
   std::uint32_t reserved = 0;

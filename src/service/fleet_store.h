@@ -21,10 +21,8 @@ namespace ifls {
 //   <root>/<venue_id>/facilities.txt  base existing/candidate sets
 //
 // Venue ids are the subdirectory names. Writing is offline (build once,
-// serve many). The v3 image is the venue's only persisted index and the
-// only format the serving path reads; v1/v2 text indexes load solely
-// through VipTree::LoadFromFile, to be migrated with SaveV3ToFile. Other
-// files in a venue directory (e.g. an old v2 text index) are ignored.
+// serve many). The v3 image is the only index format there is. Other files
+// in a venue directory (e.g. an old v2 text index) are ignored.
 
 inline constexpr char kFleetVenueFileName[] = "venue.txt";
 inline constexpr char kFleetIndexV3FileName[] = "index.v3.ifls";

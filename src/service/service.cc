@@ -806,17 +806,16 @@ void IflsService::CompactOnce() {
   const std::vector<PartitionId> new_candidates = ComposeFacilitySet(
       base->candidates(), cut.added_candidates, cut.removed_candidates);
 
-  // The slow part — FacilityIndex (and optionally the VIP-tree) rebuild —
-  // runs without any lock: queries and mutations proceed against the old
-  // state throughout.
+  // The slow part — the FacilityIndex rebuild; the VIP-tree depends only on
+  // the venue, so the new snapshot shares the base's — runs without any
+  // lock: queries and mutations proceed against the old state throughout.
   Result<std::shared_ptr<const IndexSnapshot>> built =
       Status::Internal("snapshot build did not run");
   {
     TraceSpan span(TraceCategory::kCompaction, "snapshot_build");
     built = IndexSnapshot::Build(
         base->shared_venue(), new_existing, new_candidates, epoch,
-        options_.tree,
-        options_.rebuild_tree_on_compact ? nullptr : base->shared_tree());
+        options_.tree, base->shared_tree());
   }
   if (!built.ok()) {
     // Composed sets come from validated mutations, so this is a logic error;

@@ -50,10 +50,6 @@ struct ServiceOptions {
   /// base) at which the background compactor cuts a fresh snapshot.
   /// 0 disables automatic compaction; CompactNow() always works.
   std::size_t compaction_threshold = 64;
-  /// When true the compactor rebuilds the VIP-tree from the venue on every
-  /// compaction (bit-identical to the shared tree — construction is
-  /// deterministic — so this only buys distrust of the sharing fast path).
-  bool rebuild_tree_on_compact = false;
   /// Default per-query deadline, measured from admission; <= 0 = none.
   /// A request whose deadline passes while still queued is answered with
   /// Status::kDeadlineExceeded without running the solver.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -141,7 +142,11 @@ class V3CorruptionTest : public ::testing::Test {
     venue_ = testing_util::Unwrap(
         GenerateVenue(testing_util::SmallVenueSpec()));
     VipTree tree = testing_util::Unwrap(VipTree::Build(&venue_));
-    path_ = ::testing::TempDir() + "/ifls_corrupt.v3.ifls";
+    // One file per test: ctest runs these tests as parallel processes, and
+    // rewriting a file another process has mapped would crash that one.
+    path_ = ::testing::TempDir() + "/ifls_corrupt_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".v3.ifls";
     ASSERT_TRUE(tree.SaveV3ToFile(path_).ok());
   }
 
@@ -187,6 +192,23 @@ TEST_F(V3CorruptionTest, BadMagic) {
   const Status s = Load();
   ASSERT_TRUE(s.IsInvalidArgument()) << s.ToString();
   EXPECT_NE(s.message().find("bad magic"), std::string::npos);
+}
+
+TEST_F(V3CorruptionTest, UnsupportedVersionRejected) {
+  std::string bytes = ReadBytes();
+  V3Header h;
+  std::memcpy(&h, bytes.data(), sizeof(h));
+  // A future version with a valid header checksum: the version check itself
+  // (not the checksum) must refuse it.
+  h.version = 4;
+  h.header_checksum = 0;
+  h.header_checksum = Fnv1a64(&h, sizeof(h));
+  std::memcpy(bytes.data(), &h, sizeof(h));
+  WriteBytes(bytes);
+  const Status s = Load();
+  ASSERT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(s.message().find("unsupported v3 snapshot version 4"),
+            std::string::npos);
 }
 
 TEST_F(V3CorruptionTest, HeaderChecksumMismatch) {
@@ -237,6 +259,65 @@ TEST_F(V3CorruptionTest, TruncatedDescriptorTable) {
   const Status s = Load();
   ASSERT_TRUE(s.IsInvalidArgument()) << s.ToString();
   EXPECT_NE(s.message().find("descriptor table is truncated"),
+            std::string::npos);
+}
+
+TEST_F(V3CorruptionTest, DoorSetMismatchRejected) {
+  // Minimised from v3_snapshot_fuzz_test: one interior (non-access) door of
+  // a leaf is replaced by another id that keeps the list sorted, and the
+  // checksums are re-sealed. The derived index maps still match the mapped
+  // bytes, so only checking the door sets against the venue catches it;
+  // loaded, DoorToDoor would read that door's matrix row at index -1.
+  std::string bytes = ReadBytes();
+  V3Header h;
+  std::memcpy(&h, bytes.data(), sizeof(h));
+  const auto ids_at = [&](std::size_t pos) {
+    std::int32_t v;
+    std::memcpy(&v, bytes.data() + h.ids_offset + pos * sizeof(v), sizeof(v));
+    return v;
+  };
+  // Leaves come first in node order and open the ids section; each lays
+  // out partitions, doors, access doors and access-door indices.
+  std::size_t cursor = 0;
+  std::size_t target = 0;  // ids position of the replaced door
+  std::int32_t replacement = -1;
+  for (std::size_t node = 0; node < h.num_nodes && replacement < 0; ++node) {
+    V3NodeRecord r;
+    std::memcpy(&r, bytes.data() + h.structure_offset + node * sizeof(r),
+                sizeof(r));
+    ASSERT_EQ(r.num_children, 0u) << "no leaf has a replaceable door";
+    const std::size_t doors = cursor + r.num_partitions;
+    const std::size_t access = doors + r.num_doors;
+    for (std::size_t i = 0; i < r.num_doors && replacement < 0; ++i) {
+      const std::int32_t d = ids_at(doors + i);
+      bool is_access = false;
+      for (std::size_t j = 0; j < r.num_access_doors; ++j) {
+        is_access = is_access || ids_at(access + j) == d;
+      }
+      const std::int32_t below = i == 0 ? -1 : ids_at(doors + i - 1);
+      if (is_access || d - below <= 1) continue;
+      replacement = d - 1;
+      target = doors + i;
+    }
+    cursor = access + 2 * r.num_access_doors;
+  }
+  std::memcpy(bytes.data() + h.ids_offset + target * sizeof(std::int32_t),
+              &replacement, sizeof(replacement));
+
+  std::uint64_t payload = Fnv1a64(bytes.data() + h.ids_offset,
+                                  h.ids_count * sizeof(std::int32_t));
+  payload = Fnv1a64Continue(payload, bytes.data() + h.dist_offset,
+                            h.dist_count * sizeof(double));
+  payload = Fnv1a64Continue(payload, bytes.data() + h.hops_offset,
+                            h.hops_count * sizeof(DoorId));
+  h.payload_checksum = payload;
+  h.header_checksum = 0;
+  h.header_checksum = Fnv1a64(&h, sizeof(h));
+  std::memcpy(bytes.data(), &h, sizeof(h));
+  WriteBytes(bytes);
+  const Status s = Load();
+  ASSERT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(s.message().find("door sets do not match the venue"),
             std::string::npos);
 }
 

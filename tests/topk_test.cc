@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <type_traits>
 
 #include "src/core/brute_force.h"
 #include "src/core/efficient.h"
@@ -54,13 +56,19 @@ IflsContext RandomContext(std::uint64_t seed, std::size_t num_existing,
   return ctx;
 }
 
+// gtest prints this parameter as a dump of its bytes, and ctest names each
+// case after that dump. The padding is spelled out and zeroed so the names do
+// not pick up stack garbage and stay the same from run to run.
 struct TopKParam {
   std::uint64_t seed;
   std::size_t existing;
   std::size_t candidates;
   std::size_t clients;
   int k;
+  std::int32_t pad = 0;
 };
+static_assert(std::has_unique_object_representations_v<TopKParam>,
+              "TopKParam must have no implicit padding");
 
 class TopKAgreementTest : public ::testing::TestWithParam<TopKParam> {};
 

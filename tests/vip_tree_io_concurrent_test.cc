@@ -1,16 +1,17 @@
-// Concurrent-reader guarantees of the serialized VIP-tree: after a
-// Save/Load round trip, many threads may load their own copies and query
-// one shared loaded instance simultaneously, and every distance/solver
-// answer must equal the single-threaded truth. This exercises the sharded
-// lock-free door-distance cache, the atomic counter aggregate, and the
-// call_once memoization under real contention.
+// Concurrent-reader guarantees of the persisted VIP-tree: after a v3
+// snapshot round trip, many threads may map their own copies of one file
+// and query one shared mapped instance simultaneously, and every
+// distance/solver answer must equal the single-threaded truth. This
+// exercises the sharded lock-free door-distance cache, the atomic counter
+// aggregate, and the call_once memoization under real contention.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -31,10 +32,24 @@ using testing_util::Unwrap;
 
 constexpr int kThreads = 8;
 
+/// A v3 image path unique to the running test, so test processes that
+/// ctest runs in parallel never rewrite a file another one has mapped.
+std::string SnapshotPath(const std::string& stem) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/" + info->test_suite_name() + "_" +
+         info->name() + "_" + stem + ".v3.ifls";
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 struct Fixture {
   Venue venue;
-  std::string blob;                // serialized index
-  std::unique_ptr<VipTree> tree;   // loaded once, shared by reader threads
+  std::string path;                // the v3 image every reader maps
+  std::unique_ptr<VipTree> tree;   // mapped once, shared by reader threads
   std::vector<std::pair<Client, Client>> pairs;
   std::vector<double> truth;       // single-threaded PointToPoint answers
 };
@@ -43,12 +58,10 @@ Fixture BuildFixture() {
   Fixture f;
   f.venue = Unwrap(GenerateVenue(SmallVenueSpec()));
   VipTree built = Unwrap(VipTree::Build(&f.venue));
-  std::stringstream stream;
-  EXPECT_TRUE(built.Save(&stream).ok());
-  f.blob = stream.str();
-
-  std::stringstream in(f.blob);
-  f.tree = std::make_unique<VipTree>(Unwrap(VipTree::Load(&f.venue, &in)));
+  f.path = SnapshotPath("shared");
+  EXPECT_TRUE(built.SaveV3ToFile(f.path).ok());
+  f.tree = std::make_unique<VipTree>(
+      Unwrap(VipTree::LoadV3FromFile(&f.venue, f.path)));
 
   Rng rng(2026);
   for (int i = 0; i < 120; ++i) {
@@ -69,9 +82,9 @@ TEST(VipTreeIoConcurrentTest, ParallelLoadersMatchSingleThreadedAnswers) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&f, &mismatches] {
-      // Each thread deserializes its own instance from the shared bytes...
-      std::stringstream in(f.blob);
-      Result<VipTree> loaded = VipTree::Load(&f.venue, &in);
+      // Each thread maps the shared file on its own, so several mappings
+      // of one file are open at once...
+      Result<VipTree> loaded = VipTree::LoadV3FromFile(&f.venue, f.path);
       if (!loaded.ok()) {
         mismatches.fetch_add(1000);
         return;
@@ -158,12 +171,14 @@ TEST(VipTreeIoConcurrentTest, ParallelBuildIsByteIdenticalToSequential) {
       Unwrap(VipTree::Build(&venue, sequential_opts));
   const VipTree parallel = Unwrap(VipTree::Build(&venue, parallel_opts));
   // Each door's matrix row comes from its own Dijkstra run, so thread
-  // scheduling cannot change a single byte of the serialized index.
-  std::stringstream a;
-  std::stringstream b;
-  ASSERT_TRUE(sequential.Save(&a).ok());
-  ASSERT_TRUE(parallel.Save(&b).ok());
-  EXPECT_EQ(a.str(), b.str());
+  // scheduling cannot change a single byte of the v3 image.
+  const std::string a = SnapshotPath("sequential");
+  const std::string b = SnapshotPath("parallel");
+  ASSERT_TRUE(sequential.SaveV3ToFile(a).ok());
+  ASSERT_TRUE(parallel.SaveV3ToFile(b).ok());
+  const std::string bytes_a = ReadFileBytes(a);
+  EXPECT_FALSE(bytes_a.empty());
+  EXPECT_EQ(bytes_a, ReadFileBytes(b));
 }
 
 TEST(VipTreeIoConcurrentTest, GraphOracleMemoizesOnceUnderContention) {

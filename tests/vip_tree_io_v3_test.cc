@@ -1,20 +1,23 @@
 // Format-v3 (zero-copy mmap) snapshot tests: a mapped tree must be
 // indistinguishable from the built tree — same structure, bit-identical
-// payload cells, bit-identical solver answers on every objective — and the
-// v1/v2 legacy formats must migrate into v3 losslessly. Also pins down the
-// byte stability of the v3 image and the resident-vs-mapped memory
-// accounting the fleet router's eviction budget relies on.
+// payload cells, bit-identical solver answers on every objective. Also pins
+// down the byte stability of the v3 image and the resident-vs-mapped memory
+// accounting the fleet router's eviction budget relies on. The VipTreeIoTest
+// suite holds the general save/load checks of the index file: round trips
+// against the graph oracle, first hops, and rejection of garbage, truncated
+// and wrong-venue files.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/core/solve_dispatch.h"
 #include "src/datasets/facility_selector.h"
+#include "src/index/graph_oracle.h"
 #include "src/index/vip_tree.h"
 #include "src/index/vip_tree_io_v3.h"
 #include "tests/test_util.h"
@@ -80,6 +83,17 @@ std::string SaveV3ToTempFile(const VipTree& tree, const std::string& stem) {
   return path;
 }
 
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  IFLS_CHECK(out.good());
+}
+
 TEST(VipTreeIoV3Test, RoundTripPreservesStructureAndPayload) {
   Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
   VipTree built = Unwrap(VipTree::Build(&venue));
@@ -89,22 +103,6 @@ TEST(VipTreeIoV3Test, RoundTripPreservesStructureAndPayload) {
   EXPECT_FALSE(built.is_mapped());
   ExpectSameStructure(built, mapped);
   ExpectSamePayload(built, mapped);
-}
-
-TEST(VipTreeIoV3Test, LoadFromFileSniffsV3Magic) {
-  // The generic loader must route a v3 image to the mmap path and a v2
-  // text file to the parser, without being told which is which.
-  Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
-  VipTree built = Unwrap(VipTree::Build(&venue));
-  const std::string v3 = SaveV3ToTempFile(built, "sniff");
-  const std::string v2 = ::testing::TempDir() + "/sniff.v2.txt";
-  ASSERT_TRUE(built.SaveToFile(v2).ok());
-
-  VipTree from_v3 = Unwrap(VipTree::LoadFromFile(&venue, v3));
-  EXPECT_TRUE(from_v3.is_mapped());
-  VipTree from_v2 = Unwrap(VipTree::LoadFromFile(&venue, v2));
-  EXPECT_FALSE(from_v2.is_mapped());
-  ExpectSamePayload(from_v2, from_v3);
 }
 
 /// The acceptance bar of the mmap refactor: on every objective, a query
@@ -142,38 +140,6 @@ TEST(VipTreeIoV3Test, MappedAnswersBitIdenticalAcrossObjectives) {
   }
 }
 
-TEST(VipTreeIoV3Test, V1MigratesToV3) {
-  Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
-  VipTree built = Unwrap(VipTree::Build(&venue));
-  std::stringstream v1;
-  ASSERT_TRUE(built.SaveLegacyV1(&v1).ok());
-  VipTree from_v1 = Unwrap(VipTree::Load(&venue, &v1));
-
-  const std::string path = SaveV3ToTempFile(from_v1, "migrate_v1");
-  VipTree mapped = Unwrap(VipTree::LoadV3FromFile(&venue, path));
-  ExpectSameStructure(built, mapped);
-  ExpectSamePayload(built, mapped);
-}
-
-TEST(VipTreeIoV3Test, V2MigratesToV3AndBack) {
-  Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
-  VipTree built = Unwrap(VipTree::Build(&venue));
-  std::stringstream v2;
-  ASSERT_TRUE(built.Save(&v2).ok());
-  VipTree from_v2 = Unwrap(VipTree::Load(&venue, &v2));
-
-  const std::string path = SaveV3ToTempFile(from_v2, "migrate_v2");
-  VipTree mapped = Unwrap(VipTree::LoadV3FromFile(&venue, path));
-  ExpectSameStructure(built, mapped);
-  ExpectSamePayload(built, mapped);
-
-  // And back out: a mapped tree re-saved as v2 text equals the original v2
-  // serialization byte for byte (the shared deterministic layout order).
-  std::stringstream v2_again;
-  ASSERT_TRUE(mapped.Save(&v2_again).ok());
-  EXPECT_EQ(v2.str(), v2_again.str());
-}
-
 TEST(VipTreeIoV3Test, V3SaveIsByteStable) {
   Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
   VipTree built = Unwrap(VipTree::Build(&venue));
@@ -190,7 +156,7 @@ TEST(VipTreeIoV3Test, V3SaveIsByteStable) {
 
 TEST(VipTreeIoV3Test, IpTreeVariantRoundTrips) {
   // build_leaf_to_ancestor=false (the IP-tree ablation) writes no ancestor
-  // matrices; store_first_hop stays on. The header must carry the options.
+  // matrices. The header must carry the options.
   Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
   VipTreeOptions options;
   options.build_leaf_to_ancestor = false;
@@ -222,6 +188,151 @@ TEST(VipTreeIoV3Test, MappedFootprintAccounting) {
   EXPECT_EQ(mapped.MappedFootprintBytes(),
             std::filesystem::file_size(path));
   EXPECT_LT(mapped.MemoryFootprintBytes(), built.MemoryFootprintBytes());
+}
+
+// ---------------------------------------------------------------------------
+// Save/load of the index file
+// ---------------------------------------------------------------------------
+
+TEST(VipTreeIoTest, RoundTripPreservesStructure) {
+  Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
+  VipTree built = Unwrap(VipTree::Build(&venue));
+  const std::string path = SaveV3ToTempFile(built, "io_structure");
+  VipTree loaded = Unwrap(VipTree::LoadV3FromFile(&venue, path));
+  ExpectSameStructure(built, loaded);
+  ExpectSamePayload(built, loaded);
+  EXPECT_EQ(loaded.options().leaf_capacity, built.options().leaf_capacity);
+  EXPECT_EQ(loaded.options().internal_fanout,
+            built.options().internal_fanout);
+  EXPECT_EQ(loaded.options().build_leaf_to_ancestor,
+            built.options().build_leaf_to_ancestor);
+}
+
+TEST(VipTreeIoTest, RoundTripPreservesDistances) {
+  Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
+  VipTree built = Unwrap(VipTree::Build(&venue));
+  const std::string path = SaveV3ToTempFile(built, "io_distances");
+  VipTree loaded = Unwrap(VipTree::LoadV3FromFile(&venue, path));
+
+  Rng rng(91);
+  for (int i = 0; i < 200; ++i) {
+    const Client a = RandomClient(venue, &rng, 0);
+    const Client b = RandomClient(venue, &rng, 1);
+    ASSERT_DOUBLE_EQ(
+        loaded.PointToPoint(a.position, a.partition, b.position, b.partition),
+        built.PointToPoint(a.position, a.partition, b.position, b.partition));
+  }
+  // First hops survive too.
+  for (DoorId d = 0; d < static_cast<DoorId>(venue.num_doors()); ++d) {
+    EXPECT_EQ(loaded.FirstHop(0, d), built.FirstHop(0, d));
+  }
+}
+
+TEST(VipTreeIoTest, FileRoundTrip) {
+  // A tree loaded from its file answers like the graph oracle, with no
+  // reference to the tree that wrote it.
+  Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
+  const std::string path = ::testing::TempDir() + "/io_file.v3.ifls";
+  {
+    VipTree built = Unwrap(VipTree::Build(&venue));
+    ASSERT_TRUE(built.SaveV3ToFile(path).ok());
+  }
+  VipTree loaded = Unwrap(VipTree::LoadV3FromFile(&venue, path));
+  GraphDistanceOracle oracle(&venue);
+  Rng rng(92);
+  for (int i = 0; i < 50; ++i) {
+    const Client a = RandomClient(venue, &rng, 0);
+    const auto target = static_cast<PartitionId>(
+        rng.NextBounded(venue.num_partitions()));
+    ASSERT_NEAR(loaded.PointToPartition(a.position, a.partition, target),
+                oracle.PointToPartition(a.position, a.partition, target),
+                1e-9);
+  }
+}
+
+TEST(VipTreeIoTest, IpTreeRoundTrips) {
+  Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
+  VipTreeOptions options;
+  options.build_leaf_to_ancestor = false;
+  VipTree built = Unwrap(VipTree::Build(&venue, options));
+  const std::string path = SaveV3ToTempFile(built, "io_iptree");
+  VipTree loaded = Unwrap(VipTree::LoadV3FromFile(&venue, path));
+  EXPECT_FALSE(loaded.options().build_leaf_to_ancestor);
+  Rng rng(93);
+  const Client a = RandomClient(venue, &rng, 0);
+  const Client b = RandomClient(venue, &rng, 1);
+  EXPECT_DOUBLE_EQ(
+      loaded.PointToPoint(a.position, a.partition, b.position, b.partition),
+      built.PointToPoint(a.position, a.partition, b.position, b.partition));
+}
+
+/// Two independent builds of one venue save to the same bytes, and so does
+/// a tree loaded from that file: the image is fully determined by the
+/// venue and the options.
+TEST(VipTreeIoTest, V2SaveIsByteStable) {
+  Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
+  VipTree first_build = Unwrap(VipTree::Build(&venue));
+  VipTree second_build = Unwrap(VipTree::Build(&venue));
+  const std::string first = SaveV3ToTempFile(first_build, "io_stable_a");
+  const std::string second = SaveV3ToTempFile(second_build, "io_stable_b");
+  VipTree loaded = Unwrap(VipTree::LoadV3FromFile(&venue, first));
+  const std::string third = SaveV3ToTempFile(loaded, "io_stable_c");
+  const std::string bytes = ReadFileBytes(first);
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_EQ(bytes, ReadFileBytes(second));
+  EXPECT_EQ(bytes, ReadFileBytes(third));
+}
+
+TEST(VipTreeIoTest, RejectsWrongVenue) {
+  Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
+  VipTree built = Unwrap(VipTree::Build(&venue));
+  const std::string path = SaveV3ToTempFile(built, "io_wrong_venue");
+
+  VenueGeneratorSpec other_spec = SmallVenueSpec();
+  other_spec.rooms_per_level = 30;  // different venue
+  Venue other = Unwrap(GenerateVenue(other_spec));
+  Result<VipTree> loaded = VipTree::LoadV3FromFile(&other, path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsInvalidArgument());
+}
+
+TEST(VipTreeIoTest, RejectsGarbage) {
+  Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
+  const std::string bogus = ::testing::TempDir() + "/io_garbage.v3.ifls";
+  WriteFileBytes(bogus, "NOT_A_TREE 1");
+  EXPECT_TRUE(
+      VipTree::LoadV3FromFile(&venue, bogus).status().IsInvalidArgument());
+
+  // A valid header followed by nothing.
+  VipTree built = Unwrap(VipTree::Build(&venue));
+  const std::string path = SaveV3ToTempFile(built, "io_header_only");
+  WriteFileBytes(path, ReadFileBytes(path).substr(0, sizeof(V3Header)));
+  EXPECT_TRUE(
+      VipTree::LoadV3FromFile(&venue, path).status().IsInvalidArgument());
+
+  EXPECT_TRUE(VipTree::LoadV3FromFile(&venue, "/no/such/file")
+                  .status()
+                  .IsIOError());
+}
+
+/// Truncating a valid file in the middle of the distance payload must fail
+/// with a proper Status (never a crash or a silently short index).
+TEST(VipTreeIoTest, RejectsTruncatedPayload) {
+  Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
+  VipTree built = Unwrap(VipTree::Build(&venue));
+  const std::string path = SaveV3ToTempFile(built, "io_truncated");
+  const std::string full = ReadFileBytes(path);
+  V3Header h;
+  ASSERT_GE(full.size(), sizeof(h));
+  std::memcpy(&h, full.data(), sizeof(h));
+  ASSERT_GT(h.dist_count, 0u);
+  const std::size_t cut = static_cast<std::size_t>(
+      h.dist_offset + h.dist_count * sizeof(double) / 2);
+  ASSERT_LT(cut, full.size());
+  WriteFileBytes(path, full.substr(0, cut));
+  Result<VipTree> loaded = VipTree::LoadV3FromFile(&venue, path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsInvalidArgument());
 }
 
 }  // namespace
