@@ -14,7 +14,9 @@ namespace ifls {
 /// Sharded, fixed-capacity concurrent memo for door-to-door distances
 /// (uint64 key -> double), replacing the single-mutex unordered_map that
 /// used to serialize every DoorToDoor call across the batch engine's and the
-/// serving subsystem's query threads.
+/// serving subsystem's query threads. VipTree also keeps its
+/// PartitionToNode bounds here, under keys tagged with bit 63
+/// ((1 << 63) | (partition << 32) | node) that door-pair keys never set.
 ///
 /// Layout: a power-of-two number of shards, each a power-of-two open-
 /// addressing slot array probed linearly over a short window. A slot is a
@@ -38,9 +40,10 @@ namespace ifls {
 /// free, so "lose an insert occasionally" beats "wait".
 ///
 /// Correctness leans on one invariant the callers guarantee: the value for
-/// a key is an immutable function of the key (door-graph distances are
-/// static), so whichever insert wins a race stores the same bits, and a
-/// stale-but-matching read is still the right answer.
+/// a key is an immutable function of the key (door-graph distances, and the
+/// bounds composed from them, are static), so whichever insert wins a race
+/// stores the same bits, and a stale-but-matching read is still the right
+/// answer.
 class ConcurrentDoorCache {
  public:
   struct Stats {
@@ -75,7 +78,8 @@ class ConcurrentDoorCache {
   ConcurrentDoorCache& operator=(const ConcurrentDoorCache&) = delete;
 
   /// True (and `*out` filled) when `key` is present. Keys must stay below
-  /// kReservedKeys (door-pair keys, two 31-bit ids, always are).
+  /// kReservedKeys (door-pair keys and tagged bound keys, built from 31-bit
+  /// ids, always are).
   bool Lookup(std::uint64_t key, double* out) const {
     const std::uint64_t h = Mix(key);
     const Shard& shard = shards_[(h >> kShardShift) & shard_mask_];

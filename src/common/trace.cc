@@ -29,8 +29,6 @@ const char* TraceCategoryName(TraceCategory category) {
       return "solver";
     case TraceCategory::kOracle:
       return "oracle";
-    case TraceCategory::kCache:
-      return "cache";
     case TraceCategory::kService:
       return "service";
     case TraceCategory::kCompaction:

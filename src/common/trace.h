@@ -20,12 +20,11 @@ namespace ifls {
 /// can filter "show me only oracle work" across all threads.
 enum class TraceCategory : std::uint8_t {
   kSolver = 0,      // solver phases (efficient / baseline / extensions)
-  kOracle = 1,      // distance oracle work (NN search, door composition)
-  kCache = 2,       // door-distance cache fills
-  kService = 3,     // serving front (queue wait, snapshot pin, solve)
-  kCompaction = 4,  // background snapshot compaction
+  kOracle = 1,      // distance oracle work (NN search, Dijkstra fallback)
+  kService = 2,     // serving front (queue wait, snapshot pin, solve)
+  kCompaction = 3,  // background snapshot compaction
 };
-inline constexpr int kNumTraceCategories = 5;
+inline constexpr int kNumTraceCategories = 4;
 
 const char* TraceCategoryName(TraceCategory category);
 

@@ -21,12 +21,12 @@ ScopedOracleCounterSink::~ScopedOracleCounterSink() {
 
 OracleCounters* ScopedOracleCounterSink::Active() { return g_counter_sink; }
 
-void CountKernelInvocation() {
+void CountKernelInvocation(std::uint64_t n) {
   if (OracleCounters* sink = g_counter_sink) {
-    ++sink->kernel_invocations;
+    sink->kernel_invocations += n;
     return;
   }
-  g_shared_kernel_invocations.fetch_add(1, std::memory_order_relaxed);
+  g_shared_kernel_invocations.fetch_add(n, std::memory_order_relaxed);
 }
 
 void CountDijkstraFallback() {

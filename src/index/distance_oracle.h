@@ -20,7 +20,7 @@ inline constexpr NodeId kInvalidNode = -1;
 struct OracleCounters {
   std::uint64_t door_distance_evals = 0;  // DoorToDoor compositions
   std::uint64_t matrix_lookups = 0;       // individual matrix cell reads
-  std::uint64_t cache_hits = 0;           // memoized DoorToDoor answers
+  std::uint64_t cache_hits = 0;           // memoized DoorToDoor/bound answers
   std::uint64_t cache_misses = 0;         // memo lookups that fell through
   std::uint64_t kernel_invocations = 0;   // blocked min-plus kernel calls
   std::uint64_t dijkstra_fallbacks = 0;   // full graph expansions run
@@ -54,11 +54,11 @@ class ScopedOracleCounterSink {
 /// Historical name; see OracleCounters.
 using ScopedVipTreeCounterSink = ScopedOracleCounterSink;
 
-/// Counts one blocked min-plus kernel invocation on the calling thread's
+/// Counts `n` blocked min-plus kernel invocations on the calling thread's
 /// sink (process-wide atomic fallback otherwise). A free function because
 /// kernel call sites (vip_distance, path, graph_oracle, solver hot loops)
 /// do not all flow through a DistanceOracle instance.
-void CountKernelInvocation();
+void CountKernelInvocation(std::uint64_t n = 1);
 /// Counts one full-graph Dijkstra fallback (graph oracle miss path).
 void CountDijkstraFallback();
 /// The process-wide fallback aggregates (work done without a sink).

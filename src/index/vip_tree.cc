@@ -177,6 +177,8 @@ VipTree& VipTree::operator=(VipTree&& other) noexcept {
   return *this;
 }
 
+// One table for both key kinds: door pairs (DoorToDoor) and tagged
+// (partition, node) bounds (PartitionToNode); see vip_tree.h.
 bool VipTree::CachedDoorDistance(std::uint64_t key, double* out) const {
   return door_cache_ != nullptr && door_cache_->Lookup(key, out);
 }

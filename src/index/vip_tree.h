@@ -34,9 +34,10 @@ struct VipTreeOptions {
   /// index is bit-identical for any thread count). <= 0 uses all hardware
   /// threads; 1 keeps the build single-threaded.
   int build_threads = 0;
-  /// Memoize DoorToDoor results in a hash table owned by the index (the
-  /// door-graph distances are static, so the cache is conceptually part of
-  /// the materialized index, like Yang et al.'s door-to-door hash table).
+  /// Memoize DoorToDoor results and PartitionToNode bounds in a hash table
+  /// owned by the index (the door-graph distances are static, so the cache
+  /// is conceptually part of the materialized index, like Yang et al.'s
+  /// door-to-door hash table).
   /// OFF by default: the paper's cost model recomputes matrix compositions
   /// per iDist call, and the redundancy across clients of one partition is
   /// precisely what the efficient approach's grouping exploits — a global
@@ -214,7 +215,10 @@ class VipTree : public DistanceOracle {
                           PartitionId target) const override;
 
   /// Paper iMinD(p, I) with I a tree node: 0 when the node contains p, else
-  /// min over doors(p) x access_doors(n).
+  /// min over doors(p) x access_doors(n) of DoorToDoor, bit for bit. The
+  /// LCA row is composed once per home door instead of once per pair
+  /// (DESIGN §3.1), and with the door cache enabled the bound is memoized
+  /// under a tagged (partition, node) key.
   double PartitionToNode(PartitionId p, NodeId n) const override;
 
   /// Lower bound used by top-down NN: distance from a concrete point to the
@@ -305,17 +309,28 @@ class VipTree : public DistanceOracle {
   void FillMatrixRow(const DoorMatrixView& view, DoorId row,
                      const ShortestPaths& paths);
 
-  /// Distance from door `a` (incident to leaf `leaf`) to every access door
-  /// of `ancestor`, appended to `*out` aligned with that node's access_doors.
-  /// Uses materialized matrices in VIP mode, chain composition in IP mode.
-  void DistancesToAncestorAccessDoors(DoorId a, NodeId leaf, NodeId ancestor,
-                                      std::vector<double>* out) const;
+  /// Distances from door `a` (incident to leaf `leaf`) to every access door
+  /// of `ancestor`, aligned with that node's access_doors. VIP mode returns
+  /// the row of the materialized leaf->ancestor matrix in place; for
+  /// `ancestor == leaf`, and in IP mode, the distances are gathered and
+  /// composed along the node chain into `*scratch`, which the result views.
+  /// Shared by DoorToDoor and PartitionToNode.
+  std::span<const double> AncestorAccessDistances(
+      DoorId a, NodeId leaf, NodeId ancestor,
+      std::vector<double>* scratch) const;
 
-  /// Memo lookup/insert used by DoorToDoor when the cache is enabled.
-  /// Keys are (from_door << 32) | to_door — per orientation, since the two
-  /// orientations' compositions may differ in the last ULP and the cache
-  /// must never change a bit. The backing store is a sharded lock-free
-  /// ConcurrentDoorCache held behind a pointer so the tree stays movable.
+  /// PartitionToNode without the memo: the min over doors(p) x AD(n) of
+  /// DoorToDoor's terms, composed once per home door and LCA child pair.
+  double ComposePartitionToNode(PartitionId p, NodeId n) const;
+
+  /// Memo lookup/insert used by DoorToDoor and PartitionToNode when the
+  /// cache is enabled. Door-pair keys are (from_door << 32) | to_door — per
+  /// orientation, since the two orientations' compositions may differ in the
+  /// last ULP and the cache must never change a bit. PartitionToNode bounds
+  /// are stored under tagged keys (1 << 63) | (partition << 32) | node;
+  /// door-pair keys never set bit 63. The backing store is a sharded
+  /// lock-free ConcurrentDoorCache held behind a pointer so the tree stays
+  /// movable.
   bool CachedDoorDistance(std::uint64_t key, double* out) const;
   void StoreDoorDistance(std::uint64_t key, double value) const;
 
