@@ -14,9 +14,10 @@ namespace ifls {
 /// Sharded, fixed-capacity concurrent memo for door-to-door distances
 /// (uint64 key -> double), replacing the single-mutex unordered_map that
 /// used to serialize every DoorToDoor call across the batch engine's and the
-/// serving subsystem's query threads. VipTree also keeps its
-/// PartitionToNode bounds here, under keys tagged with bit 63
-/// ((1 << 63) | (partition << 32) | node) that door-pair keys never set.
+/// serving subsystem's query threads. VipTree also keeps the results of
+/// its batched PartitionToNode, PartitionToPartition and DoorToPartition
+/// here, under keys whose tag bits (63 and/or 31) door-pair keys never set
+/// (DistanceMemoKey in vip_tree.h).
 ///
 /// Layout: a power-of-two number of shards, each a power-of-two open-
 /// addressing slot array probed linearly over a short window. A slot is a
@@ -78,8 +79,7 @@ class ConcurrentDoorCache {
   ConcurrentDoorCache& operator=(const ConcurrentDoorCache&) = delete;
 
   /// True (and `*out` filled) when `key` is present. Keys must stay below
-  /// kReservedKeys (door-pair keys and tagged bound keys, built from 31-bit
-  /// ids, always are).
+  /// kReservedKeys (VipTree's DistanceMemoKey checks that its keys do).
   bool Lookup(std::uint64_t key, double* out) const {
     const std::uint64_t h = Mix(key);
     const Shard& shard = shards_[(h >> kShardShift) & shard_mask_];

@@ -49,12 +49,12 @@ DistanceOracle::~DistanceOracle() = default;
 
 // ---------------------------------------------------------------- counters
 
-void DistanceOracle::BumpDoorDistanceEvals() const {
+void DistanceOracle::BumpDoorDistanceEvals(std::uint64_t n) const {
   if (OracleCounters* sink = ScopedOracleCounterSink::Active()) {
-    ++sink->door_distance_evals;
+    sink->door_distance_evals += n;
     return;
   }
-  shared_door_distance_evals_.fetch_add(1, std::memory_order_relaxed);
+  shared_door_distance_evals_.fetch_add(n, std::memory_order_relaxed);
 }
 
 void DistanceOracle::BumpMatrixLookups(std::uint64_t n) const {

@@ -18,7 +18,7 @@ inline constexpr NodeId kInvalidNode = -1;
 /// Counters an oracle updates on its own query paths; algorithms attribute
 /// index work per query by installing a ScopedOracleCounterSink.
 struct OracleCounters {
-  std::uint64_t door_distance_evals = 0;  // DoorToDoor compositions
+  std::uint64_t door_distance_evals = 0;  // door-pair distances evaluated
   std::uint64_t matrix_lookups = 0;       // individual matrix cell reads
   std::uint64_t cache_hits = 0;           // memoized DoorToDoor/bound answers
   std::uint64_t cache_misses = 0;         // memo lookups that fell through
@@ -162,7 +162,7 @@ class DistanceOracle {
 
   // Counter update helpers: thread sink when installed, atomic aggregate
   // otherwise (hot paths).
-  void BumpDoorDistanceEvals() const;
+  void BumpDoorDistanceEvals(std::uint64_t n = 1) const;
   void BumpMatrixLookups(std::uint64_t n) const;
   void BumpCacheHits() const;
   void BumpCacheMisses() const;

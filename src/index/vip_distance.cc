@@ -44,10 +44,6 @@ std::size_t ChildPosition(const VipNode& parent, NodeId child) {
   return pos;
 }
 
-/// Tag bit of the (partition, node) bound entries in the door cache.
-/// Door-pair keys pack two 31-bit ids and never set it.
-constexpr std::uint64_t kBoundKeyTag = std::uint64_t{1} << 63;
-
 }  // namespace
 
 std::span<const double> VipTree::AncestorAccessDistances(
@@ -111,8 +107,8 @@ double VipTree::DoorToDoor(DoorId a, DoorId b) const {
   // from the other's entry would make a warm cache visibly diverge from a
   // cold recompute. Caching each orientation separately keeps cached and
   // uncached answers bit-identical.
-  const std::uint64_t cache_key = (static_cast<std::uint64_t>(a) << 32) |
-                                  static_cast<std::uint32_t>(b);
+  const std::uint64_t cache_key =
+      DistanceMemoKey(DistanceMemoKind::kDoorPair, a, b);
   if (options_.enable_door_distance_cache) {
     double cached = 0.0;
     if (CachedDoorDistance(cache_key, &cached)) {
@@ -189,82 +185,123 @@ double VipTree::PointToPartition(const Point& a, PartitionId pa,
     // Paper §5.3.1 Case 1: the single exit door makes the partition-level
     // distance reusable; only the local leg differs per point. Bit-identical
     // to the generic composition below: rounding is monotone, so
-    // leg + min(d) == min(leg + d).
+    // leg + min(d) == min(leg + d). The door-to-partition leg stays the
+    // generic pair-by-pair loop, not the batched override: this path feeds
+    // the baseline's NN search in the paper figures (DESIGN §3.1).
     const Door& only = venue_->door(part_a.doors[0]);
     return PointToDoorDistance(a, only) +
-           DoorToPartition(only.id, target);
+           DistanceOracle::DoorToPartition(only.id, target);
   }
   // General case: the interface's generic composition (identical loops to
   // the pre-oracle implementation).
   return DistanceOracle::PointToPartition(a, pa, target);
 }
 
+double VipTree::DoorToPartition(DoorId d, PartitionId target) const {
+  return MemoizedDoorSets(
+      DistanceMemoKey(DistanceMemoKind::kDoorToPartition, d, target),
+      std::span<const DoorId>(&d, 1), venue_->partition(target).doors);
+}
+
+double VipTree::PartitionToPartition(PartitionId p, PartitionId q) const {
+  if (p == q) return 0.0;
+  return MemoizedDoorSets(
+      DistanceMemoKey(DistanceMemoKind::kPartitionToPartition, p, q),
+      venue_->partition(p).doors, venue_->partition(q).doors);
+}
+
 double VipTree::PartitionToNode(PartitionId p, NodeId n) const {
   if (NodeContainsPartition(n, p)) return 0.0;
-  const std::uint64_t cache_key = kBoundKeyTag |
-                                  (static_cast<std::uint64_t>(p) << 32) |
-                                  static_cast<std::uint32_t>(n);
-  if (options_.enable_door_distance_cache) {
-    double cached = 0.0;
-    if (CachedDoorDistance(cache_key, &cached)) {
-      BumpCacheHits();
-      return cached;
-    }
-    BumpCacheMisses();
+  return MemoizedDoorSets(
+      DistanceMemoKey(DistanceMemoKind::kPartitionToNode, p, n),
+      venue_->partition(p).doors, node(n).access_doors);
+}
+
+double VipTree::MemoizedDoorSets(std::uint64_t key,
+                                 std::span<const DoorId> home_doors,
+                                 std::span<const DoorId> targets) const {
+  if (!options_.enable_door_distance_cache) {
+    return ComposeDoorSets(home_doors, targets);
   }
-  const double best = ComposePartitionToNode(p, n);
-  if (options_.enable_door_distance_cache) {
-    StoreDoorDistance(cache_key, best);
+  double cached = 0.0;
+  if (CachedDoorDistance(key, &cached)) {
+    BumpCacheHits();
+    return cached;
   }
+  BumpCacheMisses();
+  const double best = ComposeDoorSets(home_doors, targets);
+  StoreDoorDistance(key, best);
   return best;
 }
 
-double VipTree::ComposePartitionToNode(PartitionId p, NodeId n) const {
-  // Same terms as min over doors(p) x AD(n) of DoorToDoor(d1, ad), batched.
-  // DoorToDoor's general case joins min_{i,j} (a[i] + M[i][j]) + b[j]; here
-  // u[j] = min_i a[i] + M[i][j] is composed once per (d1, LCA child pair)
-  // and each access door then costs one min_j u[j] + b[j]. Rounding is
-  // monotone, so min_i fl(fl(a_i + M_ij) + b_j) == fl(min_i fl(a_i + M_ij)
-  // + b_j), and min returns one of its operands: the result is
+double VipTree::ComposeDoorSets(std::span<const DoorId> home_doors,
+                                std::span<const DoorId> targets) const {
+  // Same terms as min over home_doors x targets of DoorToDoor(d1, t),
+  // batched. DoorToDoor's general case joins min_{i,j} (a[i] + M[i][j]) +
+  // b[j]; here u[j] = min_i a[i] + M[i][j] is composed once per (d1, LCA
+  // child pair) and each target then costs one min_j u[j] + b[j]. Rounding
+  // is monotone, so min_i fl(fl(a_i + M_ij) + b_j) == fl(min_i fl(a_i +
+  // M_ij) + b_j), and min returns one of its operands: the result is
   // bit-identical to the per-pair loop (DESIGN §3.1).
-  const std::span<const DoorId> ads = node(n).access_doors;
-  const std::span<const DoorId> home_doors = venue_->partition(p).doors;
-  // A door of p that is an access door of n is a 0 term, and no term is
-  // negative.
+  //
+  // A home door that is also a target is a 0 term, and no term is negative.
   for (DoorId d1 : home_doors) {
-    if (std::binary_search(ads.begin(), ads.end(), d1)) return 0.0;
+    if (std::find(targets.begin(), targets.end(), d1) != targets.end()) {
+      return 0.0;
+    }
   }
 
-  // Per access door, hoisted out of the home-door loop: its home leaf, and
-  // its distances to AD(cb) for the LCA child cb it last composed through
-  // (the leaf->ancestor matrix row in VIP mode, else held in `b_scratch`).
-  static thread_local std::vector<NodeId> b_leaf;
-  static thread_local std::vector<NodeId> b_node;
-  static thread_local std::vector<std::span<const double>> b_dist;
-  static thread_local std::vector<std::vector<double>> b_scratch;
-  b_leaf.resize(ads.size());
-  b_node.assign(ads.size(), kInvalidNode);
-  b_dist.resize(ads.size());
-  if (b_scratch.size() < ads.size()) b_scratch.resize(ads.size());
-  for (std::size_t j = 0; j < ads.size(); ++j) {
-    b_leaf[j] = LeafOf(venue_->door(ads[j]).partition_a);
-  }
-
-  // One composed row u per distinct (ca, cb) of the current home door:
-  // |AD(cb)| values stored at `offset` in `u_flat`.
-  struct Composed {
-    NodeId ca;
+  // Per target, hoisted out of the home-door loop: the slot of its home
+  // leaf among the distinct target leaves, and its distances to AD(cb) for
+  // the LCA child cb it last composed through, copied into `b_flat`.
+  struct TargetRow {
+    std::size_t leaf_slot;
     NodeId cb;
     std::size_t offset;
-    std::size_t width;
   };
-  static thread_local std::vector<Composed> composed;
+  static thread_local std::vector<TargetRow> target_rows;
+  static thread_local std::vector<double> b_flat;
+  // Per distinct target leaf, for the current home leaf `la`: the index of
+  // its LCA child pair in `pairs`, or kSharedLeaf when it is `la` itself.
+  // LCA walks thus run once per (home leaf, target leaf), not per door pair.
+  static thread_local std::vector<NodeId> target_leaves;
+  static thread_local std::vector<std::size_t> leaf_pair;
+  // One LCA child pair (ca, cb) of `la`: the LCA, the positions of AD(ca)
+  // and AD(cb) in its matrix, and the row u composed through it for the
+  // current home door (|AD(cb)| values at `offset` in `u_flat`, or
+  // kNotComposed).
+  struct ChildPair {
+    NodeId ca;
+    NodeId cb;
+    const VipNode* lca;
+    std::span<const std::int32_t> rows;
+    std::span<const std::int32_t> cols;
+    std::size_t offset;
+  };
+  static thread_local std::vector<ChildPair> pairs;
   static thread_local std::vector<double> u_flat;
-  static thread_local std::vector<double> a_scratch;
+  static thread_local std::vector<double> scratch;
+  constexpr std::size_t kSharedLeaf = ~std::size_t{0};
+  constexpr std::size_t kNotComposed = ~std::size_t{0};
+
+  target_rows.resize(targets.size());
+  target_leaves.clear();
+  b_flat.clear();
+  for (std::size_t j = 0; j < targets.size(); ++j) {
+    const NodeId lb = LeafOf(venue_->door(targets[j]).partition_a);
+    auto it = std::find(target_leaves.begin(), target_leaves.end(), lb);
+    if (it == target_leaves.end()) {
+      target_leaves.push_back(lb);
+      it = target_leaves.end() - 1;
+    }
+    target_rows[j] = {static_cast<std::size_t>(it - target_leaves.begin()),
+                      kInvalidNode, 0};
+  }
 
   double best = kInfDistance;
   std::uint64_t direct_cells = 0;
   std::uint64_t pairwise_calls = 0;
+  NodeId la = kInvalidNode;
   for (DoorId d1 : home_doors) {
     const Door& door1 = venue_->door(d1);
     NodeId leaves[2];
@@ -274,16 +311,44 @@ double VipTree::ComposePartitionToNode(PartitionId p, NodeId n) const {
     for (int i = 0; i < count; ++i) {
       rows_in_leaf[i] = node(leaves[i]).matrix.RowIndex(d1);
     }
-    const NodeId la = leaves[0];
-    composed.clear();
+    if (leaves[0] != la) {
+      la = leaves[0];
+      pairs.clear();
+      leaf_pair.resize(target_leaves.size());
+      for (std::size_t k = 0; k < target_leaves.size(); ++k) {
+        // A target homed in `la` always takes the shared-leaf fast path.
+        if (target_leaves[k] == la) {
+          leaf_pair[k] = kSharedLeaf;
+          continue;
+        }
+        NodeId ca = kInvalidNode;
+        NodeId cb = kInvalidNode;
+        LcaChildren(*this, la, target_leaves[k], &ca, &cb);
+        auto it = std::find_if(pairs.begin(), pairs.end(),
+                               [&](const ChildPair& c) {
+                                 return c.ca == ca && c.cb == cb;
+                               });
+        if (it == pairs.end()) {
+          const VipNode& lca = node(node(ca).parent);
+          pairs.push_back({ca, cb, &lca,
+                           lca.child_access_idx(ChildPosition(lca, ca)),
+                           lca.child_access_idx(ChildPosition(lca, cb)),
+                           kNotComposed});
+          it = pairs.end() - 1;
+        }
+        leaf_pair[k] = static_cast<std::size_t>(it - pairs.begin());
+      }
+    } else {
+      for (ChildPair& c : pairs) c.offset = kNotComposed;
+    }
     u_flat.clear();
-    for (std::size_t j = 0; j < ads.size(); ++j) {
+    for (std::size_t j = 0; j < targets.size(); ++j) {
       // Shared-leaf fast path: the direct matrix cell, as DoorToDoor reads it.
       bool direct = false;
       double cand = kInfDistance;
       for (int i = 0; i < count && !direct; ++i) {
         const DoorMatrixView& m = node(leaves[i]).matrix;
-        const int col = m.ColIndex(ads[j]);
+        const int col = m.ColIndex(targets[j]);
         if (rows_in_leaf[i] >= 0 && col >= 0) {
           ++direct_cells;
           cand = m.At(rows_in_leaf[i], col);
@@ -291,48 +356,43 @@ double VipTree::ComposePartitionToNode(PartitionId p, NodeId n) const {
         }
       }
       if (!direct) {
-        NodeId ca = kInvalidNode;
-        NodeId cb = kInvalidNode;
-        LcaChildren(*this, la, b_leaf[j], &ca, &cb);
-        auto it = std::find_if(
-            composed.begin(), composed.end(),
-            [&](const Composed& c) { return c.ca == ca && c.cb == cb; });
-        if (it == composed.end()) {
-          const VipNode& lca = node(node(ca).parent);
-          const std::span<const std::int32_t> rows =
-              lca.child_access_idx(ChildPosition(lca, ca));
-          const std::span<const std::int32_t> cols =
-              lca.child_access_idx(ChildPosition(lca, cb));
+        TargetRow& t = target_rows[j];
+        IFLS_DCHECK(leaf_pair[t.leaf_slot] != kSharedLeaf);
+        ChildPair& c = pairs[leaf_pair[t.leaf_slot]];
+        if (c.offset == kNotComposed) {
           const std::span<const double> dist_a =
-              AncestorAccessDistances(d1, la, ca, &a_scratch);
-          const std::size_t offset = u_flat.size();
-          u_flat.resize(offset + cols.size());
-          kernels::MinPlusCompose(dist_a.data(), rows.data(), rows.size(),
-                                  cols.data(), cols.size(),
-                                  lca.matrix.dist_data(),
-                                  lca.matrix.num_cols(), u_flat.data() + offset);
+              AncestorAccessDistances(d1, la, c.ca, &scratch);
+          c.offset = u_flat.size();
+          u_flat.resize(c.offset + c.cols.size());
+          kernels::MinPlusCompose(dist_a.data(), c.rows.data(), c.rows.size(),
+                                  c.cols.data(), c.cols.size(),
+                                  c.lca->matrix.dist_data(),
+                                  c.lca->matrix.num_cols(),
+                                  u_flat.data() + c.offset);
           CountKernelInvocation();
-          BumpMatrixLookups(rows.size() * cols.size());
-          composed.push_back({ca, cb, offset, cols.size()});
-          it = composed.end() - 1;
+          BumpMatrixLookups(c.rows.size() * c.cols.size());
         }
-        if (b_node[j] != cb) {
-          b_dist[j] =
-              AncestorAccessDistances(ads[j], b_leaf[j], cb, &b_scratch[j]);
-          b_node[j] = cb;
+        if (t.cb != c.cb) {
+          const std::span<const double> dist_b = AncestorAccessDistances(
+              targets[j], target_leaves[t.leaf_slot], c.cb, &scratch);
+          IFLS_DCHECK(dist_b.size() == c.cols.size());
+          t.cb = c.cb;
+          t.offset = b_flat.size();
+          b_flat.insert(b_flat.end(), dist_b.begin(), dist_b.end());
         }
-        IFLS_DCHECK(b_dist[j].size() == it->width);
-        cand = kernels::MinPlusPairwise(u_flat.data() + it->offset,
-                                        b_dist[j].data(), b_dist[j].size());
+        cand = kernels::MinPlusPairwise(u_flat.data() + c.offset,
+                                        b_flat.data() + t.offset,
+                                        c.cols.size());
         ++pairwise_calls;
       }
       if (cand < best) best = cand;
     }
   }
-  // Counted once per call. The terms are not DoorToDoor compositions, so
-  // door_distance_evals is left to DoorToDoor.
+  // Counted once per call. Every term is one door pair of the per-pair
+  // definition, so door_distance_evals counts the terms evaluated.
   BumpMatrixLookups(direct_cells);
   CountKernelInvocation(pairwise_calls);
+  BumpDoorDistanceEvals(direct_cells + pairwise_calls);
   return best;
 }
 

@@ -658,18 +658,6 @@ void VipTree::FillMatrixRow(const DoorMatrixView& view, DoorId row,
   }
 }
 
-const VipNode& VipTree::node(NodeId id) const {
-  IFLS_CHECK(id >= 0 && static_cast<std::size_t>(id) < nodes_.size())
-      << "node id " << id << " out of range";
-  return nodes_[static_cast<std::size_t>(id)];
-}
-
-NodeId VipTree::LeafOf(PartitionId p) const {
-  IFLS_CHECK(p >= 0 &&
-             static_cast<std::size_t>(p) < leaf_of_partition_.size());
-  return leaf_of_partition_[static_cast<std::size_t>(p)];
-}
-
 bool VipTree::NodeContainsPartition(NodeId n, PartitionId p) const {
   const int target_depth = node(n).depth;
   NodeId cur = LeafOf(p);

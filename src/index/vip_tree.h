@@ -10,6 +10,7 @@
 
 #include "src/common/arena.h"
 #include "src/common/concurrent_cache.h"
+#include "src/common/logging.h"
 #include "src/common/mapped_file.h"
 #include "src/common/status.h"
 #include "src/index/distance_oracle.h"
@@ -34,10 +35,11 @@ struct VipTreeOptions {
   /// index is bit-identical for any thread count). <= 0 uses all hardware
   /// threads; 1 keeps the build single-threaded.
   int build_threads = 0;
-  /// Memoize DoorToDoor results and PartitionToNode bounds in a hash table
-  /// owned by the index (the door-graph distances are static, so the cache
-  /// is conceptually part of the materialized index, like Yang et al.'s
-  /// door-to-door hash table).
+  /// Memoize DoorToDoor results and the partition-level distances
+  /// (PartitionToNode, PartitionToPartition, DoorToPartition) in a hash
+  /// table owned by the index (the door-graph distances are static, so the
+  /// cache is conceptually part of the materialized index, like Yang et
+  /// al.'s door-to-door hash table).
   /// OFF by default: the paper's cost model recomputes matrix compositions
   /// per iDist call, and the redundancy across clients of one partition is
   /// precisely what the efficient approach's grouping exploits — a global
@@ -100,6 +102,32 @@ struct VipNode {
   std::span<const std::int32_t> child_access_flat_;
 };
 
+/// What one door-cache entry memoizes. Each kind ORs its own tag bits into
+/// the packed key (DESIGN §9.2).
+enum class DistanceMemoKind : std::uint64_t {
+  kDoorPair = 0,                              // DoorToDoor(a, b)
+  kDoorToPartition = std::uint64_t{1} << 31,  // DoorToPartition(d, f)
+  kPartitionToNode = std::uint64_t{1} << 63,  // PartitionToNode(p, n)
+  // PartitionToPartition(p, q)
+  kPartitionToPartition = (std::uint64_t{1} << 63) | (std::uint64_t{1} << 31),
+};
+
+/// Door-cache key of one memoized distance: (from << 32) | to with the
+/// kind's tag bits set. Ids are non-negative int32s, so bits 63 and 31 are
+/// free for the tags and distinct (kind, from, to) triples get distinct
+/// keys. The one triple that would pack to the cache's empty sentinel, a
+/// partition pair at 2^31 - 1 (which PartitionToPartition answers with 0
+/// before keying), is rejected.
+inline std::uint64_t DistanceMemoKey(DistanceMemoKind kind, std::int32_t from,
+                                     std::int32_t to) {
+  IFLS_DCHECK(from >= 0 && to >= 0);
+  const std::uint64_t key = static_cast<std::uint64_t>(kind) |
+                            (static_cast<std::uint64_t>(from) << 32) |
+                            static_cast<std::uint32_t>(to);
+  IFLS_DCHECK(key < ConcurrentDoorCache::kReservedKeys);
+  return key;
+}
+
 /// Transient structural description of a tree: plain per-node vectors, as
 /// produced by the build clustering phase or sliced out of a v3 snapshot's
 /// ids section, before conversion into the flat arena layout. Internal API
@@ -161,7 +189,10 @@ struct VipTreeLayoutStats {
 /// (ConcurrentDoorCache), so query threads never serialize on it. Only
 /// Build/SaveV3ToFile/LoadV3FromFile and moves require external
 /// exclusivity.
-class VipTree : public DistanceOracle {
+///
+/// Final, so calls to LeafOf() and the other overrides inside the tree's
+/// own distance paths bind statically.
+class VipTree final : public DistanceOracle {
  public:
   /// Builds the index over `venue`. The venue must outlive the tree.
   static Result<VipTree> Build(const Venue* venue, VipTreeOptions options = {});
@@ -178,7 +209,11 @@ class VipTree : public DistanceOracle {
   std::size_t num_nodes() const override { return nodes_.size(); }
   std::size_t num_leaves() const { return num_leaves_; }
   int height() const { return height_; }
-  const VipNode& node(NodeId id) const;
+  const VipNode& node(NodeId id) const {
+    IFLS_CHECK(id >= 0 && static_cast<std::size_t>(id) < nodes_.size())
+        << "node id " << id << " out of range";
+    return nodes_[static_cast<std::size_t>(id)];
+  }
 
   bool IsLeaf(NodeId n) const override { return node(n).is_leaf(); }
   NodeId Parent(NodeId n) const override { return node(n).parent; }
@@ -190,7 +225,11 @@ class VipTree : public DistanceOracle {
   }
 
   /// Leaf node owning partition `p`.
-  NodeId LeafOf(PartitionId p) const override;
+  NodeId LeafOf(PartitionId p) const override {
+    IFLS_CHECK(p >= 0 &&
+               static_cast<std::size_t>(p) < leaf_of_partition_.size());
+    return leaf_of_partition_[static_cast<std::size_t>(p)];
+  }
 
   /// True when partition `p` lies inside node `n`'s subtree.
   bool NodeContainsPartition(NodeId n, PartitionId p) const override;
@@ -199,9 +238,8 @@ class VipTree : public DistanceOracle {
   NodeId LowestCommonAncestor(NodeId a, NodeId b) const;
 
   // ---- Distances (implemented in vip_distance.cc) ---------------------
-  // PointToDoor / PointToPoint / DoorToPartition / PartitionToPartition are
-  // inherited from DistanceOracle: their compositions over DoorToDoor are
-  // the generic ones.
+  // PointToDoor / PointToPoint are inherited from DistanceOracle: their
+  // compositions over DoorToDoor are the generic ones.
 
   /// Exact global door-to-door walking distance, composed from the stored
   /// matrices (leaf lookup, or leaf->LCA-access-door->leaf composition).
@@ -214,11 +252,21 @@ class VipTree : public DistanceOracle {
   double PointToPartition(const Point& a, PartitionId pa,
                           PartitionId target) const override;
 
+  /// Shortest distance from door `d` to the nearest door of `target`: the
+  /// min over {d} x doors(target) of DoorToDoor, bit for bit, composed by
+  /// the batched door-set composer (DESIGN §3.1).
+  double DoorToPartition(DoorId d, PartitionId target) const override;
+
+  /// Paper iMinD(p, q) with q a partition: 0 when p == q, else the min over
+  /// doors(p) x doors(q) of DoorToDoor, bit for bit, batched as above.
+  double PartitionToPartition(PartitionId p, PartitionId q) const override;
+
   /// Paper iMinD(p, I) with I a tree node: 0 when the node contains p, else
-  /// min over doors(p) x access_doors(n) of DoorToDoor, bit for bit. The
-  /// LCA row is composed once per home door instead of once per pair
-  /// (DESIGN §3.1), and with the door cache enabled the bound is memoized
-  /// under a tagged (partition, node) key.
+  /// min over doors(p) x access_doors(n) of DoorToDoor, bit for bit, batched
+  /// as above.
+  ///
+  /// With the door cache enabled, each of these three is memoized under its
+  /// own tagged key (DistanceMemoKey).
   double PartitionToNode(PartitionId p, NodeId n) const override;
 
   /// Lower bound used by top-down NN: distance from a concrete point to the
@@ -314,23 +362,27 @@ class VipTree : public DistanceOracle {
   /// the row of the materialized leaf->ancestor matrix in place; for
   /// `ancestor == leaf`, and in IP mode, the distances are gathered and
   /// composed along the node chain into `*scratch`, which the result views.
-  /// Shared by DoorToDoor and PartitionToNode.
+  /// Shared by DoorToDoor and ComposeDoorSets.
   std::span<const double> AncestorAccessDistances(
       DoorId a, NodeId leaf, NodeId ancestor,
       std::vector<double>* scratch) const;
 
-  /// PartitionToNode without the memo: the min over doors(p) x AD(n) of
-  /// DoorToDoor's terms, composed once per home door and LCA child pair.
-  double ComposePartitionToNode(PartitionId p, NodeId n) const;
+  /// The min over home_doors x targets of DoorToDoor's terms, without the
+  /// memo: one LCA row composed per home door and distinct LCA child pair,
+  /// one pairwise reduce per target door (DESIGN §3.1). Serves
+  /// PartitionToNode, PartitionToPartition and DoorToPartition.
+  double ComposeDoorSets(std::span<const DoorId> home_doors,
+                         std::span<const DoorId> targets) const;
 
-  /// Memo lookup/insert used by DoorToDoor and PartitionToNode when the
-  /// cache is enabled. Door-pair keys are (from_door << 32) | to_door — per
-  /// orientation, since the two orientations' compositions may differ in the
-  /// last ULP and the cache must never change a bit. PartitionToNode bounds
-  /// are stored under tagged keys (1 << 63) | (partition << 32) | node;
-  /// door-pair keys never set bit 63. The backing store is a sharded
-  /// lock-free ConcurrentDoorCache held behind a pointer so the tree stays
-  /// movable.
+  /// ComposeDoorSets behind the memo entry `key` when the cache is enabled.
+  double MemoizedDoorSets(std::uint64_t key, std::span<const DoorId> home_doors,
+                          std::span<const DoorId> targets) const;
+
+  /// Memo lookup/insert used when the cache is enabled, under the keys of
+  /// DistanceMemoKey. Door-pair keys are per orientation, since the two
+  /// orientations' compositions may differ in the last ULP and the cache
+  /// must never change a bit. The backing store is a sharded lock-free
+  /// ConcurrentDoorCache held behind a pointer so the tree stays movable.
   bool CachedDoorDistance(std::uint64_t key, double* out) const;
   void StoreDoorDistance(std::uint64_t key, double value) const;
 

@@ -1,16 +1,22 @@
-// Bit-identity of the batched PartitionToNode (paper iMinD(p, I) with I a
-// tree node) against its definition: the min over doors(p) x AD(n) of
-// DoorToDoor. The batched form composes the LCA row once per home door and
-// memoizes bounds in the door cache; neither may change a single bit. Every
-// (partition, node) pair is checked on generated venues and one preset, in
-// VIP and IP mode, with the cache off and on, on heap-built and mapped v3
-// trees, under every kernel tier this machine supports.
+// Bit-identity of the batched partition-level distances against their
+// definitions as per-pair DoorToDoor minima: PartitionToNode (paper
+// iMinD(p, I) with I a tree node, over doors(p) x AD(n)),
+// PartitionToPartition (iMinD(p, q), over doors(p) x doors(q)) and
+// DoorToPartition (over {d} x doors(f)). One composer computes all three,
+// composing the LCA row once per home door, and the door cache memoizes
+// each under its own tagged key; neither may change a single bit. Every
+// argument pair is checked on generated venues and one preset, in VIP and
+// IP mode, with the cache off and on, on heap-built and mapped v3 trees,
+// under every kernel tier this machine supports.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <ostream>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,18 +31,68 @@ namespace {
 using testing_util::SmallVenueSpec;
 using testing_util::Unwrap;
 
-/// The definition PartitionToNode must reproduce bit for bit.
-double ReferencePartitionToNode(const VipTree& tree, PartitionId p,
-                                NodeId n) {
-  if (tree.NodeContainsPartition(n, p)) return 0.0;
+/// Minimum of DoorToDoor over `from` x `to`: the definition every batched
+/// distance must reproduce bit for bit.
+double PerPairMinimum(const VipTree& tree, std::span<const DoorId> from,
+                      std::span<const DoorId> to) {
   double best = kInfDistance;
-  for (DoorId d1 : tree.venue().partition(p).doors) {
-    for (DoorId ad : tree.node(n).access_doors) {
-      const double cand = tree.DoorToDoor(d1, ad);
+  for (DoorId d1 : from) {
+    for (DoorId d2 : to) {
+      const double cand = tree.DoorToDoor(d1, d2);
       if (cand < best) best = cand;
     }
   }
   return best;
+}
+
+/// One batched distance over (from, to) id pairs and its reference.
+struct Family {
+  std::string name;
+  std::function<std::size_t(const VipTree&)> num_from;
+  std::function<std::size_t(const VipTree&)> num_to;
+  std::function<double(const VipTree&, std::int32_t, std::int32_t)> batched;
+  std::function<double(const VipTree&, std::int32_t, std::int32_t)> reference;
+};
+
+Family PartitionToNodeFamily() {
+  return {"PartitionToNode",
+          [](const VipTree& t) { return t.venue().num_partitions(); },
+          [](const VipTree& t) { return t.num_nodes(); },
+          [](const VipTree& t, std::int32_t p, std::int32_t n) {
+            return t.PartitionToNode(p, n);
+          },
+          [](const VipTree& t, std::int32_t p, std::int32_t n) {
+            if (t.NodeContainsPartition(n, p)) return 0.0;
+            return PerPairMinimum(t, t.venue().partition(p).doors,
+                                  t.node(n).access_doors);
+          }};
+}
+
+Family PartitionToPartitionFamily() {
+  return {"PartitionToPartition",
+          [](const VipTree& t) { return t.venue().num_partitions(); },
+          [](const VipTree& t) { return t.venue().num_partitions(); },
+          [](const VipTree& t, std::int32_t p, std::int32_t q) {
+            return t.PartitionToPartition(p, q);
+          },
+          [](const VipTree& t, std::int32_t p, std::int32_t q) {
+            if (p == q) return 0.0;
+            return PerPairMinimum(t, t.venue().partition(p).doors,
+                                  t.venue().partition(q).doors);
+          }};
+}
+
+Family DoorToPartitionFamily() {
+  return {"DoorToPartition",
+          [](const VipTree& t) { return t.venue().num_doors(); },
+          [](const VipTree& t) { return t.venue().num_partitions(); },
+          [](const VipTree& t, std::int32_t d, std::int32_t f) {
+            return t.DoorToPartition(d, f);
+          },
+          [](const VipTree& t, std::int32_t d, std::int32_t f) {
+            return PerPairMinimum(t, std::span<const DoorId>(&d, 1),
+                                  t.venue().partition(f).doors);
+          }};
 }
 
 std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
@@ -91,28 +147,31 @@ class PartitionToNodeTest : public ::testing::TestWithParam<VenueCase> {
     return o;
   }
 
-  /// Checks every (p, n) on `tree` under the active kernel tier: the
-  /// batched bound equals the reference, and (cache on) the memoized second
-  /// call equals the first and is served by the memo.
-  void CheckAllPairs(const VipTree& tree, const std::string& what) {
+  /// Checks every (from, to) pair of `family` on `tree` under the active
+  /// kernel tier: the batched distance equals the reference, and (cache on)
+  /// the memoized second call equals the first and is served by the memo.
+  void CheckAllPairs(const Family& family, const VipTree& tree,
+                     const std::string& what) {
+    const std::size_t num_from = family.num_from(tree);
+    const std::size_t num_to = family.num_to(tree);
     tree.ClearDistanceCache();
     std::vector<double> first;
-    first.reserve(venue_.num_partitions() * tree.num_nodes());
-    for (std::size_t p = 0; p < venue_.num_partitions(); ++p) {
-      for (std::size_t n = 0; n < tree.num_nodes(); ++n) {
-        first.push_back(tree.PartitionToNode(static_cast<PartitionId>(p),
-                                             static_cast<NodeId>(n)));
+    first.reserve(num_from * num_to);
+    for (std::size_t a = 0; a < num_from; ++a) {
+      for (std::size_t b = 0; b < num_to; ++b) {
+        first.push_back(family.batched(tree, static_cast<std::int32_t>(a),
+                                       static_cast<std::int32_t>(b)));
       }
     }
     std::size_t i = 0;
     int mismatches = 0;
-    for (std::size_t p = 0; p < venue_.num_partitions(); ++p) {
-      for (std::size_t n = 0; n < tree.num_nodes(); ++n, ++i) {
-        const double ref = ReferencePartitionToNode(
-            tree, static_cast<PartitionId>(p), static_cast<NodeId>(n));
+    for (std::size_t a = 0; a < num_from; ++a) {
+      for (std::size_t b = 0; b < num_to; ++b, ++i) {
+        const double ref = family.reference(
+            tree, static_cast<std::int32_t>(a), static_cast<std::int32_t>(b));
         if (Bits(first[i]) != Bits(ref) && ++mismatches <= 5) {
-          ADD_FAILURE() << what << ": PartitionToNode(" << p << ", " << n
-                        << ") = " << first[i] << ", reference " << ref;
+          ADD_FAILURE() << what << ": " << family.name << "(" << a << ", "
+                        << b << ") = " << first[i] << ", reference " << ref;
         }
       }
     }
@@ -122,12 +181,13 @@ class PartitionToNodeTest : public ::testing::TestWithParam<VenueCase> {
     {
       ScopedOracleCounterSink sink(&counters);
       i = 0;
-      for (std::size_t p = 0; p < venue_.num_partitions(); ++p) {
-        for (std::size_t n = 0; n < tree.num_nodes(); ++n, ++i) {
-          const double again = tree.PartitionToNode(
-              static_cast<PartitionId>(p), static_cast<NodeId>(n));
+      for (std::size_t a = 0; a < num_from; ++a) {
+        for (std::size_t b = 0; b < num_to; ++b, ++i) {
+          const double again =
+              family.batched(tree, static_cast<std::int32_t>(a),
+                             static_cast<std::int32_t>(b));
           ASSERT_EQ(Bits(again), Bits(first[i]))
-              << what << ": second call of (" << p << ", " << n << ")";
+              << what << ": second call of (" << a << ", " << b << ")";
         }
       }
     }
@@ -138,34 +198,86 @@ class PartitionToNodeTest : public ::testing::TestWithParam<VenueCase> {
     }
   }
 
+  /// Runs CheckAllPairs for `family` in VIP and IP mode, cache off and on,
+  /// on the heap-built tree and its mapped v3 snapshot, under every kernel
+  /// tier this machine supports.
+  void CheckAllConfigurations(const Family& family) {
+    std::vector<kernels::KernelTier> tiers;
+    for (int t = 0; t < kernels::kNumKernelTiers; ++t) {
+      const auto tier = static_cast<kernels::KernelTier>(t);
+      if (kernels::KernelTierSupported(tier)) tiers.push_back(tier);
+    }
+    for (const bool vip : {true, false}) {
+      for (const bool cache : {false, true}) {
+        VipTree built = Unwrap(VipTree::Build(&venue_, Options(vip, cache)));
+        const std::string path = ::testing::TempDir() + "/" + family.name +
+                                 "_" + GetParam().name +
+                                 (vip ? "_vip" : "_ip") +
+                                 (cache ? "_cache" : "") + ".v3.ifls";
+        ASSERT_TRUE(built.SaveV3ToFile(path).ok());
+        VipTree mapped = Unwrap(VipTree::LoadV3FromFile(&venue_, path));
+        ASSERT_TRUE(mapped.is_mapped());
+        ASSERT_EQ(mapped.options().enable_door_distance_cache, cache);
+        for (const kernels::KernelTier tier : tiers) {
+          ASSERT_TRUE(kernels::PinKernelTier(tier).ok());
+          const std::string what = std::string(vip ? "VIP" : "IP") +
+                                   (cache ? " cache" : " no-cache") + " " +
+                                   kernels::KernelTierName(tier);
+          CheckAllPairs(family, built, what + " heap");
+          CheckAllPairs(family, mapped, what + " mapped");
+        }
+        kernels::ResetKernelTierAuto();
+      }
+    }
+  }
+
   Venue venue_;
 };
 
 TEST_P(PartitionToNodeTest, BitIdenticalToDoorToDoorMinimum) {
-  std::vector<kernels::KernelTier> tiers;
-  for (int t = 0; t < kernels::kNumKernelTiers; ++t) {
-    const auto tier = static_cast<kernels::KernelTier>(t);
-    if (kernels::KernelTierSupported(tier)) tiers.push_back(tier);
-  }
-  for (const bool vip : {true, false}) {
-    for (const bool cache : {false, true}) {
-      VipTree built = Unwrap(VipTree::Build(&venue_, Options(vip, cache)));
-      const std::string path = ::testing::TempDir() + "/p2n_" +
-                               GetParam().name + (vip ? "_vip" : "_ip") +
-                               (cache ? "_cache" : "") + ".v3.ifls";
-      ASSERT_TRUE(built.SaveV3ToFile(path).ok());
-      VipTree mapped = Unwrap(VipTree::LoadV3FromFile(&venue_, path));
-      ASSERT_TRUE(mapped.is_mapped());
-      ASSERT_EQ(mapped.options().enable_door_distance_cache, cache);
-      for (const kernels::KernelTier tier : tiers) {
-        ASSERT_TRUE(kernels::PinKernelTier(tier).ok());
-        const std::string what = std::string(vip ? "VIP" : "IP") +
-                                 (cache ? " cache" : " no-cache") + " " +
-                                 kernels::KernelTierName(tier);
-        CheckAllPairs(built, what + " heap");
-        CheckAllPairs(mapped, what + " mapped");
+  CheckAllConfigurations(PartitionToNodeFamily());
+}
+
+TEST_P(PartitionToNodeTest, PartitionToPartitionBitIdentical) {
+  CheckAllConfigurations(PartitionToPartitionFamily());
+}
+
+TEST_P(PartitionToNodeTest, DoorToPartitionBitIdentical) {
+  CheckAllConfigurations(DoorToPartitionFamily());
+}
+
+// The three memoized distances and DoorToDoor share one cache. Filled by
+// all of them, each must still return its uncached value: a key of one kind
+// that aliased another's would serve the wrong distance.
+TEST_P(PartitionToNodeTest, MemoKindsShareTheCacheWithoutAliasing) {
+  const VipTree cold = Unwrap(VipTree::Build(&venue_, Options(true, false)));
+  const VipTree warm = Unwrap(VipTree::Build(&venue_, Options(true, true)));
+  const Family door_to_door{
+      "DoorToDoor", [](const VipTree& t) { return t.venue().num_doors(); },
+      [](const VipTree& t) { return t.venue().num_doors(); },
+      [](const VipTree& t, std::int32_t a, std::int32_t b) {
+        return t.DoorToDoor(a, b);
+      },
+      nullptr};
+  const Family families[] = {PartitionToNodeFamily(),
+                             PartitionToPartitionFamily(),
+                             DoorToPartitionFamily(), door_to_door};
+  for (const bool fill : {true, false}) {
+    for (const Family& f : families) {
+      int mismatches = 0;
+      for (std::size_t a = 0; a < f.num_from(warm); ++a) {
+        for (std::size_t b = 0; b < f.num_to(warm); ++b) {
+          const auto from = static_cast<std::int32_t>(a);
+          const auto to = static_cast<std::int32_t>(b);
+          const double got = f.batched(warm, from, to);
+          if (!fill && Bits(got) != Bits(f.batched(cold, from, to)) &&
+              ++mismatches <= 5) {
+            ADD_FAILURE() << f.name << "(" << a << ", " << b << ") from a "
+                          << "shared cache = " << got;
+          }
+        }
       }
-      kernels::ResetKernelTierAuto();
+      EXPECT_EQ(mismatches, 0) << f.name;
     }
   }
 }
@@ -175,6 +287,38 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<VenueCase>& info) {
       return info.param.name;
     });
+
+// The four memo-key kinds share one 64-bit key space with the cache's
+// empty sentinel: no two (kind, from, to) triples may pack to one key, and
+// no key may be the sentinel, at the extreme ids as well as small ones.
+TEST(DistanceMemoKeyTest, KindsNeverCollideAndAvoidTheEmptySentinel) {
+  constexpr std::int32_t kMaxId = 0x7fffffff;
+  const std::vector<std::int32_t> ids = {0, 1, 2, 0x7fff, 0x8000,
+                                         kMaxId - 1, kMaxId};
+  const DistanceMemoKind kinds[] = {DistanceMemoKind::kDoorPair,
+                                    DistanceMemoKind::kDoorToPartition,
+                                    DistanceMemoKind::kPartitionToNode,
+                                    DistanceMemoKind::kPartitionToPartition};
+  std::set<std::uint64_t> keys;
+  std::size_t packed = 0;
+  for (const DistanceMemoKind kind : kinds) {
+    for (const std::int32_t from : ids) {
+      for (const std::int32_t to : ids) {
+        // The one rejected triple: PartitionToPartition(p, p) is 0 and
+        // never keyed.
+        if (kind == DistanceMemoKind::kPartitionToPartition &&
+            from == kMaxId && to == kMaxId) {
+          continue;
+        }
+        const std::uint64_t key = DistanceMemoKey(kind, from, to);
+        EXPECT_LT(key, ConcurrentDoorCache::kReservedKeys);
+        keys.insert(key);
+        ++packed;
+      }
+    }
+  }
+  EXPECT_EQ(keys.size(), packed);
+}
 
 }  // namespace
 }  // namespace ifls
