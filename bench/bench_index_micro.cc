@@ -5,10 +5,10 @@
 //
 // Beyond the google-benchmark suite, the binary has a custom main() that
 // measures the flat arena layout directly — bytes/node, arena utilization,
-// build time/peak memory, and matrix-lookup latency against a heap-allocated
-// per-node "pointer mirror" reproducing the pre-arena layout — and writes
-// BENCH_index_layout.json so later PRs have a perf trajectory to compare
-// against. Run with --benchmark_filter=NONE to emit only the report.
+// build time/peak memory, matrix-cell lookup latency and PointToPartition
+// latency — and writes BENCH_index_layout.json so later changes have a perf
+// trajectory to compare against. Run with --benchmark_filter=NONE to emit
+// only the report.
 
 #include <benchmark/benchmark.h>
 
@@ -81,38 +81,12 @@ MicroEnv& Env(int preset_index) {
   return *envs[preset_index];
 }
 
-// ------------------------------------------------------ flat vs pointer
+// ------------------------------------------------------- matrix lookups
 
-/// Heap-allocated copy of one node's matrices: each DoorMatrix owns its own
-/// id and payload vectors, reproducing the pre-arena layout where a
-/// traversal chased one allocation per matrix.
-struct PointerMirrorNode {
-  std::unique_ptr<DoorMatrix> matrix;
-  std::vector<std::unique_ptr<DoorMatrix>> ancestors;
-};
-
-std::unique_ptr<DoorMatrix> CopyMatrix(const DoorMatrixView& view) {
-  auto copy = std::make_unique<DoorMatrix>(
-      std::vector<DoorId>(view.rows().begin(), view.rows().end()),
-      std::vector<DoorId>(view.cols().begin(), view.cols().end()),
-      view.has_first_hop());
-  for (std::size_t r = 0; r < view.num_rows(); ++r) {
-    for (std::size_t c = 0; c < view.num_cols(); ++c) {
-      copy->Set(static_cast<int>(r), static_cast<int>(c),
-                view.At(static_cast<int>(r), static_cast<int>(c)),
-                view.FirstHopAt(static_cast<int>(r), static_cast<int>(c)));
-    }
-  }
-  return copy;
-}
-
-/// Identical random cell-access sequence replayed against both layouts:
-/// parallel arrays of flat views and mirrored heap matrices, plus a probe
-/// list (matrix, row, col) covering main and ancestor matrices alike.
+/// A random cell-access sequence over the tree's arena views: every main
+/// and ancestor matrix, plus a probe list (matrix, row, col) into them.
 struct LookupWorkload {
-  std::vector<PointerMirrorNode> mirror_nodes;  // owns the heap copies
   std::vector<DoorMatrixView> flat;
-  std::vector<const DoorMatrix*> mirror;
   struct Probe {
     std::uint32_t matrix;
     std::int32_t row;
@@ -124,20 +98,11 @@ struct LookupWorkload {
 LookupWorkload BuildLookupWorkload(const VipTree& tree,
                                    std::size_t num_probes) {
   LookupWorkload w;
-  w.mirror_nodes.resize(tree.num_nodes());
   for (NodeId id = 0; id < static_cast<NodeId>(tree.num_nodes()); ++id) {
     const VipNode& node = tree.node(id);
-    PointerMirrorNode& mirror = w.mirror_nodes[static_cast<std::size_t>(id)];
-    if (!node.matrix.empty()) {
-      mirror.matrix = CopyMatrix(node.matrix);
-      w.flat.push_back(node.matrix);
-      w.mirror.push_back(mirror.matrix.get());
-    }
+    if (!node.matrix.empty()) w.flat.push_back(node.matrix);
     for (const DoorMatrixView& anc : node.ancestor_matrices) {
-      if (anc.empty()) continue;
-      mirror.ancestors.push_back(CopyMatrix(anc));
-      w.flat.push_back(anc);
-      w.mirror.push_back(mirror.ancestors.back().get());
+      if (!anc.empty()) w.flat.push_back(anc);
     }
   }
   IFLS_CHECK(!w.flat.empty());
@@ -283,32 +248,18 @@ void BM_MatrixLookupFlat(benchmark::State& state) {
 BENCHMARK(BM_MatrixLookupFlat)->DenseRange(0, 3)->Name(
     "MatrixLookup/flat-arena");
 
-void BM_MatrixLookupPointer(benchmark::State& state) {
-  LookupWorkload& w = Workload(static_cast<int>(state.range(0)));
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const LookupWorkload::Probe& p = w.probes[i % w.probes.size()];
-    benchmark::DoNotOptimize(w.mirror[p.matrix]->At(p.row, p.col));
-    ++i;
-  }
-}
-BENCHMARK(BM_MatrixLookupPointer)->DenseRange(0, 3)->Name(
-    "MatrixLookup/pointer-mirror");
-
 // --------------------------------------------------------- layout report
 
-/// Sweeps the probe list `passes` times against one layout's matrices and
-/// returns ns/lookup; `reps` repetitions, best taken (steady-state figure).
-template <typename AtFn>
-double MeasureLookupNs(const LookupWorkload& w, int passes, int reps,
-                       AtFn&& at) {
+/// Sweeps the probe list `passes` times and returns ns/lookup; `reps`
+/// repetitions, best taken (steady-state figure).
+double MeasureLookupNs(const LookupWorkload& w, int passes, int reps) {
   double best = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < reps; ++rep) {
     double sum = 0.0;
     Stopwatch watch;
     for (int pass = 0; pass < passes; ++pass) {
       for (const LookupWorkload::Probe& p : w.probes) {
-        sum += at(p);
+        sum += w.flat[p.matrix].At(p.row, p.col);
       }
     }
     const double seconds = watch.ElapsedSeconds();
@@ -327,7 +278,6 @@ struct PresetLayoutReport {
   double build_seconds = 0.0;
   std::int64_t build_peak_bytes = 0;
   double flat_lookup_ns = 0.0;
-  double pointer_lookup_ns = 0.0;
   double point_to_partition_us = 0.0;
 };
 
@@ -350,18 +300,8 @@ PresetLayoutReport MeasurePreset(int preset_index) {
     r.build_peak_bytes = peak.scope_peak_bytes();
   }
 
-  // Same probe sequence against the arena views and the heap mirror.
-  const LookupWorkload& w = Workload(preset_index);
-  r.flat_lookup_ns = MeasureLookupNs(
-      w, /*passes=*/16, /*reps=*/3,
-      [&w](const LookupWorkload::Probe& p) {
-        return w.flat[p.matrix].At(p.row, p.col);
-      });
-  r.pointer_lookup_ns = MeasureLookupNs(
-      w, /*passes=*/16, /*reps=*/3,
-      [&w](const LookupWorkload::Probe& p) {
-        return w.mirror[p.matrix]->At(p.row, p.col);
-      });
+  r.flat_lookup_ns =
+      MeasureLookupNs(Workload(preset_index), /*passes=*/16, /*reps=*/3);
 
   // End-to-end distance query latency on the flat tree.
   constexpr int kQueries = 4096;
@@ -412,11 +352,6 @@ void WriteLayoutReport(const std::string& path) {
           w.Field("build_seconds", r.build_seconds);
           w.Field("build_peak_bytes", r.build_peak_bytes);
           w.Field("flat_lookup_ns", r.flat_lookup_ns);
-          w.Field("pointer_lookup_ns", r.pointer_lookup_ns);
-          w.Field("lookup_speedup",
-                  r.flat_lookup_ns > 0.0
-                      ? r.pointer_lookup_ns / r.flat_lookup_ns
-                      : 0.0);
           w.Field("point_to_partition_us", r.point_to_partition_us);
           w.EndObject();
         }
@@ -424,14 +359,6 @@ void WriteLayoutReport(const std::string& path) {
       });
   IFLS_CHECK(written.ok()) << written.ToString();
   std::cerr << "[layout] wrote " << path << "\n";
-  for (const PresetLayoutReport& r : reports) {
-    if (r.flat_lookup_ns > r.pointer_lookup_ns) {
-      std::cerr << "[layout] WARNING: flat lookups slower than pointer "
-                   "mirror on preset "
-                << r.preset << " (" << r.flat_lookup_ns << "ns vs "
-                << r.pointer_lookup_ns << "ns)\n";
-    }
-  }
 }
 
 }  // namespace

@@ -4,10 +4,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "src/common/logging.h"
-#include "src/graph/dijkstra.h"
 #include "src/indoor/types.h"
 
 namespace ifls {
@@ -39,9 +37,8 @@ class DoorMatrixView {
   std::span<const DoorId> rows() const { return rows_; }
   std::span<const DoorId> cols() const { return cols_; }
 
-  /// Raw payload pointers (arena cell addressing; null when default-built).
+  /// Raw payload pointer (arena cell addressing; null when default-built).
   const double* dist_data() const { return dist_; }
-  bool has_first_hop() const { return first_hop_ != nullptr; }
 
   /// Index of `d` among rows, or -1.
   int RowIndex(DoorId d) const { return IndexOf(rows_, d); }
@@ -79,101 +76,6 @@ class DoorMatrixView {
   std::span<const DoorId> cols_;
   const double* dist_ = nullptr;
   const DoorId* first_hop_ = nullptr;
-};
-
-/// Owning dense distance matrix between two (sorted) door sets: the
-/// per-node, pointer-chasing comparison layout in bench_index_micro. The
-/// tree itself stores its payloads in arenas exposed through DoorMatrixView.
-class DoorMatrix {
- public:
-  DoorMatrix() = default;
-
-  /// Both vectors must be sorted ascending and duplicate-free.
-  DoorMatrix(std::vector<DoorId> rows, std::vector<DoorId> cols,
-             bool store_first_hop)
-      : rows_(std::move(rows)), cols_(std::move(cols)) {
-    dist_.assign(rows_.size() * cols_.size(), kInfDistance);
-    if (store_first_hop) {
-      first_hop_.assign(rows_.size() * cols_.size(), kInvalidDoor);
-    }
-  }
-
-  std::size_t num_rows() const { return rows_.size(); }
-  std::size_t num_cols() const { return cols_.size(); }
-  bool empty() const { return dist_.empty(); }
-
-  const std::vector<DoorId>& rows() const { return rows_; }
-  const std::vector<DoorId>& cols() const { return cols_; }
-
-  /// Index of `d` among rows, or -1.
-  int RowIndex(DoorId d) const { return IndexOf(rows_, d); }
-  int ColIndex(DoorId d) const { return IndexOf(cols_, d); }
-
-  bool HasRow(DoorId d) const { return RowIndex(d) >= 0; }
-  bool HasCol(DoorId d) const { return ColIndex(d) >= 0; }
-
-  double At(int row, int col) const {
-    return dist_[static_cast<std::size_t>(row) * cols_.size() +
-                 static_cast<std::size_t>(col)];
-  }
-  DoorId FirstHopAt(int row, int col) const {
-    if (first_hop_.empty()) return kInvalidDoor;
-    return first_hop_[static_cast<std::size_t>(row) * cols_.size() +
-                      static_cast<std::size_t>(col)];
-  }
-
-  void Set(int row, int col, double distance, DoorId first_hop) {
-    const std::size_t idx =
-        static_cast<std::size_t>(row) * cols_.size() +
-        static_cast<std::size_t>(col);
-    dist_[idx] = distance;
-    if (!first_hop_.empty()) first_hop_[idx] = first_hop;
-  }
-
-  /// Distance between doors by id. Precondition: both present.
-  double Distance(DoorId row, DoorId col) const {
-    const int r = RowIndex(row);
-    const int c = ColIndex(col);
-    IFLS_DCHECK(r >= 0 && c >= 0);
-    return At(r, c);
-  }
-
-  /// Fills the row for door `row` from a completed single-source run.
-  void FillRowFromShortestPaths(DoorId row, const ShortestPaths& paths) {
-    const int r = RowIndex(row);
-    IFLS_DCHECK(r >= 0);
-    for (std::size_t c = 0; c < cols_.size(); ++c) {
-      const std::size_t target = static_cast<std::size_t>(cols_[c]);
-      Set(r, static_cast<int>(c), paths.distance[target],
-          paths.first_hop[target]);
-    }
-  }
-
-  std::size_t MemoryFootprintBytes() const {
-    return rows_.capacity() * sizeof(DoorId) +
-           cols_.capacity() * sizeof(DoorId) +
-           dist_.capacity() * sizeof(double) +
-           first_hop_.capacity() * sizeof(DoorId);
-  }
-
-  /// Non-owning view over this matrix's storage (valid while the matrix is
-  /// alive and un-moved).
-  DoorMatrixView View() const {
-    return DoorMatrixView(rows_, cols_, dist_.data(),
-                          first_hop_.empty() ? nullptr : first_hop_.data());
-  }
-
- private:
-  static int IndexOf(const std::vector<DoorId>& v, DoorId d) {
-    auto it = std::lower_bound(v.begin(), v.end(), d);
-    if (it == v.end() || *it != d) return -1;
-    return static_cast<int>(it - v.begin());
-  }
-
-  std::vector<DoorId> rows_;
-  std::vector<DoorId> cols_;
-  std::vector<double> dist_;
-  std::vector<DoorId> first_hop_;
 };
 
 }  // namespace ifls

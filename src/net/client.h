@@ -38,9 +38,10 @@ struct ReceivedPush {
 ///    collects each response by request id in any order. The server replies
 ///    out of submission order when concurrent dispatchers reorder work.
 ///
-/// Not thread-safe: one IflsClient per thread (the load generator opens
-/// many). Any transport-level failure (connection closed, corrupt stream)
-/// poisons the client — every later call returns the same error.
+/// Not thread-safe: use each IflsClient from one thread at a time (a
+/// thread may own many). Any transport-level failure (connection closed,
+/// corrupt stream) poisons the client — every later call returns the same
+/// error.
 class IflsClient {
  public:
   /// Connects to 127.0.0.1:`port`.
@@ -85,9 +86,6 @@ class IflsClient {
   std::optional<ReceivedPush> TakePush();
   /// Blocks until a push arrives (draining buffered ones first).
   Result<ReceivedPush> WaitPush();
-
-  /// The underlying socket (the load generator polls it).
-  int fd() const { return fd_.get(); }
 
  private:
   explicit IflsClient(OwnedFd fd) : fd_(std::move(fd)) {}

@@ -58,8 +58,8 @@ Result<OwnedFd> CreateTcpListener(std::uint16_t port,
 Result<OwnedFd> ConnectTcp(std::uint16_t port);
 
 /// Raises RLIMIT_NOFILE to at least `want` descriptors (capped at the hard
-/// limit). The network bench opens both ends of >=1k connections in one
-/// process, which blows through the common 1024 default.
+/// limit). A loopback test that opens both ends of >=1k connections in one
+/// process blows through the common 1024 default.
 Status EnsureFdLimit(std::uint64_t want);
 
 }  // namespace ifls

@@ -2,69 +2,71 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "src/graph/dijkstra.h"
 
 namespace ifls {
 namespace {
 
-TEST(DoorMatrixTest, EmptyMatrix) {
-  DoorMatrix m;
-  EXPECT_TRUE(m.empty());
-  EXPECT_EQ(m.num_rows(), 0u);
-  EXPECT_EQ(m.num_cols(), 0u);
-  EXPECT_EQ(m.MemoryFootprintBytes(), 0u);
+// Views over local arrays, laid out the way the tree's arenas hold a node:
+// sorted row and column ids plus row-major distance and first-hop cells.
+constexpr std::array<DoorId, 3> kRows = {2, 5, 9};
+constexpr std::array<DoorId, 2> kCols = {1, 9};
+constexpr std::array<double, 6> kDist = {1.5, 0.0,           // row 2
+                                         4.5, kInfDistance,  // row 5
+                                         7.0, 0.0};          // row 9
+constexpr std::array<DoorId, 6> kHops = {1, 9,               // row 2
+                                         7, kInvalidDoor,    // row 5
+                                         1, kInvalidDoor};   // row 9
+
+TEST(DoorMatrixViewTest, DefaultViewIsEmpty) {
+  DoorMatrixView v;
+  EXPECT_TRUE(v.empty());
+  EXPECT_EQ(v.num_rows(), 0u);
+  EXPECT_EQ(v.num_cols(), 0u);
+  EXPECT_EQ(v.dist_data(), nullptr);
 }
 
-TEST(DoorMatrixTest, IndexLookups) {
-  DoorMatrix m({2, 5, 9}, {1, 9}, /*store_first_hop=*/true);
-  EXPECT_EQ(m.num_rows(), 3u);
-  EXPECT_EQ(m.num_cols(), 2u);
-  EXPECT_EQ(m.RowIndex(5), 1);
-  EXPECT_EQ(m.RowIndex(9), 2);
-  EXPECT_EQ(m.RowIndex(3), -1);
-  EXPECT_EQ(m.ColIndex(1), 0);
-  EXPECT_EQ(m.ColIndex(2), -1);
-  EXPECT_TRUE(m.HasRow(2));
-  EXPECT_FALSE(m.HasRow(1));
-  EXPECT_TRUE(m.HasCol(9));
+TEST(DoorMatrixViewTest, IndexLookups) {
+  DoorMatrixView v(kRows, kCols, kDist.data(), kHops.data());
+  EXPECT_FALSE(v.empty());
+  EXPECT_EQ(v.num_rows(), 3u);
+  EXPECT_EQ(v.num_cols(), 2u);
+  EXPECT_EQ(v.RowIndex(5), 1);
+  EXPECT_EQ(v.RowIndex(9), 2);
+  EXPECT_EQ(v.RowIndex(3), -1);
+  EXPECT_EQ(v.RowIndex(10), -1);
+  EXPECT_EQ(v.ColIndex(1), 0);
+  EXPECT_EQ(v.ColIndex(2), -1);
+  EXPECT_TRUE(v.HasRow(2));
+  EXPECT_FALSE(v.HasRow(1));
+  EXPECT_TRUE(v.HasCol(9));
+  EXPECT_FALSE(v.HasCol(5));
 }
 
-TEST(DoorMatrixTest, SetAndGet) {
-  DoorMatrix m({0, 1}, {0, 1, 2}, /*store_first_hop=*/true);
-  m.Set(0, 2, 4.5, 7);
-  EXPECT_DOUBLE_EQ(m.At(0, 2), 4.5);
-  EXPECT_EQ(m.FirstHopAt(0, 2), 7);
-  EXPECT_DOUBLE_EQ(m.Distance(0, 2), 4.5);
-  // Unset cells are infinite / invalid.
-  EXPECT_EQ(m.At(1, 1), kInfDistance);
-  EXPECT_EQ(m.FirstHopAt(1, 1), kInvalidDoor);
+TEST(DoorMatrixViewTest, AtAndDistance) {
+  DoorMatrixView v(kRows, kCols, kDist.data(), kHops.data());
+  EXPECT_EQ(v.dist_data(), kDist.data());
+  EXPECT_DOUBLE_EQ(v.At(1, 0), 4.5);
+  EXPECT_DOUBLE_EQ(v.At(2, 0), 7.0);
+  EXPECT_EQ(v.At(1, 1), kInfDistance);
+  EXPECT_DOUBLE_EQ(v.Distance(5, 1), 4.5);
+  EXPECT_DOUBLE_EQ(v.Distance(2, 1), 1.5);
+  EXPECT_DOUBLE_EQ(v.Distance(9, 9), 0.0);
 }
 
-TEST(DoorMatrixTest, WithoutFirstHopStorage) {
-  DoorMatrix m({0, 1}, {0, 1}, /*store_first_hop=*/false);
-  m.Set(0, 1, 2.0, 5);
-  EXPECT_DOUBLE_EQ(m.At(0, 1), 2.0);
-  EXPECT_EQ(m.FirstHopAt(0, 1), kInvalidDoor);  // dropped by design
+TEST(DoorMatrixViewTest, FirstHops) {
+  DoorMatrixView v(kRows, kCols, kDist.data(), kHops.data());
+  EXPECT_EQ(v.FirstHopAt(1, 0), 7);
+  EXPECT_EQ(v.FirstHopAt(0, 1), 9);
+  EXPECT_EQ(v.FirstHopAt(1, 1), kInvalidDoor);
 }
 
-TEST(DoorMatrixTest, FillRowFromShortestPaths) {
-  DoorMatrix m({3}, {0, 1, 2}, /*store_first_hop=*/true);
-  ShortestPaths paths;
-  paths.distance = {10.0, 20.0, kInfDistance, 0.0};
-  paths.first_hop = {1, 1, kInvalidDoor, kInvalidDoor};
-  paths.predecessor = {kInvalidDoor, kInvalidDoor, kInvalidDoor,
-                       kInvalidDoor};
-  m.FillRowFromShortestPaths(3, paths);
-  EXPECT_DOUBLE_EQ(m.Distance(3, 0), 10.0);
-  EXPECT_DOUBLE_EQ(m.Distance(3, 1), 20.0);
-  EXPECT_EQ(m.Distance(3, 2), kInfDistance);
-  EXPECT_EQ(m.FirstHopAt(0, 0), 1);
-}
-
-TEST(DoorMatrixTest, MemoryFootprintScalesWithSize) {
-  DoorMatrix small({0, 1}, {0, 1}, true);
-  DoorMatrix large({0, 1, 2, 3, 4, 5, 6, 7}, {0, 1, 2, 3, 4, 5, 6, 7}, true);
-  EXPECT_GT(large.MemoryFootprintBytes(), small.MemoryFootprintBytes());
+TEST(DoorMatrixViewTest, WithoutFirstHops) {
+  DoorMatrixView v(kRows, kCols, kDist.data(), /*first_hop=*/nullptr);
+  EXPECT_DOUBLE_EQ(v.At(1, 0), 4.5);
+  EXPECT_EQ(v.FirstHopAt(1, 0), kInvalidDoor);
 }
 
 }  // namespace

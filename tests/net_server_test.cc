@@ -4,12 +4,13 @@
 // backpressure from the dispatch queue travels as typed kUnavailable error
 // frames (never dropped connections); mutations, standing subscriptions,
 // metrics/trace pulls and corrupt-stream teardown all ride the same loop;
-// and a thousand concurrent loopback connections verify differentially via
-// the load generator. The PR 10 additions (DESIGN.md §15) are covered here
-// too: the HTTP admin plane sharing the binary port (valid scrapes, 400 on
-// malformed requests, interleaving with binary traffic under TSan), pong
-// timestamps feeding the clock-offset estimate, and wire trace-context
-// propagation honoring the caller's sampling verdict server-side.
+// and a thousand concurrent loopback connections, driven through
+// IflsClient, verify differentially. The PR 10 additions (DESIGN.md §15)
+// are covered here too: the HTTP admin plane sharing the binary port (valid
+// scrapes, 400 on malformed requests, interleaving with binary traffic
+// under TSan), pong timestamps feeding the clock-offset estimate, and wire
+// trace-context propagation honoring the caller's sampling verdict
+// server-side.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,8 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -33,7 +36,6 @@
 #include "src/datasets/facility_selector.h"
 #include "src/datasets/venue_generator.h"
 #include "src/net/client.h"
-#include "src/net/load_gen.h"
 #include "src/net/server.h"
 #include "src/net/socket.h"
 #include "src/net/wire.h"
@@ -62,6 +64,68 @@ std::vector<Client> SomeClients(const Venue& venue, std::size_t n,
     clients.push_back(RandomClient(venue, &rng, static_cast<ClientId>(i)));
   }
   return clients;
+}
+
+/// One pre-answered query the load test replays: the in-process ground
+/// truth every networked answer must equal bit for bit (found, answer,
+/// objective).
+struct NetExpectation {
+  IflsObjective objective = IflsObjective::kMinMax;
+  std::vector<Client> clients;
+  bool found = false;
+  PartitionId answer = kInvalidPartition;
+  double objective_value = 0.0;
+};
+
+struct LoadTally {
+  std::uint64_t completed = 0;   // answers equal to their expectation
+  std::uint64_t errors = 0;      // failed sends and non-ok replies
+  std::uint64_t mismatches = 0;  // answers differing from the expectation
+};
+
+/// Runs `rounds` rounds over `clients`: each round sends one query on every
+/// client, then waits for every reply. Client i (numbered from `first`)
+/// replays expectation (first + i + round) mod size, so concurrent queries
+/// mix objectives and client sets.
+LoadTally DriveClients(std::span<const std::unique_ptr<IflsClient>> clients,
+                       std::size_t first, int rounds,
+                       const std::vector<NetExpectation>& expectations) {
+  LoadTally tally;
+  std::vector<std::optional<std::uint64_t>> request_ids(clients.size());
+  for (int round = 0; round < rounds; ++round) {
+    const auto expectation = [&](std::size_t i) -> const NetExpectation& {
+      return expectations[(first + i + static_cast<std::size_t>(round)) %
+                          expectations.size()];
+    };
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      const NetExpectation& exp = expectation(i);
+      WireQueryRequest request;
+      request.clients = exp.clients;
+      Result<std::uint64_t> id = clients[i]->SendQuery(exp.objective, request);
+      request_ids[i].reset();
+      if (id.ok()) {
+        request_ids[i] = id.value();
+      } else {
+        ++tally.errors;
+      }
+    }
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      if (!request_ids[i].has_value()) continue;
+      const NetExpectation& exp = expectation(i);
+      Result<WireQueryResponse> response =
+          clients[i]->WaitQuery(*request_ids[i]);
+      if (!response.ok()) {
+        ++tally.errors;
+      } else if (response->found != exp.found ||
+                 response->answer != exp.answer ||
+                 !BitEqual(response->objective, exp.objective_value)) {
+        ++tally.mismatches;
+      } else {
+        ++tally.completed;
+      }
+    }
+  }
+  return tally;
 }
 
 /// Client count of a query that keeps a dispatcher busy for a while on the
@@ -745,24 +809,44 @@ TEST(NetServerTest, ThousandConnectionsBitIdenticalUnderLoad) {
   std::unique_ptr<IflsServer> server =
       Unwrap(IflsServer::Create(service, server_options));
 
-  LoadGenOptions load;
-  load.port = server->port();
-  load.num_connections = 1024;
-  load.num_threads = 8;
-  load.pipeline_depth = 1;
-  load.queries_per_connection = 2;
-  const LoadGenReport report = Unwrap(RunNetworkLoad(load, expectations));
+  // Both ends of every connection live in this process.
+  constexpr std::size_t kConnections = 1024;
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 2;
+  ASSERT_TRUE(EnsureFdLimit(kConnections * 2 + 256).ok());
+  // Every connection is open before the first query, so all 1024 are live
+  // on the server at once.
+  std::vector<std::unique_ptr<IflsClient>> clients;
+  clients.reserve(kConnections);
+  for (std::size_t i = 0; i < kConnections; ++i) {
+    clients.push_back(Unwrap(IflsClient::Connect(server->port())));
+  }
+  constexpr std::size_t kPerThread = kConnections / kThreads;
+  std::vector<LoadTally> tallies(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::size_t first = static_cast<std::size_t>(t) * kPerThread;
+      tallies[static_cast<std::size_t>(t)] = DriveClients(
+          std::span(clients).subspan(first, kPerThread), first, kRounds,
+          expectations);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  LoadTally report;
+  for (const LoadTally& tally : tallies) {
+    report.completed += tally.completed;
+    report.errors += tally.errors;
+    report.mismatches += tally.mismatches;
+  }
   EXPECT_EQ(report.mismatches, 0u);
   EXPECT_EQ(report.errors, 0u);
-  EXPECT_EQ(report.completed,
-            load.num_connections * load.queries_per_connection);
-  EXPECT_GT(report.qps, 0.0);
+  EXPECT_EQ(report.completed, kConnections * kRounds);
   // Every networked query ran through the service's own Execute.
   const ServerMetrics metrics = server->Metrics();
-  EXPECT_EQ(metrics.queries,
-            load.num_connections * load.queries_per_connection);
+  EXPECT_EQ(metrics.queries, kConnections * kRounds);
   EXPECT_EQ(service->Metrics().completed - completed_in_process,
-            load.num_connections * load.queries_per_connection);
+            kConnections * kRounds);
   server->Stop();
   service->Stop();
 }

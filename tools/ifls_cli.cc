@@ -24,9 +24,6 @@
 //   serve        [--preset MC|CH|CPH|MZB] [--port P] [--workers N]
 //                [--existing N] [--candidates N] [--queue N]
 //                [--smoke N] [--seed S] [--metrics]
-//   bench-net    [--preset MC|CH|CPH|MZB] [--connections N] [--threads N]
-//                [--pipeline D] [--queries N] [--clients N] [--distinct N]
-//                [--workers N] [--dispatchers N] [--seed S]
 //
 // `trace` runs a traced IflsService session (queries across all three
 // objectives, a facility-mutation + compaction cycle, and a graph-oracle
@@ -66,10 +63,6 @@
 // N-query loopback self-test — every wire answer differentially checked
 // against the same in-process service — and exits, which is what CI runs.
 //
-// `bench-net` is the command-line front end of the network load generator:
-// N concurrent loopback connections replay a pool of pre-answered queries
-// against a fresh server and every response is verified bit-identically.
-//
 // Exit code 0 on success, 1 on any error (message on stderr).
 
 #include <csignal>
@@ -107,7 +100,6 @@
 #include "src/io/venue_io.h"
 #include "src/io/workload_io.h"
 #include "src/net/client.h"
-#include "src/net/load_gen.h"
 #include "src/net/server.h"
 #include "src/net/wire.h"
 #include "src/service/fleet_store.h"
@@ -954,86 +946,6 @@ int Serve(const Args& args) {
   return 0;
 }
 
-int BenchNet(const Args& args) {
-  Result<std::shared_ptr<IflsService>> service = BuildServeService(args);
-  if (!service.ok()) return Fail(service.status());
-
-  const std::size_t connections =
-      static_cast<std::size_t>(args.GetInt("connections", 1024));
-  const std::size_t clients_per_query =
-      static_cast<std::size_t>(args.GetInt("clients", 32));
-  const std::size_t distinct =
-      static_cast<std::size_t>(args.GetInt("distinct", 24));
-  const int pipeline = static_cast<int>(args.GetInt("pipeline", 2));
-
-  // Ground truth pool the load generator replays and checks against.
-  const std::shared_ptr<const ServingState> state = (*service)->AcquireState();
-  Rng rng(static_cast<std::uint64_t>(args.GetInt("seed", 1)) ^ 0x9e3779b9u);
-  const std::vector<Client> pool =
-      GenerateClients(state->snapshot->venue(), 8192, {}, &rng);
-  const IflsObjective kObjectives[] = {IflsObjective::kMinMax,
-                                       IflsObjective::kMinDist,
-                                       IflsObjective::kMaxSum};
-  std::vector<NetExpectation> expectations;
-  for (std::size_t q = 0; q < distinct; ++q) {
-    NetExpectation exp;
-    exp.objective = kObjectives[q % 3];
-    const std::size_t start =
-        rng.NextBounded(pool.size() - clients_per_query);
-    exp.clients.assign(
-        pool.begin() + static_cast<std::ptrdiff_t>(start),
-        pool.begin() + static_cast<std::ptrdiff_t>(start + clients_per_query));
-    ServiceRequest request;
-    request.objective = exp.objective;
-    request.clients = exp.clients;
-    const ServiceReply reply = (*service)->Query(std::move(request));
-    if (!reply.status.ok()) return Fail(reply.status);
-    exp.found = reply.result.found;
-    exp.answer = reply.result.answer;
-    exp.objective_value = reply.result.objective;
-    expectations.push_back(std::move(exp));
-  }
-
-  ServerOptions sopts;
-  sopts.num_dispatchers = static_cast<int>(args.GetInt("dispatchers", 4));
-  sopts.dispatch_queue_capacity =
-      connections * (static_cast<std::size_t>(pipeline) + 1);
-  Result<std::unique_ptr<IflsServer>> server =
-      IflsServer::Create(*service, sopts);
-  if (!server.ok()) return Fail(server.status());
-
-  LoadGenOptions load;
-  load.port = (*server)->port();
-  load.num_connections = connections;
-  load.num_threads = static_cast<int>(args.GetInt("threads", 8));
-  load.pipeline_depth = pipeline;
-  load.queries_per_connection =
-      static_cast<std::size_t>(args.GetInt("queries", 16));
-  Result<LoadGenReport> report = RunNetworkLoad(load, expectations);
-  if (!report.ok()) return Fail(report.status());
-
-  const ServerMetrics sm = (*server)->Metrics();
-  std::printf(
-      "bench-net: %llu ok / %llu err / %llu mismatch across "
-      "%zu connections in %.3fs\n"
-      "  %.0f qps, p50 %.3fms, p99 %.3fms, p999 %.3fms\n"
-      "  server: %llu frames, %llu rejected\n",
-      static_cast<unsigned long long>(report->completed),
-      static_cast<unsigned long long>(report->errors),
-      static_cast<unsigned long long>(report->mismatches),
-      report->connections, report->wall_seconds, report->qps,
-      report->p50_seconds * 1e3, report->p99_seconds * 1e3,
-      report->p999_seconds * 1e3,
-      static_cast<unsigned long long>(sm.frames_received),
-      static_cast<unsigned long long>(sm.rejected));
-  (*server)->Stop();
-  (*service)->Stop();
-  if (report->mismatches != 0) {
-    return Fail("bench-net: differential mismatches against the service");
-  }
-  return 0;
-}
-
 // `ifls_cli kernels` prints the ISA tier ladder (compiled / CPU-supported /
 // active per tier) and the tier auto dispatch picks.
 int Kernels() {
@@ -1056,7 +968,7 @@ int Run(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: %s gen-venue|gen-workload|solve|info|render|trace|"
-                 "subscribe|fleet|serve|bench-net|kernels [--flags]\n",
+                 "subscribe|fleet|serve|kernels [--flags]\n",
                  argv[0]);
     return 1;
   }
@@ -1073,7 +985,6 @@ int Run(int argc, char** argv) {
   if (command == "subscribe") return Subscribe(args);
   if (command == "fleet") return Fleet(args);
   if (command == "serve") return Serve(args);
-  if (command == "bench-net") return BenchNet(args);
   return Fail("unknown command");
 }
 
