@@ -244,9 +244,9 @@ PhaseResult RunNaivePhase(const BenchConfig& cfg, const FacilitySets& sets,
   auto solve_one = [&](std::size_t s) {
     const std::shared_ptr<const ServingState> state = service->AcquireState();
     IflsContext ctx;
-    ctx.oracle = &state->oracle();
-    ctx.existing = state->overlay.effective_existing();
-    ctx.candidates = state->overlay.effective_candidates();
+    ctx.oracle = &state->snapshot->tree();
+    ctx.existing = state->effective_existing;
+    ctx.candidates = state->effective_candidates;
     ctx.clients = crowd.clients(s);
     Result<IflsResult> result = SolveEfficient(ctx, solver);
     IFLS_CHECK(result.ok()) << result.status().ToString();

@@ -75,9 +75,16 @@ int main() {
                      "|Fn| default"});
     for (VenuePreset preset : AllVenuePresets()) {
       const ParameterGrid grid = PresetParameterGrid(preset);
+      // Appends, not "[" + std::to_string(...): GCC 12 reports a false
+      // -Wrestrict on that operator+ at -O2 (an error under IFLS_WERROR).
       auto range = [](const std::vector<std::size_t>& v) {
-        return "[" + std::to_string(v.front()) + ", " +
-               std::to_string(v.back()) + "] x" + std::to_string(v.size());
+        std::string out = "[";
+        out += std::to_string(v.front());
+        out += ", ";
+        out += std::to_string(v.back());
+        out += "] x";
+        out += std::to_string(v.size());
+        return out;
       };
       table.AddRow({VenuePresetName(preset), range(grid.existing_sizes),
                     TextTable::Int(static_cast<long long>(

@@ -33,7 +33,7 @@ namespace internal {
 
 /// Stream-style log message. Formats into a thread-private buffer, then
 /// emits the whole line in one critical section on destruction (so worker
-/// and compactor threads logging concurrently can never tear or interleave
+/// and server threads logging concurrently can never tear or interleave
 /// a line); aborts the process for kFatal. Used through the IFLS_LOG /
 /// IFLS_CHECK macros only.
 class LogMessage {

@@ -22,7 +22,7 @@ enum class TraceCategory : std::uint8_t {
   kSolver = 0,      // solver phases (efficient / baseline / extensions)
   kOracle = 1,      // distance oracle work (NN search, Dijkstra fallback)
   kService = 2,     // serving front (queue wait, snapshot pin, solve)
-  kCompaction = 3,  // background snapshot compaction
+  kCompaction = 3,  // snapshot compaction (inline under the writer lock)
 };
 inline constexpr int kNumTraceCategories = 4;
 

@@ -34,7 +34,7 @@ NefTable ComputeNefTable(const IflsContext& ctx, QueryStats* stats) {
 Result<IflsResult> SolveBruteForceMinMax(const IflsContext& ctx) {
   IFLS_RETURN_NOT_OK(ValidateContext(ctx));
   IflsResult result;
-  SolverScope scope(*ctx.oracle, &result.stats);
+  SolverScope scope(&result.stats);
 
   const NefTable table = ComputeNefTable(ctx, &result.stats);
   const double f0 = table.nef.empty()
@@ -74,7 +74,7 @@ Result<IflsResult> SolveBruteForceTopKMinMax(const IflsContext& ctx, int k) {
   if (k < 1) return Status::InvalidArgument("k must be positive");
   IFLS_RETURN_NOT_OK(ValidateContext(ctx));
   IflsResult result;
-  SolverScope scope(*ctx.oracle, &result.stats);
+  SolverScope scope(&result.stats);
 
   const NefTable table = ComputeNefTable(ctx, &result.stats);
   std::vector<std::pair<PartitionId, double>> scored;
@@ -118,7 +118,7 @@ Result<IflsResult> SolveBruteForceTopKMinMax(const IflsContext& ctx, int k) {
 Result<IflsResult> SolveBruteForceMinDist(const IflsContext& ctx) {
   IFLS_RETURN_NOT_OK(ValidateContext(ctx));
   IflsResult result;
-  SolverScope scope(*ctx.oracle, &result.stats);
+  SolverScope scope(&result.stats);
 
   const NefTable table = ComputeNefTable(ctx, &result.stats);
   double best_obj = kInfDistance;
@@ -155,7 +155,7 @@ Result<IflsResult> SolveBruteForceMinDist(const IflsContext& ctx) {
 Result<IflsResult> SolveBruteForceMaxSum(const IflsContext& ctx) {
   IFLS_RETURN_NOT_OK(ValidateContext(ctx));
   IflsResult result;
-  SolverScope scope(*ctx.oracle, &result.stats);
+  SolverScope scope(&result.stats);
 
   const NefTable table = ComputeNefTable(ctx, &result.stats);
   double best_obj = -1.0;

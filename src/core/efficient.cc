@@ -605,7 +605,7 @@ Result<IflsResult> SolveEfficient(const IflsContext& ctx,
                                   const EfficientOptions& options) {
   IFLS_RETURN_NOT_OK(ValidateContext(ctx));
   IflsResult result;
-  SolverScope scope(*ctx.oracle, &result.stats);
+  SolverScope scope(&result.stats);
   EfficientSolver solver(ctx, options, &result);
   solver.Run();
   scope.Finish();

@@ -78,7 +78,7 @@ Result<IflsResult> SolveMaxSum(const IflsContext& ctx,
                                const MaxSumOptions& options) {
   IFLS_RETURN_NOT_OK(ValidateContext(ctx));
   IflsResult result;
-  SolverScope scope(*ctx.oracle, &result.stats);
+  SolverScope scope(&result.stats);
   TraceSpan span(TraceCategory::kSolver, "maxsum");
   internal::IncrementalObjectiveSolver<MaxSumPolicy> solver(
       ctx, options.group_clients, &result);

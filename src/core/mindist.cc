@@ -79,7 +79,7 @@ Result<IflsResult> SolveMinDist(const IflsContext& ctx,
                                 const MinDistOptions& options) {
   IFLS_RETURN_NOT_OK(ValidateContext(ctx));
   IflsResult result;
-  SolverScope scope(*ctx.oracle, &result.stats);
+  SolverScope scope(&result.stats);
   TraceSpan span(TraceCategory::kSolver, "mindist");
   internal::IncrementalObjectiveSolver<MinDistPolicy> solver(
       ctx, options.group_clients, &result);

@@ -33,7 +33,7 @@ Result<IflsResult> SolveModifiedMinMax(const IflsContext& ctx,
                                        const MinMaxBaselineOptions& options) {
   IFLS_RETURN_NOT_OK(ValidateContext(ctx));
   IflsResult result;
-  SolverScope scope(*ctx.oracle, &result.stats);
+  SolverScope scope(&result.stats);
   TraceSpan solver_span(TraceCategory::kSolver, "minmax_baseline");
   QueryStats& stats = result.stats;
 

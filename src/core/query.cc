@@ -78,13 +78,11 @@ std::string QueryStats::ToString() const {
   return os.str();
 }
 
-SolverScope::SolverScope(const DistanceOracle& oracle, QueryStats* stats)
+SolverScope::SolverScope(QueryStats* stats)
     : stats_(stats),
       scope_(&tracker_),
       counter_sink_(&counters_),
-      start_seconds_(NowSeconds()) {
-  (void)oracle;  // kept in the signature: a scope is always tied to one index
-}
+      start_seconds_(NowSeconds()) {}
 
 void SolverScope::Finish() {
   IFLS_CHECK(!finished_) << "SolverScope::Finish called twice";

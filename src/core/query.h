@@ -112,7 +112,7 @@ struct IflsResult {
 /// query's stats remain exactly its own work.
 class SolverScope {
  public:
-  explicit SolverScope(const DistanceOracle& oracle, QueryStats* stats);
+  explicit SolverScope(QueryStats* stats);
   ~SolverScope();
 
   SolverScope(const SolverScope&) = delete;

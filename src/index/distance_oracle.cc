@@ -6,8 +6,6 @@ namespace ifls {
 
 namespace {
 thread_local OracleCounters* g_counter_sink = nullptr;
-std::atomic<std::uint64_t> g_shared_kernel_invocations{0};
-std::atomic<std::uint64_t> g_shared_dijkstra_fallbacks{0};
 }  // namespace
 
 ScopedOracleCounterSink::ScopedOracleCounterSink(OracleCounters* sink)
@@ -19,30 +17,12 @@ ScopedOracleCounterSink::~ScopedOracleCounterSink() {
   g_counter_sink = previous_;
 }
 
-OracleCounters* ScopedOracleCounterSink::Active() { return g_counter_sink; }
-
 void CountKernelInvocation(std::uint64_t n) {
-  if (OracleCounters* sink = g_counter_sink) {
-    sink->kernel_invocations += n;
-    return;
-  }
-  g_shared_kernel_invocations.fetch_add(n, std::memory_order_relaxed);
+  if (OracleCounters* sink = g_counter_sink) sink->kernel_invocations += n;
 }
 
 void CountDijkstraFallback() {
-  if (OracleCounters* sink = g_counter_sink) {
-    ++sink->dijkstra_fallbacks;
-    return;
-  }
-  g_shared_dijkstra_fallbacks.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t SharedKernelInvocations() {
-  return g_shared_kernel_invocations.load(std::memory_order_relaxed);
-}
-
-std::uint64_t SharedDijkstraFallbacks() {
-  return g_shared_dijkstra_fallbacks.load(std::memory_order_relaxed);
+  if (OracleCounters* sink = g_counter_sink) ++sink->dijkstra_fallbacks;
 }
 
 DistanceOracle::~DistanceOracle() = default;
@@ -50,67 +30,19 @@ DistanceOracle::~DistanceOracle() = default;
 // ---------------------------------------------------------------- counters
 
 void DistanceOracle::BumpDoorDistanceEvals(std::uint64_t n) const {
-  if (OracleCounters* sink = ScopedOracleCounterSink::Active()) {
-    sink->door_distance_evals += n;
-    return;
-  }
-  shared_door_distance_evals_.fetch_add(n, std::memory_order_relaxed);
+  if (OracleCounters* sink = g_counter_sink) sink->door_distance_evals += n;
 }
 
 void DistanceOracle::BumpMatrixLookups(std::uint64_t n) const {
-  if (OracleCounters* sink = ScopedOracleCounterSink::Active()) {
-    sink->matrix_lookups += n;
-    return;
-  }
-  shared_matrix_lookups_.fetch_add(n, std::memory_order_relaxed);
+  if (OracleCounters* sink = g_counter_sink) sink->matrix_lookups += n;
 }
 
 void DistanceOracle::BumpCacheHits() const {
-  if (OracleCounters* sink = ScopedOracleCounterSink::Active()) {
-    ++sink->cache_hits;
-    return;
-  }
-  shared_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+  if (OracleCounters* sink = g_counter_sink) ++sink->cache_hits;
 }
 
 void DistanceOracle::BumpCacheMisses() const {
-  if (OracleCounters* sink = ScopedOracleCounterSink::Active()) {
-    ++sink->cache_misses;
-    return;
-  }
-  shared_cache_misses_.fetch_add(1, std::memory_order_relaxed);
-}
-
-OracleCounters DistanceOracle::counters() const {
-  OracleCounters c;
-  c.door_distance_evals =
-      shared_door_distance_evals_.load(std::memory_order_relaxed);
-  c.matrix_lookups = shared_matrix_lookups_.load(std::memory_order_relaxed);
-  c.cache_hits = shared_cache_hits_.load(std::memory_order_relaxed);
-  c.cache_misses = shared_cache_misses_.load(std::memory_order_relaxed);
-  return c;
-}
-
-void DistanceOracle::ResetCounters() const {
-  shared_door_distance_evals_.store(0, std::memory_order_relaxed);
-  shared_matrix_lookups_.store(0, std::memory_order_relaxed);
-  shared_cache_hits_.store(0, std::memory_order_relaxed);
-  shared_cache_misses_.store(0, std::memory_order_relaxed);
-}
-
-void DistanceOracle::CopyCountersFrom(const DistanceOracle& other) {
-  shared_door_distance_evals_.store(
-      other.shared_door_distance_evals_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  shared_matrix_lookups_.store(
-      other.shared_matrix_lookups_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  shared_cache_hits_.store(
-      other.shared_cache_hits_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  shared_cache_misses_.store(
-      other.shared_cache_misses_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
+  if (OracleCounters* sink = g_counter_sink) ++sink->cache_misses;
 }
 
 // ------------------------------------------------- default distance paths

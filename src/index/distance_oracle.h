@@ -1,7 +1,6 @@
 #ifndef IFLS_INDEX_DISTANCE_ORACLE_H_
 #define IFLS_INDEX_DISTANCE_ORACLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <span>
@@ -25,18 +24,14 @@ struct OracleCounters {
   std::uint64_t kernel_invocations = 0;   // blocked min-plus kernel calls
   std::uint64_t dijkstra_fallbacks = 0;   // full graph expansions run
 };
-/// Historical name from when the VIP-tree was the only counted backend.
-using VipTreeCounters = OracleCounters;
 
 /// Routes the calling thread's oracle counter updates (for every oracle)
 /// into `sink` for the scope's lifetime; restores the previous sink on
 /// destruction. Scopes nest, mirroring ScopedMemoryTracking.
 ///
-/// This is the concurrency story for the counters: a thread with a sink
-/// installed never touches the oracle-wide aggregate, so parallel queries
-/// get contention-free, exactly-attributed per-query counts. Threads without
-/// a sink fall back to the oracle's atomic aggregate, which is race-free but
-/// shared.
+/// This is the only counter path: parallel queries get contention-free,
+/// exactly-attributed per-query counts, and work done on a thread without a
+/// sink is not counted at all.
 class ScopedOracleCounterSink {
  public:
   explicit ScopedOracleCounterSink(OracleCounters* sink);
@@ -45,25 +40,17 @@ class ScopedOracleCounterSink {
   ScopedOracleCounterSink(const ScopedOracleCounterSink&) = delete;
   ScopedOracleCounterSink& operator=(const ScopedOracleCounterSink&) = delete;
 
-  /// The calling thread's active sink; null when none is installed.
-  static OracleCounters* Active();
-
  private:
   OracleCounters* previous_;
 };
-/// Historical name; see OracleCounters.
-using ScopedVipTreeCounterSink = ScopedOracleCounterSink;
 
 /// Counts `n` blocked min-plus kernel invocations on the calling thread's
-/// sink (process-wide atomic fallback otherwise). A free function because
-/// kernel call sites (vip_distance, path, graph_oracle, solver hot loops)
-/// do not all flow through a DistanceOracle instance.
+/// sink, if any. A free function because kernel call sites (vip_distance,
+/// path, graph_oracle, solver hot loops) do not all flow through a
+/// DistanceOracle instance.
 void CountKernelInvocation(std::uint64_t n = 1);
 /// Counts one full-graph Dijkstra fallback (graph oracle miss path).
 void CountDijkstraFallback();
-/// The process-wide fallback aggregates (work done without a sink).
-std::uint64_t SharedKernelInvocations();
-std::uint64_t SharedDijkstraFallbacks();
 
 /// Uniform indoor-distance interface every solver consumes, so index
 /// backends (materialized VIP-tree, memoized graph oracle, per-call brute
@@ -85,7 +72,7 @@ std::uint64_t SharedDijkstraFallbacks();
 ///
 /// Thread-safety contract: all const methods must be safe for concurrent
 /// callers after construction. Counter updates go to the calling thread's
-/// sink when one is installed, else to this oracle's atomic aggregate.
+/// sink when one is installed.
 class DistanceOracle {
  public:
   virtual ~DistanceOracle();
@@ -149,39 +136,20 @@ class DistanceOracle {
   /// nearest access door of node `n` (0 when the node contains pa).
   virtual double PointToNode(const Point& a, PartitionId pa, NodeId n) const;
 
-  // ---- Counters --------------------------------------------------------
-
-  /// Snapshot of the oracle-wide aggregate counters. Work done by threads
-  /// with a ScopedOracleCounterSink installed lands in their sinks, not
-  /// here.
-  OracleCounters counters() const;
-  void ResetCounters() const;
-
  protected:
   DistanceOracle() = default;
 
-  // Counter update helpers: thread sink when installed, atomic aggregate
-  // otherwise (hot paths).
+  // Counter update helpers (hot paths): bump the calling thread's sink when
+  // one is installed.
   void BumpDoorDistanceEvals(std::uint64_t n = 1) const;
   void BumpMatrixLookups(std::uint64_t n) const;
   void BumpCacheHits() const;
   void BumpCacheMisses() const;
 
-  /// Moves implemented by derived classes carry the aggregate forward.
-  void CopyCountersFrom(const DistanceOracle& other);
-
  private:
   /// Identity partition list backing the single-node hierarchy default;
   /// built on first NodePartitions() call.
   const std::vector<PartitionId>& FlatPartitions() const;
-
-  /// Oracle-wide counter aggregate, taken only by threads without an
-  /// installed sink. Relaxed atomics: the values are metrics, not
-  /// synchronization.
-  mutable std::atomic<std::uint64_t> shared_door_distance_evals_{0};
-  mutable std::atomic<std::uint64_t> shared_matrix_lookups_{0};
-  mutable std::atomic<std::uint64_t> shared_cache_hits_{0};
-  mutable std::atomic<std::uint64_t> shared_cache_misses_{0};
 
   mutable std::once_flag flat_partitions_once_;
   mutable std::vector<PartitionId> flat_partitions_;

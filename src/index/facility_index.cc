@@ -14,22 +14,7 @@ FacilityIndex::FacilityIndex(const DistanceOracle* oracle,
 }
 
 void FacilityIndex::AddCandidates(const std::vector<PartitionId>& candidates) {
-  for (PartitionId p : candidates) {
-    Register(p, FacilityKind::kCandidate);
-    candidate_list_.push_back(p);
-  }
-}
-
-void FacilityIndex::ClearCandidates() {
-  for (PartitionId p : candidate_list_) {
-    kinds_[static_cast<std::size_t>(p)] = FacilityKind::kNone;
-    --num_candidates_;
-    for (NodeId n = oracle_->LeafOf(p); n != kInvalidNode;
-         n = oracle_->Parent(n)) {
-      --subtree_counts_[static_cast<std::size_t>(n)];
-    }
-  }
-  candidate_list_.clear();
+  for (PartitionId p : candidates) Register(p, FacilityKind::kCandidate);
 }
 
 void FacilityIndex::Register(PartitionId p, FacilityKind kind) {

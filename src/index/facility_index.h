@@ -30,10 +30,6 @@ class FacilityIndex {
   /// candidate; duplicates are checked (IFLS_CHECK).
   void AddCandidates(const std::vector<PartitionId>& candidates);
 
-  /// Removes every candidate registration, keeping the existing set. Lets a
-  /// caller reuse the offline Fe index across queries with different Fn.
-  void ClearCandidates();
-
   const DistanceOracle& oracle() const { return *oracle_; }
 
   FacilityKind kind(PartitionId p) const {
@@ -63,7 +59,6 @@ class FacilityIndex {
   const DistanceOracle* oracle_;
   std::vector<FacilityKind> kinds_;          // per partition
   std::vector<std::int32_t> subtree_counts_; // per node
-  std::vector<PartitionId> candidate_list_;
   std::int32_t num_existing_ = 0;
   std::int32_t num_candidates_ = 0;
 };

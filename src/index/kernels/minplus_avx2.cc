@@ -27,7 +27,11 @@ struct Avx2Lanes {
   static Vec Gather(const double* base, const std::int32_t* idx) {
     const __m128i vidx =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx));
-    return _mm256_i32gather_pd(base, vidx, 8);
+    // The masked form with every lane selected is the same vgatherdpd as
+    // _mm256_i32gather_pd, whose GCC 12 definition passes
+    // _mm256_undefined_pd() and so trips -Wmaybe-uninitialized at -O2.
+    const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+    return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, vidx, all, 8);
   }
 };
 

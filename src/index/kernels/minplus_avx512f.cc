@@ -22,14 +22,18 @@ struct Avx512Lanes {
   static constexpr std::size_t kWidth = 8;
   static Vec Set1(double v) { return _mm512_set1_pd(v); }
   static Vec Add(Vec x, Vec y) { return _mm512_add_pd(x, y); }
-  static Vec Min(Vec x, Vec y) { return _mm512_min_pd(x, y); }
+  // The masked forms with every lane selected are the same instructions as
+  // _mm512_min_pd / _mm512_i32gather_pd, whose GCC 12 definitions pass
+  // _mm512_undefined_pd() and so trip -Wmaybe-uninitialized at -O2.
+  static Vec Min(Vec x, Vec y) { return _mm512_mask_min_pd(x, 0xFF, x, y); }
   static Vec LoadU(const double* p) { return _mm512_loadu_pd(p); }
   static void StoreU(double* p, Vec v) { _mm512_storeu_pd(p, v); }
   static void Store(double* p, Vec v) { _mm512_store_pd(p, v); }
   static Vec Gather(const double* base, const std::int32_t* idx) {
     const __m256i vidx =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-    return _mm512_i32gather_pd(vidx, base, 8);
+    return _mm512_mask_i32gather_pd(_mm512_setzero_pd(), 0xFF, vidx, base,
+                                    8);
   }
 };
 

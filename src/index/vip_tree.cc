@@ -152,7 +152,6 @@ VipTree::VipTree(VipTree&& other) noexcept
       mapping_(std::move(other.mapping_)) {
   // Spans and matrix views in nodes_ point into the arenas' heap blocks,
   // which the vector moves transfer verbatim — no rewiring needed.
-  CopyCountersFrom(other);
   other.venue_ = nullptr;
 }
 
@@ -173,7 +172,6 @@ VipTree& VipTree::operator=(VipTree&& other) noexcept {
   height_ = tmp.height_;
   door_cache_ = std::move(tmp.door_cache_);
   mapping_ = std::move(tmp.mapping_);
-  CopyCountersFrom(tmp);
   return *this;
 }
 

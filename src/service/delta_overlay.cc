@@ -1,9 +1,30 @@
 #include "src/service/delta_overlay.h"
 
+#include <algorithm>
+#include <iterator>
 #include <string>
 
 namespace ifls {
 namespace {
+
+bool IsSortedUnique(std::span<const PartitionId> ids) {
+  for (std::size_t i = 1; i < ids.size(); ++i) {
+    if (ids[i - 1] >= ids[i]) return false;
+  }
+  return true;
+}
+
+bool Contains(std::span<const PartitionId> sorted, PartitionId p) {
+  return std::binary_search(sorted.begin(), sorted.end(), p);
+}
+
+Status CheckSortedUnique(std::span<const PartitionId> ids, const char* what) {
+  if (!IsSortedUnique(ids)) {
+    return Status::InvalidArgument(std::string(what) +
+                                   " must be sorted ascending and unique");
+  }
+  return Status::OK();
+}
 
 std::vector<FacilityKind> BuildKinds(
     std::size_t num_partitions, std::span<const PartitionId> existing,
@@ -44,6 +65,76 @@ const char* MutationKindName(MutationKind kind) {
       return "RemoveCandidate";
   }
   return "unknown";
+}
+
+std::vector<PartitionId> ComposeFacilitySet(
+    std::span<const PartitionId> base, std::span<const PartitionId> added,
+    std::span<const PartitionId> removed) {
+  std::vector<PartitionId> kept;
+  kept.reserve(base.size() + added.size());
+  std::set_difference(base.begin(), base.end(), removed.begin(),
+                      removed.end(), std::back_inserter(kept));
+  std::vector<PartitionId> out;
+  out.reserve(kept.size() + added.size());
+  std::set_union(kept.begin(), kept.end(), added.begin(), added.end(),
+                 std::back_inserter(out));
+  return out;
+}
+
+Status ValidateFacilityDelta(const FacilityDelta& delta,
+                             std::span<const PartitionId> base_existing,
+                             std::span<const PartitionId> base_candidates) {
+  IFLS_RETURN_NOT_OK(CheckSortedUnique(base_existing, "base existing set"));
+  IFLS_RETURN_NOT_OK(CheckSortedUnique(base_candidates, "base candidate set"));
+  IFLS_RETURN_NOT_OK(CheckSortedUnique(delta.added_existing,
+                                       "delta.added_existing"));
+  IFLS_RETURN_NOT_OK(CheckSortedUnique(delta.removed_existing,
+                                       "delta.removed_existing"));
+  IFLS_RETURN_NOT_OK(CheckSortedUnique(delta.added_candidates,
+                                       "delta.added_candidates"));
+  IFLS_RETURN_NOT_OK(CheckSortedUnique(delta.removed_candidates,
+                                       "delta.removed_candidates"));
+  for (PartitionId p : delta.removed_existing) {
+    if (!Contains(base_existing, p)) {
+      return Status::InvalidArgument(
+          "removed_existing partition " + std::to_string(p) +
+          " is not in the base existing set");
+    }
+  }
+  for (PartitionId p : delta.added_existing) {
+    if (Contains(base_existing, p)) {
+      return Status::InvalidArgument("added_existing partition " +
+                                     std::to_string(p) +
+                                     " already in the base existing set");
+    }
+  }
+  for (PartitionId p : delta.removed_candidates) {
+    if (!Contains(base_candidates, p)) {
+      return Status::InvalidArgument(
+          "removed_candidates partition " + std::to_string(p) +
+          " is not in the base candidate set");
+    }
+  }
+  for (PartitionId p : delta.added_candidates) {
+    if (Contains(base_candidates, p)) {
+      return Status::InvalidArgument("added_candidates partition " +
+                                     std::to_string(p) +
+                                     " already in the base candidate set");
+    }
+  }
+  const std::vector<PartitionId> fe = ComposeFacilitySet(
+      base_existing, delta.added_existing, delta.removed_existing);
+  const std::vector<PartitionId> fn = ComposeFacilitySet(
+      base_candidates, delta.added_candidates, delta.removed_candidates);
+  std::vector<PartitionId> both;
+  std::set_intersection(fe.begin(), fe.end(), fn.begin(), fn.end(),
+                        std::back_inserter(both));
+  if (!both.empty()) {
+    return Status::InvalidArgument(
+        "composed existing and candidate sets intersect at partition " +
+        std::to_string(both.front()));
+  }
+  return Status::OK();
 }
 
 DeltaOverlay::DeltaOverlay(std::size_t num_partitions,
@@ -128,24 +219,11 @@ FacilityDelta DeltaOverlay::delta() const {
   return d;  // map iteration order keeps every bucket sorted
 }
 
-void DeltaOverlay::RebaseTo(std::span<const PartitionId> new_existing,
-                            std::span<const PartitionId> new_candidates) {
-  std::vector<FacilityKind> new_base =
-      BuildKinds(base_kind_.size(), new_existing, new_candidates);
-  std::map<PartitionId, FacilityKind> new_overrides;
-  // Effective roles are unchanged by a rebase; only the reference point
-  // moves: a partition is overridden afterwards iff its effective role
-  // differs from the *new* base. The full scan matters — a mutation undone
-  // *after* the compaction cut leaves no override here, yet its pre-cut
-  // effect is folded into the new base, so the difference shows up exactly
-  // at such unoverridden partitions.
-  for (std::size_t i = 0; i < base_kind_.size(); ++i) {
-    const auto p = static_cast<PartitionId>(i);
-    const FacilityKind effective = EffectiveKind(p);
-    if (new_base[i] != effective) new_overrides.emplace(p, effective);
+void DeltaOverlay::Fold() {
+  for (const auto& [p, kind] : overrides_) {
+    base_kind_[static_cast<std::size_t>(p)] = kind;
   }
-  base_kind_ = std::move(new_base);
-  overrides_ = std::move(new_overrides);
+  overrides_.clear();
 }
 
 }  // namespace ifls

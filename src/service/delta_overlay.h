@@ -8,9 +8,46 @@
 
 #include "src/common/status.h"
 #include "src/index/facility_index.h"
-#include "src/index/overlay_oracle.h"
 
 namespace ifls {
+
+/// Net facility-set difference between a base index snapshot and the live
+/// serving state: partitions opened/closed as existing facilities (Fe) and
+/// added/withdrawn candidate locations (Fn) since the snapshot was built.
+/// All four vectors are sorted ascending and mutually consistent: a
+/// partition appears in at most one of them, `removed_*` entries are members
+/// of the base set and `added_*` entries are not.
+struct FacilityDelta {
+  std::vector<PartitionId> added_existing;
+  std::vector<PartitionId> removed_existing;
+  std::vector<PartitionId> added_candidates;
+  std::vector<PartitionId> removed_candidates;
+
+  bool empty() const {
+    return added_existing.empty() && removed_existing.empty() &&
+           added_candidates.empty() && removed_candidates.empty();
+  }
+  /// Number of net changes carried.
+  std::size_t size() const {
+    return added_existing.size() + removed_existing.size() +
+           added_candidates.size() + removed_candidates.size();
+  }
+};
+
+/// Canonical composition base ∪ added ∖ removed. `base` must be sorted
+/// ascending; the result is sorted ascending — the same canonical order a
+/// from-scratch rebuild over the composed set uses, which is what makes
+/// solver tie-breaks on (snapshot ⊕ delta) bit-identical to a rebuild.
+std::vector<PartitionId> ComposeFacilitySet(
+    std::span<const PartitionId> base, std::span<const PartitionId> added,
+    std::span<const PartitionId> removed);
+
+/// Validates a delta against sorted base Fe/Fn: sortedness, uniqueness,
+/// membership of removals, non-membership of additions, and Fe/Fn
+/// disjointness of the composed sets.
+Status ValidateFacilityDelta(const FacilityDelta& delta,
+                             std::span<const PartitionId> base_existing,
+                             std::span<const PartitionId> base_candidates);
 
 /// A facility mutation accepted by the online service.
 enum class MutationKind : std::uint8_t {
@@ -31,9 +68,9 @@ struct Mutation {
 /// The mutable write side of the serving subsystem: absorbs facility
 /// mutations relative to a base snapshot and keeps the *net* difference (a
 /// partition toggled back to its base role drops out entirely, so the
-/// overlay's size tracks genuine drift, not traffic). Compaction folds the
-/// net delta into a fresh snapshot and RebaseTo()s the overlay onto it;
-/// mutations that raced the rebuild survive as the remaining difference.
+/// overlay's size tracks genuine drift, not traffic). Compaction builds a
+/// fresh snapshot over the effective sets and Fold()s the overlay into its
+/// base under the same writer lock, so the overlay is empty afterwards.
 ///
 /// Validation is strict and stateful: each mutation is checked against the
 /// partition's *effective* role (base ⊕ overlay), so the mutation stream is
@@ -72,13 +109,10 @@ class DeltaOverlay {
   /// Mutations accepted since construction (monotonic, survives rebases).
   std::uint64_t mutations_applied() const { return mutations_applied_; }
 
-  /// Re-anchors the overlay onto a freshly published snapshot whose base
-  /// sets are `new_existing`/`new_candidates`: the overlay afterwards
-  /// carries exactly the difference between the current effective state and
-  /// the new base. Folding a compaction cut this way preserves mutations
-  /// that arrived while the snapshot was being built.
-  void RebaseTo(std::span<const PartitionId> new_existing,
-                std::span<const PartitionId> new_candidates);
+  /// Makes the effective roles the new base and clears every override:
+  /// the overlay's side of a compaction that published a snapshot over the
+  /// effective sets.
+  void Fold();
 
  private:
   std::vector<FacilityKind> base_kind_;  // per partition, current base

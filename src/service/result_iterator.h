@@ -45,7 +45,7 @@ class ResultIterator {
   /// Service mutation version the iterator is pinned to.
   std::uint64_t version() const { return version_; }
   std::uint64_t snapshot_epoch() const { return state_->snapshot->epoch(); }
-  std::size_t overlay_size() const { return state_->overlay.delta().size(); }
+  std::size_t overlay_size() const { return state_->overlay_size; }
 
   /// The pinned state itself (tests re-solve against it to check pages).
   const std::shared_ptr<const ServingState>& state() const { return state_; }
@@ -60,7 +60,7 @@ class ResultIterator {
                  std::unique_ptr<RankedStream> stream, std::uint64_t version,
                  Counter* pages);
 
-  /// Declared before stream_: the stream reads the pinned state's oracle, so
+  /// Declared before stream_: the stream reads the pinned state's tree, so
   /// it must be destroyed first (members destroy in reverse order).
   const std::shared_ptr<const ServingState> state_;
   const std::uint64_t version_;

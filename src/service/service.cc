@@ -181,7 +181,7 @@ void IflsService::RegisterMetrics() {
       }));
   metric_registrations_.push_back(registry.RegisterCallbackGauge(
       "ifls_service_overlay_size", label, [this] {
-        return static_cast<double>(state_.Acquire()->overlay.delta().size());
+        return static_cast<double>(state_.Acquire()->overlay_size);
       }));
   metric_registrations_.push_back(registry.RegisterCallbackGauge(
       "ifls_service_door_cache_entries", label, [this] {
@@ -202,7 +202,6 @@ void IflsService::StartThreads() {
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
-  compactor_ = std::thread([this] { CompactorLoop(); });
 }
 
 std::shared_ptr<const ServingState> IflsService::AcquireState() const {
@@ -446,14 +445,14 @@ ServiceReply IflsService::Execute(PendingQuery* item) {
     state = state_.Acquire();
   }
   reply.snapshot_epoch = state->snapshot->epoch();
-  reply.overlay_size = state->overlay.delta().size();
+  reply.overlay_size = state->overlay_size;
 
   IflsContext ctx;
   {
     TraceSpan span(TraceCategory::kService, "overlay_compose");
-    ctx.oracle = &state->oracle();
-    ctx.existing = state->overlay.effective_existing();
-    ctx.candidates = state->overlay.effective_candidates();
+    ctx.oracle = &state->snapshot->tree();
+    ctx.existing = state->effective_existing;
+    ctx.candidates = state->effective_candidates;
     ctx.clients = std::move(item->request.clients);
   }
 
@@ -539,7 +538,6 @@ void IflsService::LogSlowQuery(const ServiceReply& reply,
 
 Status IflsService::Mutate(const Mutation& mutation,
                            std::uint64_t* applied_version) {
-  bool trigger_compaction = false;
   std::vector<std::shared_ptr<Subscription>> to_pump;
   {
     std::lock_guard<std::mutex> lock(writer_mu_);
@@ -564,22 +562,21 @@ Status IflsService::Mutate(const Mutation& mutation,
         to_pump.push_back(sub);
       }
     }
-    trigger_compaction = options_.compaction_threshold > 0 &&
-                         overlay_.net_size() >= options_.compaction_threshold;
+    if (options_.compaction_threshold > 0 &&
+        overlay_.net_size() >= options_.compaction_threshold) {
+      // The mutation is applied and published either way; a failed fold
+      // keeps serving the overlay on the old snapshot.
+      if (Status s = CompactLocked(); !s.ok()) {
+        IFLS_LOG(ERROR) << "compaction failed, keeping epoch "
+                        << snapshot_->epoch() << ": " << s.ToString();
+      }
+    }
   }
   for (const auto& sub : to_pump) SchedulePump(sub);
   if (!to_pump.empty() && options_.num_workers == 0) {
     // Admission-only mode: deliver invalidations synchronously, so Mutate
     // returning means every affected subscription has been pushed/skipped.
     while (ProcessOnePumpInline()) {
-    }
-  }
-  if (trigger_compaction) {
-    std::lock_guard<std::mutex> lock(compact_mu_);
-    // Coalesce: only request when the compactor has no pending work.
-    if (compactions_requested_ == compactions_done_ && !compactor_stop_) {
-      ++compactions_requested_;
-      compact_cv_.notify_one();
     }
   }
   return Status::OK();
@@ -604,9 +601,9 @@ Result<std::unique_ptr<ResultIterator>> IflsService::OpenIterator(
   std::shared_ptr<const ServingState> state = state_.Acquire();
   const std::uint64_t version = state->version;
   IflsContext ctx;
-  ctx.oracle = &state->oracle();
-  ctx.existing = state->overlay.effective_existing();
-  ctx.candidates = state->overlay.effective_candidates();
+  ctx.oracle = &state->snapshot->tree();
+  ctx.existing = state->effective_existing;
+  ctx.candidates = state->effective_candidates;
   ctx.clients = std::move(request.clients);
   IFLS_ASSIGN_OR_RETURN(
       std::unique_ptr<RankedStream> stream,
@@ -744,96 +741,32 @@ void IflsService::SchedulePump(const std::shared_ptr<Subscription>& sub) {
 // ---------------------------------------------------------------------------
 
 Status IflsService::CompactNow() {
-  std::uint64_t target = 0;
   {
-    std::lock_guard<std::mutex> lock(compact_mu_);
-    if (compactor_stop_) return Status::Unavailable("service is stopping");
-    target = ++compactions_requested_;
-    compact_cv_.notify_one();
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    if (stopping_) return Status::Unavailable("service is stopping");
   }
-  std::unique_lock<std::mutex> lock(compact_mu_);
-  compacted_cv_.wait(lock, [this, target] {
-    return compactions_done_ >= target || compactor_stop_;
-  });
-  if (compactions_done_ < target) {
-    return Status::Unavailable("service stopped before compaction finished");
-  }
-  return Status::OK();
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  return CompactLocked();
 }
 
-void IflsService::CompactorLoop() {
-  for (;;) {
-    std::uint64_t target = 0;
-    {
-      std::unique_lock<std::mutex> lock(compact_mu_);
-      compact_cv_.wait(lock, [this] {
-        return compactor_stop_ || compactions_requested_ > compactions_done_;
-      });
-      if (compactor_stop_) {
-        compacted_cv_.notify_all();
-        return;
-      }
-      target = compactions_requested_;
-    }
-    CompactOnce();
-    {
-      std::lock_guard<std::mutex> lock(compact_mu_);
-      compactions_done_ = std::max(compactions_done_, target);
-      compacted_cv_.notify_all();
-    }
-  }
-}
-
-void IflsService::CompactOnce() {
-  TraceSpan compaction_span(TraceCategory::kCompaction, "compaction");
-
-  // Cut: capture the base snapshot and the net delta under the writer lock.
-  // Everything folded into the new snapshot is exactly this cut; mutations
-  // racing the build stay in the overlay via the rebase below.
-  std::shared_ptr<const IndexSnapshot> base;
-  FacilityDelta cut;
-  std::uint64_t epoch = 0;
-  {
-    TraceSpan span(TraceCategory::kCompaction, "overlay_cut");
-    std::lock_guard<std::mutex> lock(writer_mu_);
-    base = snapshot_;
-    cut = overlay_.delta();
-    epoch = next_epoch_;
-  }
-
-  const std::vector<PartitionId> new_existing = ComposeFacilitySet(
-      base->existing(), cut.added_existing, cut.removed_existing);
-  const std::vector<PartitionId> new_candidates = ComposeFacilitySet(
-      base->candidates(), cut.added_candidates, cut.removed_candidates);
-
-  // The slow part — the FacilityIndex rebuild; the VIP-tree depends only on
-  // the venue, so the new snapshot shares the base's — runs without any
-  // lock: queries and mutations proceed against the old state throughout.
-  Result<std::shared_ptr<const IndexSnapshot>> built =
-      Status::Internal("snapshot build did not run");
-  {
-    TraceSpan span(TraceCategory::kCompaction, "snapshot_build");
-    built = IndexSnapshot::Build(
-        base->shared_venue(), new_existing, new_candidates, epoch,
-        options_.tree, base->shared_tree());
-  }
-  if (!built.ok()) {
-    // Composed sets come from validated mutations, so this is a logic error;
-    // keep serving the old snapshot rather than dying mid-flight.
-    IFLS_LOG(ERROR) << "compaction failed, keeping epoch "
-                    << base->epoch() << ": " << built.status().ToString();
-    return;
-  }
-
-  {
-    TraceSpan span(TraceCategory::kCompaction, "publish_rebase");
-    std::lock_guard<std::mutex> lock(writer_mu_);
-    snapshot_ = std::move(built).value();
-    next_epoch_ = epoch + 1;
-    overlay_.RebaseTo(snapshot_->existing(), snapshot_->candidates());
-    PublishStateLocked();
-  }
+Status IflsService::CompactLocked() {
+  TraceSpan span(TraceCategory::kCompaction, "compaction");
+  // Under writer_mu_ the published state is exactly base ⊕ overlay, so its
+  // effective sets become the new base. The VIP-tree depends only on the
+  // venue and is shared, so the build only canonicalizes the two sets.
+  const std::shared_ptr<const ServingState> current = state_.Acquire();
+  IFLS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const IndexSnapshot> next,
+      IndexSnapshot::Build(snapshot_->shared_venue(),
+                           current->effective_existing,
+                           current->effective_candidates,
+                           snapshot_->epoch() + 1, options_.tree,
+                           snapshot_->shared_tree()));
+  snapshot_ = std::move(next);
+  overlay_.Fold();
+  PublishStateLocked();
   compactions_.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -870,16 +803,10 @@ void IflsService::Stop() {
     shed_.fetch_add(1, std::memory_order_relaxed);
     Deliver(&item, std::move(reply));
   }
-  {
-    std::lock_guard<std::mutex> lock(compact_mu_);
-    compactor_stop_ = true;
-  }
-  compact_cv_.notify_all();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
-  if (compactor_.joinable()) compactor_.join();
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (queue_.empty() && sub_pumps_.empty() && executing_ == 0) {
@@ -916,7 +843,7 @@ ServiceMetrics IflsService::Metrics() const {
   }
   const std::shared_ptr<const ServingState> state = state_.Acquire();
   m.snapshot_epoch = state->snapshot->epoch();
-  m.overlay_size = state->overlay.delta().size();
+  m.overlay_size = state->overlay_size;
   const ConcurrentDoorCache::Stats cache =
       state->snapshot->tree().door_cache_stats();
   m.oracle_cache_entries = cache.entries;

@@ -47,7 +47,7 @@ struct ServiceOptions {
   /// Status::kUnavailable instead of growing latency without bound.
   std::size_t queue_capacity = 256;
   /// Net overlay size (partitions whose role drifted from the snapshot
-  /// base) at which the background compactor cuts a fresh snapshot.
+  /// base) at which the mutation that reaches it also compacts, inline.
   /// 0 disables automatic compaction; CompactNow() always works.
   std::size_t compaction_threshold = 64;
   /// Default per-query deadline, measured from admission; <= 0 = none.
@@ -145,20 +145,19 @@ struct ServiceMetrics {
 
 /// The online IFLS serving front (DESIGN.md §8): owns a chain of immutable
 /// IndexSnapshots published RCU-style, a DeltaOverlay absorbing facility
-/// mutations between snapshots, a background compactor folding the overlay
-/// into fresh snapshots, and a bounded worker pool answering
+/// mutations between snapshots, inline compaction folding the overlay into
+/// a fresh snapshot, and a bounded worker pool answering
 /// MinMax/MinDist/MaxSum queries against a pinned (snapshot ⊕ overlay) view.
 ///
 /// Consistency contract: every query runs against exactly one ServingState —
-/// one atomic acquire yields a snapshot and the overlay delta cut against
-/// that same snapshot, and answers are bit-identical to a from-scratch
-/// rebuild over the composed facility sets (tests/service_differential_test
+/// one atomic acquire yields a snapshot and the effective facility sets
+/// composed against that same snapshot, and answers are bit-identical to a
+/// from-scratch rebuild over those sets (tests/service_differential_test
 /// locks this in). Readers never block on mutations or compaction: both
 /// publish a fresh immutable state and never touch a published one.
 class IflsService {
  public:
-  /// Builds the boot snapshot (epoch 0) and starts the worker + compactor
-  /// threads. The venue is moved in and owned by the service's snapshots.
+  /// Builds the boot snapshot (epoch 0) and starts the worker threads. The venue is moved in and owned by the service's snapshots.
   static Result<std::unique_ptr<IflsService>> Create(
       Venue venue, std::vector<PartitionId> existing,
       std::vector<PartitionId> candidates, const ServiceOptions& options = {});
@@ -210,7 +209,8 @@ class IflsService {
   /// before Mutate returns), every standing subscription gets the mutation
   /// queued as an invalidation event, and `applied_version` (when non-null)
   /// receives the service's new mutation version — the value iterator pins
-  /// and subscription pushes report.
+  /// and subscription pushes report. A mutation that brings the overlay to
+  /// `compaction_threshold` also compacts before returning.
   Status Mutate(const Mutation& mutation,
                 std::uint64_t* applied_version = nullptr);
 
@@ -243,16 +243,16 @@ class IflsService {
   Status TickSubscription(std::uint64_t subscription_id, ClientId client,
                           const Point& position, PartitionId partition);
 
-  /// Forces a synchronous compaction: blocks until the compactor has cut,
-  /// built and published a snapshot folding the overlay as of this call.
-  /// Returns kUnavailable after Stop().
+  /// Compacts on the calling thread: builds and publishes a snapshot whose
+  /// base sets are the effective sets, and empties the overlay. Returns
+  /// kUnavailable after Stop().
   Status CompactNow();
 
   /// Blocks until the admission queue is empty and no query is executing.
   void Drain();
 
   /// Stops admission, drains nothing: queued-but-unprocessed requests are
-  /// answered kUnavailable, then workers and compactor join. Idempotent;
+  /// answered kUnavailable, then the workers join. Idempotent;
   /// the destructor calls it.
   void Stop();
 
@@ -303,10 +303,9 @@ class IflsService {
 
   void StartThreads();
   void WorkerLoop();
-  void CompactorLoop();
-  /// Builds and publishes a snapshot folding the overlay as cut at call
-  /// time. Runs on the compactor thread (single snapshot writer).
-  void CompactOnce();
+  /// Builds a snapshot over the effective sets, folds the overlay into it
+  /// and publishes the result. Caller holds writer_mu_.
+  Status CompactLocked();
   /// Solves `item` against the current state; the caller delivers the
   /// reply.
   ServiceReply Execute(PendingQuery* item);
@@ -340,7 +339,6 @@ class IflsService {
   mutable std::mutex writer_mu_;
   DeltaOverlay overlay_;
   std::shared_ptr<const IndexSnapshot> snapshot_;  // newest published
-  std::uint64_t next_epoch_ = 1;
 
   /// Standing queries. Registration happens under writer_mu_ -> subs_mu_ so
   /// each subscription's event stream is atomic with the mutation version it
@@ -360,16 +358,7 @@ class IflsService {
   std::size_t executing_ = 0;
   bool stopping_ = false;
 
-  // Compactor coordination.
-  std::mutex compact_mu_;
-  std::condition_variable compact_cv_;   // wake the compactor
-  std::condition_variable compacted_cv_; // CompactNow completion
-  std::uint64_t compactions_requested_ = 0;
-  std::uint64_t compactions_done_ = 0;
-  bool compactor_stop_ = false;
-
   std::vector<std::thread> workers_;
-  std::thread compactor_;
 
   // Metrics (relaxed atomics; gauges sampled on read).
   mutable LatencyHistogram latency_;

@@ -4,6 +4,8 @@
 #include <string>
 #include <utility>
 
+#include "src/common/logging.h"
+
 namespace ifls {
 namespace {
 
@@ -57,9 +59,20 @@ Result<std::shared_ptr<const IndexSnapshot>> IndexSnapshot::Build(
   snap->existing_ = std::move(existing);
   snap->candidates_ = std::move(candidates);
   snap->epoch_ = epoch;
-  snap->facility_index_ =
-      std::make_unique<FacilityIndex>(snap->tree_.get(), snap->existing_);
   return std::shared_ptr<const IndexSnapshot>(std::move(snap));
+}
+
+ServingState::ServingState(std::shared_ptr<const IndexSnapshot> snap,
+                           const FacilityDelta& delta, std::uint64_t version)
+    : snapshot(std::move(snap)), overlay_size(delta.size()), version(version) {
+  const Status valid = ValidateFacilityDelta(delta, snapshot->existing(),
+                                             snapshot->candidates());
+  IFLS_CHECK(valid.ok()) << valid.ToString();
+  effective_existing = ComposeFacilitySet(
+      snapshot->existing(), delta.added_existing, delta.removed_existing);
+  effective_candidates = ComposeFacilitySet(
+      snapshot->candidates(), delta.added_candidates,
+      delta.removed_candidates);
 }
 
 }  // namespace ifls

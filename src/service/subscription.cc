@@ -19,11 +19,9 @@ Subscription::Subscription(std::uint64_t id, SubscriptionOptions options,
       // The monitor starts from the effective (snapshot ⊕ overlay) sets at
       // registration and thereafter mirrors the service's accepted mutation
       // stream, so its sets always equal the service's composition at the
-      // folded version. Distances go straight to the pinned tree —
-      // bit-identical to any OverlayOracle, which only forwards.
-      monitor_(&pinned_->snapshot->tree(),
-               pinned_->overlay.effective_existing(),
-               pinned_->overlay.effective_candidates(),
+      // folded version. Distances come from the pinned tree, as for queries.
+      monitor_(&pinned_->snapshot->tree(), pinned_->effective_existing,
+               pinned_->effective_candidates,
                ContinuousIfls::Options{solver}) {}
 
 Subscription::State Subscription::Current() const {

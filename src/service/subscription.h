@@ -55,7 +55,7 @@ struct SubscriptionPush {
 using SubscriptionCallback = std::function<void(const SubscriptionPush&)>;
 
 /// A standing IFLS query registered with IflsService::Subscribe. The
-/// subscription pins the ServingState current at registration (its oracle
+/// subscription pins the ServingState current at registration (its tree
 /// backs all future re-solves; distances are identical across snapshots
 /// because the venue never changes) and mirrors the service's accepted
 /// mutation stream plus its own trajectory ticks into a ContinuousIfls

@@ -344,7 +344,9 @@ TEST(ContinuousIflsTest, FacilityMutationsValidateAndStayConsistent) {
   ASSERT_TRUE(monitor.RemoveCandidateFacility(before.answer).ok());
   const IflsResult after = Unwrap(monitor.Answer());
   EXPECT_GT(monitor.solve_count(), solves);
-  if (after.found) EXPECT_NE(after.answer, before.answer);
+  if (after.found) {
+    EXPECT_NE(after.answer, before.answer);
+  }
 }
 
 TEST(ContinuousIflsTest, DrivesOffTrajectories) {

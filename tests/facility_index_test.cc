@@ -62,20 +62,6 @@ TEST_F(FacilityIndexTest, SubtreeCountsSumCorrectly) {
   EXPECT_GT(zero_leaves, 0);  // venue is larger than 5 leaves
 }
 
-TEST_F(FacilityIndexTest, ClearCandidatesKeepsExisting) {
-  FacilityIndex index(tree_.get(), {0, 1});
-  index.AddCandidates({2, 3});
-  EXPECT_EQ(index.SubtreeCount(tree_->root()), 4);
-  index.ClearCandidates();
-  EXPECT_EQ(index.num_candidates(), 0);
-  EXPECT_EQ(index.SubtreeCount(tree_->root()), 2);
-  EXPECT_FALSE(index.IsFacility(2));
-  EXPECT_TRUE(index.IsExisting(0));
-  // Re-adding after clear works.
-  index.AddCandidates({2});
-  EXPECT_EQ(index.SubtreeCount(tree_->root()), 3);
-}
-
 TEST_F(FacilityIndexTest, DuplicateRegistrationDies) {
   FacilityIndex index(tree_.get(), {0});
   EXPECT_DEATH(index.AddCandidates({0}), "registered twice");

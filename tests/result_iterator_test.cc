@@ -40,13 +40,13 @@ std::vector<std::pair<PartitionId, double>> FullRanking(
     const ResultIterator& it, const std::vector<Client>& clients) {
   const ServingState& state = *it.state();
   IflsContext ctx;
-  ctx.oracle = &state.oracle();
-  ctx.existing = state.overlay.effective_existing();
-  ctx.candidates = state.overlay.effective_candidates();
+  ctx.oracle = &state.snapshot->tree();
+  ctx.existing = state.effective_existing;
+  ctx.candidates = state.effective_candidates;
   ctx.clients = clients;
   EfficientOptions options;
   options.top_k = static_cast<int>(std::max<std::size_t>(
-      1, state.overlay.effective_candidates().size()));
+      1, state.effective_candidates.size()));
   return Unwrap(SolveEfficient(ctx, options)).ranked;
 }
 

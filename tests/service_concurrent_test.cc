@@ -1,7 +1,7 @@
 // Concurrency suite for the online service (run under TSan via the
 // `parallel` ctest label): query threads hammer SubmitQuery/Query while a
-// mutator drifts the facility sets and the background compactor publishes
-// snapshots. Readers must never block or crash, epochs must be monotonic
+// mutator drifts the facility sets and its threshold-crossing mutations
+// compact inline, publishing snapshots. Readers must never block or crash, epochs must be monotonic
 // per observer, and a pinned ServingState must stay fully usable across
 // publications.
 
@@ -78,7 +78,7 @@ TEST(ServiceConcurrentTest, QueriesSurviveMutationsAndCompactions) {
     clients_threads.emplace_back([&, t] {
       std::uint64_t last_epoch = 0;
       // Meet the quota AND see at least 3 publications (bounded overall so
-      // a stuck compactor fails the test instead of hanging it).
+      // a missing compaction fails the test instead of hanging it).
       for (int i = 0; i < kQueriesPerThread ||
                       (f.service->snapshot_epoch() < 3 && i < 2000);
            ++i) {
@@ -166,9 +166,9 @@ TEST(ServiceConcurrentTest, PinnedStateStaysSolvableAcrossPublications) {
   std::thread reader([&] {
     for (int i = 0; i < 8; ++i) {
       IflsContext ctx;
-      ctx.oracle = &pinned->oracle();
-      ctx.existing = pinned->overlay.effective_existing();
-      ctx.candidates = pinned->overlay.effective_candidates();
+      ctx.oracle = &pinned->snapshot->tree();
+      ctx.existing = pinned->effective_existing;
+      ctx.candidates = pinned->effective_candidates;
       ctx.clients = f.clients;
       if (!SolveWithObjective(static_cast<IflsObjective>(i % 3), ctx).ok()) {
         solver_failed = true;
@@ -210,8 +210,8 @@ TEST(ServiceConcurrentTest, ConcurrentMutatorsStayConsistent) {
   for (std::thread& t : mutators) t.join();
 
   const auto state = f.service->AcquireState();
-  const auto& fe = state->overlay.effective_existing();
-  const auto& fn = state->overlay.effective_candidates();
+  const auto& fe = state->effective_existing;
+  const auto& fn = state->effective_candidates;
   EXPECT_TRUE(std::is_sorted(fe.begin(), fe.end()));
   EXPECT_TRUE(std::is_sorted(fn.begin(), fn.end()));
   std::vector<PartitionId> both;

@@ -140,8 +140,8 @@ TEST_P(ServiceDifferentialTest, ServiceMatchesFullRebuildAtEveryStep) {
 
       // The service's effective sets equal the reference composition.
       const auto state = service->AcquireState();
-      EXPECT_EQ(state->overlay.effective_existing(), ref.existing);
-      EXPECT_EQ(state->overlay.effective_candidates(), ref.candidates);
+      EXPECT_EQ(state->effective_existing, ref.existing);
+      EXPECT_EQ(state->effective_candidates, ref.candidates);
     }
   };
 

@@ -1,5 +1,5 @@
 // Unit coverage of the online serving subsystem: IndexSnapshot validation,
-// DeltaOverlay mutation semantics, OverlayOracle composition, and the
+// DeltaOverlay mutation semantics, facility-set composition, and the
 // IflsService front (queries vs direct solve, immediate mutation visibility,
 // backpressure, deadlines, compaction, metrics, lifecycle). Deterministic
 // single-threaded paths use the admission-only mode (num_workers = 0).
@@ -133,43 +133,26 @@ TEST(DeltaOverlayTest, DeltaBucketsAreSortedAndNet) {
   EXPECT_EQ(d.size(), 4u);
 }
 
-TEST(DeltaOverlayTest, RebaseDropsFoldedChangesKeepsRacingOnes) {
+TEST(DeltaOverlayTest, FoldMakesEffectiveRolesTheBase) {
   const std::vector<PartitionId> fe = {0};
   const std::vector<PartitionId> fn = {1};
   DeltaOverlay overlay(6, fe, fn);
   EXPECT_TRUE(overlay.Apply({MutationKind::kAddCandidate, 2}).ok());
+  EXPECT_TRUE(overlay.Apply({MutationKind::kRemoveFacility, 0}).ok());
 
-  // Compactor folds the cut {added_candidates: [2]} into a new base...
-  const std::vector<PartitionId> new_fe = {0};
-  const std::vector<PartitionId> new_fn = {1, 2};
-  // ...while a racing mutation lands before the rebase.
-  EXPECT_TRUE(overlay.Apply({MutationKind::kAddCandidate, 3}).ok());
-
-  overlay.RebaseTo(new_fe, new_fn);
-  const FacilityDelta d = overlay.delta();
-  EXPECT_EQ(d.added_candidates, (std::vector<PartitionId>{3}));
-  EXPECT_EQ(d.size(), 1u);
+  overlay.Fold();
+  EXPECT_EQ(overlay.net_size(), 0u);
+  EXPECT_TRUE(overlay.delta().empty());
   EXPECT_EQ(overlay.EffectiveKind(2), FacilityKind::kCandidate);
-}
+  EXPECT_EQ(overlay.EffectiveKind(0), FacilityKind::kNone);
+  EXPECT_EQ(overlay.mutations_applied(), 2u);
 
-TEST(DeltaOverlayTest, RebaseHonorsMutationsUndoneAfterTheCut) {
-  // The subtle compaction race: AddCandidate(2) is cut into the new base,
-  // then RemoveCandidate(2) lands (cancelling the override entirely) before
-  // the rebase. The rebased overlay must still record 2's removal relative
-  // to the new base — otherwise the withdrawn candidate silently reappears.
-  const std::vector<PartitionId> fe = {0};
-  const std::vector<PartitionId> fn = {1};
-  DeltaOverlay overlay(6, fe, fn);
-  EXPECT_TRUE(overlay.Apply({MutationKind::kAddCandidate, 2}).ok());
-  const std::vector<PartitionId> new_fn = {1, 2};  // cut folded in
-
+  // Later mutations are measured against the folded base: withdrawing the
+  // folded candidate is a removal, not a cancelled addition.
   EXPECT_TRUE(overlay.Apply({MutationKind::kRemoveCandidate, 2}).ok());
-  EXPECT_TRUE(overlay.delta().empty());  // override cancelled vs old base
-
-  overlay.RebaseTo(fe, new_fn);
   const FacilityDelta d = overlay.delta();
   EXPECT_EQ(d.removed_candidates, (std::vector<PartitionId>{2}));
-  EXPECT_EQ(overlay.EffectiveKind(2), FacilityKind::kNone);
+  EXPECT_EQ(d.size(), 1u);
 }
 
 // ------------------------------------------------------------- IndexSnapshot
@@ -308,7 +291,7 @@ TEST(IflsServiceTest, MutationIsVisibleToNextQuery) {
             .ok());
   }
   const auto state = s.service->AcquireState();
-  EXPECT_EQ(state->overlay.effective_candidates(),
+  EXPECT_EQ(state->effective_candidates,
             std::vector<PartitionId>{survivor});
 
   ServiceRequest req;
@@ -317,7 +300,9 @@ TEST(IflsServiceTest, MutationIsVisibleToNextQuery) {
   const ServiceReply reply = s.service->Query(std::move(req));
   ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
   EXPECT_EQ(reply.overlay_size, s.candidates.size() - 1);
-  if (reply.result.found) EXPECT_EQ(reply.result.answer, survivor);
+  if (reply.result.found) {
+    EXPECT_EQ(reply.result.answer, survivor);
+  }
 
   const ServiceMetrics m = s.service->Metrics();
   EXPECT_EQ(m.mutations_applied, s.candidates.size() - 1);
@@ -406,7 +391,7 @@ TEST(IflsServiceTest, CompactNowFoldsOverlayAndBumpsEpoch) {
   EXPECT_EQ(s.service->snapshot_epoch(), 1u);
 
   const auto state = s.service->AcquireState();
-  EXPECT_TRUE(state->overlay.delta().empty());  // folded into the base
+  EXPECT_EQ(state->overlay_size, 0u);  // folded into the base
   std::vector<PartitionId> expected_fe = s.existing;
   expected_fe.push_back(removed);
   std::sort(expected_fe.begin(), expected_fe.end());
@@ -420,7 +405,7 @@ TEST(IflsServiceTest, CompactNowFoldsOverlayAndBumpsEpoch) {
   EXPECT_EQ(s.service->snapshot_epoch(), 2u);
 }
 
-TEST(IflsServiceTest, ThresholdTriggersBackgroundCompaction) {
+TEST(IflsServiceTest, ThresholdTriggersInlineCompaction) {
   ServiceOptions options;
   options.num_workers = 0;
   options.compaction_threshold = 2;
@@ -429,18 +414,15 @@ TEST(IflsServiceTest, ThresholdTriggersBackgroundCompaction) {
   ASSERT_TRUE(
       s.service->Mutate({MutationKind::kRemoveCandidate, s.candidates[0]})
           .ok());
+  EXPECT_EQ(s.service->snapshot_epoch(), 0u);
   ASSERT_TRUE(
       s.service->Mutate({MutationKind::kRemoveCandidate, s.candidates[1]})
           .ok());
-  // The compactor runs asynchronously; wait (bounded) for the publication.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (s.service->snapshot_epoch() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GE(s.service->snapshot_epoch(), 1u);
-  EXPECT_GE(s.service->Metrics().compactions, 1u);
+  // The mutation that reaches the threshold compacts before returning.
+  EXPECT_EQ(s.service->snapshot_epoch(), 1u);
+  const ServiceMetrics m = s.service->Metrics();
+  EXPECT_EQ(m.overlay_size, 0u);
+  EXPECT_EQ(m.compactions, 1u);
 }
 
 TEST(IflsServiceTest, PinnedStateSurvivesPublications) {
@@ -451,7 +433,7 @@ TEST(IflsServiceTest, PinnedStateSurvivesPublications) {
 
   const auto pinned = s.service->AcquireState();
   const std::vector<PartitionId> pinned_fn =
-      pinned->overlay.effective_candidates();
+      pinned->effective_candidates;
 
   ASSERT_TRUE(
       s.service->Mutate({MutationKind::kRemoveCandidate, s.candidates[0]})
@@ -459,12 +441,12 @@ TEST(IflsServiceTest, PinnedStateSurvivesPublications) {
   ASSERT_TRUE(s.service->CompactNow().ok());
 
   // The pinned state still serves the pre-mutation view and stays solvable.
-  EXPECT_EQ(pinned->overlay.effective_candidates(), pinned_fn);
+  EXPECT_EQ(pinned->effective_candidates, pinned_fn);
   EXPECT_EQ(pinned->snapshot->epoch(), 0u);
   IflsContext ctx;
-  ctx.oracle = &pinned->oracle();
-  ctx.existing = pinned->overlay.effective_existing();
-  ctx.candidates = pinned->overlay.effective_candidates();
+  ctx.oracle = &pinned->snapshot->tree();
+  ctx.existing = pinned->effective_existing;
+  ctx.candidates = pinned->effective_candidates;
   ctx.clients = s.clients;
   EXPECT_TRUE(SolveWithObjective(IflsObjective::kMinMax, ctx).ok());
 

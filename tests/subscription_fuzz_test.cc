@@ -257,9 +257,9 @@ TEST(SubscriptionFuzzTest, PushedAndPagedAnswersMatchFromScratchSolves) {
         std::unique_ptr<ResultIterator> it = std::move(*opened);
 
         IflsContext ctx;
-        ctx.oracle = &it->state()->oracle();
-        ctx.existing = it->state()->overlay.effective_existing();
-        ctx.candidates = it->state()->overlay.effective_candidates();
+        ctx.oracle = &it->state()->snapshot->tree();
+        ctx.existing = it->state()->effective_existing;
+        ctx.candidates = it->state()->effective_candidates;
         ctx.clients = crowd;
         EfficientOptions ranked = solver;
         ranked.top_k = static_cast<int>(
@@ -320,7 +320,7 @@ TEST(SubscriptionFuzzTest, PushedAndPagedAnswersMatchFromScratchSolves) {
       ASSERT_LE(push.ticks_applied, h->ticks.size());
 
       IflsContext ctx;
-      ctx.oracle = &boot_state->oracle();
+      ctx.oracle = &boot_state->snapshot->tree();
       composer.Compose(push.version, &ctx.existing, &ctx.candidates);
       std::vector<Client> crowd = h->boot_clients;
       for (std::uint64_t i = 0; i < push.ticks_applied; ++i) {

@@ -63,9 +63,9 @@ IflsResult FreshSolve(const IflsService& service,
                       const std::vector<Client>& clients) {
   const auto state = service.AcquireState();
   IflsContext ctx;
-  ctx.oracle = &state->oracle();
-  ctx.existing = state->overlay.effective_existing();
-  ctx.candidates = state->overlay.effective_candidates();
+  ctx.oracle = &state->snapshot->tree();
+  ctx.existing = state->effective_existing;
+  ctx.candidates = state->effective_candidates;
   ctx.clients = clients;
   return Unwrap(SolveEfficient(ctx, service.options().solvers.minmax));
 }
@@ -199,7 +199,7 @@ TEST(SubscriptionTest, SurvivesCompactionRebase) {
 
   const auto boot_state = f.service->AcquireState();
   const std::vector<PartitionId> candidates(
-      boot_state->overlay.effective_candidates());
+      boot_state->effective_candidates);
   ASSERT_GE(candidates.size(), 2u);
 
   // Mutation 1: remove a candidate (forces real overlay content).
@@ -211,7 +211,7 @@ TEST(SubscriptionTest, SurvivesCompactionRebase) {
   // Fold the overlay into a fresh snapshot; the overlay rebases to empty.
   ASSERT_TRUE(f.service->CompactNow().ok());
   EXPECT_GT(f.service->snapshot_epoch(), 0u);
-  EXPECT_EQ(f.service->AcquireState()->overlay.delta().size(), 0u);
+  EXPECT_EQ(f.service->AcquireState()->overlay_size, 0u);
 
   // Mutation 2, after the cut: remove another candidate.
   Mutation m2;
@@ -264,7 +264,7 @@ TEST(SubscriptionTest, UnsubscribeStopsDeliveries) {
                   .IsNotFound());
 
   const std::vector<PartitionId> candidates(
-      f.service->AcquireState()->overlay.effective_candidates());
+      f.service->AcquireState()->effective_candidates);
   Mutation m;
   m.kind = MutationKind::kRemoveCandidate;
   m.partition = candidates.front();
@@ -370,7 +370,7 @@ TEST(SubscriptionTest, WorkerModeDeliversAfterDrain) {
   ASSERT_EQ(f.log.size(), 1u);  // initial is synchronous even with workers
 
   const std::vector<PartitionId> candidates(
-      f.service->AcquireState()->overlay.effective_candidates());
+      f.service->AcquireState()->effective_candidates);
   std::uint64_t accepted = 0;
   for (PartitionId p : candidates) {
     Mutation m;

@@ -294,9 +294,9 @@ TEST_F(VenueRouterTest, MutationsRouteToTheRightVenue) {
   std::shared_ptr<IflsService> v0 = Unwrap(router->Service("venue0"));
   std::shared_ptr<IflsService> v1 = Unwrap(router->Service("venue1"));
   EXPECT_EQ(
-      v0->AcquireState()->overlay.effective_candidates().size(),
+      v0->AcquireState()->effective_candidates.size(),
       sets_[0].candidates.size() - 1);
-  EXPECT_EQ(v1->AcquireState()->overlay.effective_candidates().size(),
+  EXPECT_EQ(v1->AcquireState()->effective_candidates.size(),
             sets_[1].candidates.size());
 }
 

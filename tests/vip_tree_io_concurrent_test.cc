@@ -107,12 +107,13 @@ TEST(VipTreeIoConcurrentTest, SharedLoadedTreeServesConcurrentReaders) {
   Fixture f = BuildFixture();
   // Start from a cold cache so the concurrent readers race on inserts.
   f.tree->ClearDistanceCache();
-  f.tree->ResetCounters();
   std::atomic<int> mismatches{0};
+  std::vector<OracleCounters> counters(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&f, &mismatches, t] {
+    threads.emplace_back([&f, &mismatches, &counters, t] {
+      ScopedOracleCounterSink sink(&counters[static_cast<std::size_t>(t)]);
       // Stagger starting offsets so threads collide on different keys.
       for (std::size_t k = 0; k < f.pairs.size(); ++k) {
         const std::size_t i = (k + static_cast<std::size_t>(t) * 17) %
@@ -126,9 +127,8 @@ TEST(VipTreeIoConcurrentTest, SharedLoadedTreeServesConcurrentReaders) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
-  // Without a per-thread sink installed the tree-wide atomic aggregate
-  // picked up every thread's lookups.
-  EXPECT_GT(f.tree->counters().matrix_lookups, 0u);
+  // Each thread's own sink picked up its lookups.
+  for (const OracleCounters& c : counters) EXPECT_GT(c.matrix_lookups, 0u);
 }
 
 TEST(VipTreeIoConcurrentTest, ConcurrentSolversOnLoadedTreeAgree) {

@@ -356,12 +356,19 @@ TEST(VipTreeDistanceTest, FirstHopIsConsistentWithinLeaf) {
 TEST(VipTreeDistanceTest, CountersAdvance) {
   Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
   VipTree tree = Unwrap(VipTree::Build(&venue));
-  tree.ResetCounters();
-  (void)tree.DoorToDoor(0, static_cast<DoorId>(venue.num_doors() - 1));
-  EXPECT_GE(tree.counters().door_distance_evals, 1u);
-  EXPECT_GE(tree.counters().matrix_lookups, 1u);
-  tree.ResetCounters();
-  EXPECT_EQ(tree.counters().door_distance_evals, 0u);
+  const DoorId last = static_cast<DoorId>(venue.num_doors() - 1);
+  OracleCounters counters;
+  {
+    ScopedOracleCounterSink sink(&counters);
+    (void)tree.DoorToDoor(0, last);
+  }
+  EXPECT_GE(counters.door_distance_evals, 1u);
+  EXPECT_GE(counters.matrix_lookups, 1u);
+  // Work done after the scope closed is not counted.
+  const OracleCounters before = counters;
+  (void)tree.DoorToDoor(0, last);
+  EXPECT_EQ(counters.door_distance_evals, before.door_distance_evals);
+  EXPECT_EQ(counters.matrix_lookups, before.matrix_lookups);
 }
 
 }  // namespace

@@ -484,9 +484,9 @@ int Trace(const Args& args) {
   }
 
   // Phase 2: toggle one candidate through the overlay and compact after
-  // each step, so the export carries mutation-epoch service spans plus the
-  // compactor's overlay_cut / snapshot_build / publish_rebase spans. The
-  // second compaction restores the boot facility sets.
+  // each step, so the export carries mutation-epoch service spans plus one
+  // `compaction` span per fold. The second compaction restores the boot
+  // facility sets.
   const PartitionId toggled = sets->candidates.back();
   if (Status s = svc.Mutate({MutationKind::kRemoveCandidate, toggled});
       !s.ok()) {
@@ -521,8 +521,8 @@ int Trace(const Args& args) {
   std::vector<PartitionId> effective_candidates;
   {
     const std::shared_ptr<const ServingState> state = svc.AcquireState();
-    effective_existing = state->overlay.effective_existing();
-    effective_candidates = state->overlay.effective_candidates();
+    effective_existing = state->effective_existing;
+    effective_candidates = state->effective_candidates;
   }
   GraphDistanceOracle graph(&graph_venue.value());
   IflsContext ctx;
