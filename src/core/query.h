@@ -61,7 +61,7 @@ struct QueryStats {
   /// MemoryTracker installed by SolverScope.
   std::int64_t peak_memory_bytes = 0;
   /// Index-level counters attributed to this query. Hits/misses cover the
-  /// oracle's door-distance memo (sharded concurrent cache); they are
+  /// oracle's door-distance memo (lock-free bucketed cache); they are
   /// attributed per-thread through the scope's counter sink, so concurrent
   /// queries against one shared oracle each see exactly their own traffic.
   std::uint64_t door_distance_evals = 0;

@@ -9,8 +9,15 @@
 namespace ifls {
 
 GraphDistanceOracle::GraphDistanceOracle(const Venue* venue)
-    : venue_(venue), graph_(*venue), cache_(venue->num_doors()) {
+    : venue_(venue),
+      graph_(*venue),
+      cache_(venue->num_doors()),
+      pair_keys_(venue->num_doors(), 0, 0) {
   IFLS_CHECK(venue != nullptr);
+  if (pair_keys_.fits()) {
+    pair_cache_ =
+        std::make_unique<ConcurrentDoorCache>(pair_keys_.cache_entries());
+  }
 }
 
 const ShortestPaths& GraphDistanceOracle::PathsFrom(DoorId source) const {
@@ -37,17 +44,18 @@ double GraphDistanceOracle::DoorToDoor(DoorId a, DoorId b) const {
   // The key is per-orientation (not normalized): two opposite Dijkstra
   // runs agree mathematically but not necessarily bit-for-bit, and the
   // repo-wide contract is that caching never changes a single bit.
-  const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) |
-                            static_cast<std::uint32_t>(b);
-  double cached = 0.0;
-  if (pair_cache_.Lookup(key, &cached)) {
-    BumpCacheHits();
-    return cached;
+  const std::uint32_t key = pair_keys_.Key(DistanceMemoKind::kDoorPair, a, b);
+  if (pair_cache_ != nullptr) {
+    double cached = 0.0;
+    if (pair_cache_->Lookup(key, &cached)) {
+      BumpCacheHits();
+      return cached;
+    }
+    BumpCacheMisses();
   }
-  BumpCacheMisses();
   BumpDoorDistanceEvals();
   const double result = PathsFrom(a).distance[static_cast<std::size_t>(b)];
-  pair_cache_.Insert(key, result);
+  if (pair_cache_ != nullptr) pair_cache_->Insert(key, result);
   return result;
 }
 

@@ -10,6 +10,7 @@
 #include "src/common/workspace_pool.h"
 #include "src/graph/dijkstra.h"
 #include "src/graph/door_graph.h"
+#include "src/index/distance_memo.h"
 #include "src/index/distance_oracle.h"
 #include "src/indoor/venue.h"
 
@@ -27,8 +28,9 @@ namespace ifls {
 /// runs for distinct sources proceed in parallel, each on a pooled
 /// workspace. Memoized slots are immutable after publication, so the read
 /// path is lock-free. DoorToDoor additionally fronts the per-source rows
-/// with a sharded pair-level memo (ConcurrentDoorCache) so repeated pair
-/// queries skip even the row indirection.
+/// with a pair-level memo (ConcurrentDoorCache, keyed and sized like
+/// VipTree's with no partitions) so repeated pair queries skip even the
+/// row indirection.
 class GraphDistanceOracle : public DistanceOracle {
  public:
   explicit GraphDistanceOracle(const Venue* venue);
@@ -56,9 +58,11 @@ class GraphDistanceOracle : public DistanceOracle {
     return num_runs_.load(std::memory_order_relaxed);
   }
 
-  /// Occupancy/eviction gauges of the pair-level door-distance memo.
+  /// Occupancy/eviction/capacity gauges of the pair-level memo (zero when
+  /// the venue's door pairs overflow 32-bit keys and it runs uncached).
   ConcurrentDoorCache::Stats pair_cache_stats() const {
-    return pair_cache_.stats();
+    return pair_cache_ != nullptr ? pair_cache_->stats()
+                                  : ConcurrentDoorCache::Stats{};
   }
 
  private:
@@ -76,9 +80,11 @@ class GraphDistanceOracle : public DistanceOracle {
   mutable std::vector<CacheSlot> cache_;  // fixed size, slots never move
   mutable WorkspacePool<DijkstraWorkspace> workspaces_;
   mutable std::atomic<std::size_t> num_runs_{0};
-  /// Pair-level memo keyed (from_door << 32) | to_door, per orientation —
+  /// Pair-level memo under pair_keys_' door-pair ranks, per orientation —
   /// opposite Dijkstra runs agree only mathematically, not bit-for-bit.
-  mutable ConcurrentDoorCache pair_cache_;
+  /// Null when those keys overflow 32 bits.
+  DistanceMemoKeySpace pair_keys_;
+  std::unique_ptr<ConcurrentDoorCache> pair_cache_;
 };
 
 }  // namespace ifls

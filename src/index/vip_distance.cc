@@ -107,11 +107,11 @@ double VipTree::DoorToDoor(DoorId a, DoorId b) const {
   // from the other's entry would make a warm cache visibly diverge from a
   // cold recompute. Caching each orientation separately keeps cached and
   // uncached answers bit-identical.
-  const std::uint64_t cache_key =
-      DistanceMemoKey(DistanceMemoKind::kDoorPair, a, b);
-  if (options_.enable_door_distance_cache) {
+  const std::uint32_t cache_key =
+      memo_keys_.Key(DistanceMemoKind::kDoorPair, a, b);
+  if (door_cache_ != nullptr) {
     double cached = 0.0;
-    if (CachedDoorDistance(cache_key, &cached)) {
+    if (door_cache_->Lookup(cache_key, &cached)) {
       BumpCacheHits();
       return cached;
     }
@@ -131,9 +131,7 @@ double VipTree::DoorToDoor(DoorId a, DoorId b) const {
     if (row >= 0 && col >= 0) {
       BumpMatrixLookups(1);
       const double result = leaf.matrix.At(row, col);
-      if (options_.enable_door_distance_cache) {
-        StoreDoorDistance(cache_key, result);
-      }
+      if (door_cache_ != nullptr) door_cache_->Insert(cache_key, result);
       return result;
     }
   }
@@ -171,9 +169,7 @@ double VipTree::DoorToDoor(DoorId a, DoorId b) const {
       cols.size(), lca.matrix.dist_data(), lca.matrix.num_cols());
   CountKernelInvocation();
   BumpMatrixLookups(rows.size() * cols.size());
-  if (options_.enable_door_distance_cache) {
-    StoreDoorDistance(cache_key, best);
-  }
+  if (door_cache_ != nullptr) door_cache_->Insert(cache_key, best);
   return best;
 }
 
@@ -198,39 +194,38 @@ double VipTree::PointToPartition(const Point& a, PartitionId pa,
 }
 
 double VipTree::DoorToPartition(DoorId d, PartitionId target) const {
-  return MemoizedDoorSets(
-      DistanceMemoKey(DistanceMemoKind::kDoorToPartition, d, target),
-      std::span<const DoorId>(&d, 1), venue_->partition(target).doors);
+  return MemoizedDoorSets(DistanceMemoKind::kDoorToPartition, d, target,
+                          std::span<const DoorId>(&d, 1),
+                          venue_->partition(target).doors);
 }
 
 double VipTree::PartitionToPartition(PartitionId p, PartitionId q) const {
   if (p == q) return 0.0;
-  return MemoizedDoorSets(
-      DistanceMemoKey(DistanceMemoKind::kPartitionToPartition, p, q),
-      venue_->partition(p).doors, venue_->partition(q).doors);
+  return MemoizedDoorSets(DistanceMemoKind::kPartitionToPartition, p, q,
+                          venue_->partition(p).doors,
+                          venue_->partition(q).doors);
 }
 
 double VipTree::PartitionToNode(PartitionId p, NodeId n) const {
   if (NodeContainsPartition(n, p)) return 0.0;
-  return MemoizedDoorSets(
-      DistanceMemoKey(DistanceMemoKind::kPartitionToNode, p, n),
-      venue_->partition(p).doors, node(n).access_doors);
+  return MemoizedDoorSets(DistanceMemoKind::kPartitionToNode, p, n,
+                          venue_->partition(p).doors, node(n).access_doors);
 }
 
-double VipTree::MemoizedDoorSets(std::uint64_t key,
+double VipTree::MemoizedDoorSets(DistanceMemoKind kind, std::int32_t from,
+                                 std::int32_t to,
                                  std::span<const DoorId> home_doors,
                                  std::span<const DoorId> targets) const {
-  if (!options_.enable_door_distance_cache) {
-    return ComposeDoorSets(home_doors, targets);
-  }
+  if (door_cache_ == nullptr) return ComposeDoorSets(home_doors, targets);
+  const std::uint32_t key = memo_keys_.Key(kind, from, to);
   double cached = 0.0;
-  if (CachedDoorDistance(key, &cached)) {
+  if (door_cache_->Lookup(key, &cached)) {
     BumpCacheHits();
     return cached;
   }
   BumpCacheMisses();
   const double best = ComposeDoorSets(home_doors, targets);
-  StoreDoorDistance(key, best);
+  door_cache_->Insert(key, best);
   return best;
 }
 

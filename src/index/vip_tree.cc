@@ -149,6 +149,7 @@ VipTree::VipTree(VipTree&& other) noexcept
       num_leaves_(other.num_leaves_),
       height_(other.height_),
       door_cache_(std::move(other.door_cache_)),
+      memo_keys_(other.memo_keys_),
       mapping_(std::move(other.mapping_)) {
   // Spans and matrix views in nodes_ point into the arenas' heap blocks,
   // which the vector moves transfer verbatim — no rewiring needed.
@@ -171,18 +172,9 @@ VipTree& VipTree::operator=(VipTree&& other) noexcept {
   num_leaves_ = tmp.num_leaves_;
   height_ = tmp.height_;
   door_cache_ = std::move(tmp.door_cache_);
+  memo_keys_ = tmp.memo_keys_;
   mapping_ = std::move(tmp.mapping_);
   return *this;
-}
-
-// One table for both key kinds: door pairs (DoorToDoor) and tagged
-// (partition, node) bounds (PartitionToNode); see vip_tree.h.
-bool VipTree::CachedDoorDistance(std::uint64_t key, double* out) const {
-  return door_cache_ != nullptr && door_cache_->Lookup(key, out);
-}
-
-void VipTree::StoreDoorDistance(std::uint64_t key, double value) const {
-  if (door_cache_ != nullptr) door_cache_->Insert(key, value);
 }
 
 void VipTree::ClearDistanceCache() const {
@@ -390,20 +382,20 @@ Result<VipTree> VipTree::Build(const Venue* venue, VipTreeOptions options) {
 }
 
 Status VipTree::InitFromStructure(const VipTreeStructure& structure) {
-  // Both Build and LoadV3FromFile funnel through here with options_
-  // already set, so this is the one place the door memo gets allocated.
-  // Allocated only when enabled: the sharded slot array is a fixed upfront
-  // cost.
-  if (options_.enable_door_distance_cache) {
-    door_cache_ = std::make_unique<ConcurrentDoorCache>(
-        ConcurrentDoorCache::kDefaultCapacity);
-  } else {
-    door_cache_.reset();
-  }
-
   const std::size_t n_nodes = structure.nodes.size();
   if (n_nodes == 0) {
     return Status::InvalidArgument("tree has no nodes");
+  }
+  // Both Build and LoadV3FromFile funnel through here with options_
+  // already set, so this is the one place the door memo gets allocated:
+  // sized from the venue, and left off when its keys overflow 32 bits.
+  memo_keys_ = DistanceMemoKeySpace(venue_->num_doors(),
+                                    venue_->num_partitions(), n_nodes);
+  if (options_.enable_door_distance_cache && memo_keys_.fits()) {
+    door_cache_ =
+        std::make_unique<ConcurrentDoorCache>(memo_keys_.cache_entries());
+  } else {
+    door_cache_.reset();
   }
   for (std::size_t i = 0; i < n_nodes; ++i) {
     if (structure.nodes[i].id != static_cast<NodeId>(i)) {
@@ -683,8 +675,8 @@ std::size_t VipTree::MemoryFootprintBytes() const {
   total += hops_.MemoryFootprintBytes();
   total += ancestor_views_.capacity() * sizeof(DoorMatrixView);
   total += leaf_of_partition_.capacity() * sizeof(NodeId);
-  // Memoized door distances (conceptually part of the index; the sharded
-  // slot array is allocated up front when the memo is enabled).
+  // Memoized door distances (conceptually part of the index; the bucket
+  // array is mapped up front when the memo is on, and counted whole).
   if (door_cache_ != nullptr) total += door_cache_->MemoryFootprintBytes();
   return total;
 }

@@ -13,6 +13,7 @@
 #include "src/common/logging.h"
 #include "src/common/mapped_file.h"
 #include "src/common/status.h"
+#include "src/index/distance_memo.h"
 #include "src/index/distance_oracle.h"
 #include "src/index/door_matrix.h"
 #include "src/indoor/venue.h"
@@ -39,7 +40,8 @@ struct VipTreeOptions {
   /// (PartitionToNode, PartitionToPartition, DoorToPartition) in a hash
   /// table owned by the index (the door-graph distances are static, so the
   /// cache is conceptually part of the materialized index, like Yang et
-  /// al.'s door-to-door hash table).
+  /// al.'s door-to-door hash table). Sized from the venue; a venue whose
+  /// memo keys overflow 32 bits runs without it (DESIGN §9.2).
   /// OFF by default: the paper's cost model recomputes matrix compositions
   /// per iDist call, and the redundancy across clients of one partition is
   /// precisely what the efficient approach's grouping exploits — a global
@@ -102,32 +104,6 @@ struct VipNode {
   std::span<const std::int32_t> child_access_flat_;
 };
 
-/// What one door-cache entry memoizes. Each kind ORs its own tag bits into
-/// the packed key (DESIGN §9.2).
-enum class DistanceMemoKind : std::uint64_t {
-  kDoorPair = 0,                              // DoorToDoor(a, b)
-  kDoorToPartition = std::uint64_t{1} << 31,  // DoorToPartition(d, f)
-  kPartitionToNode = std::uint64_t{1} << 63,  // PartitionToNode(p, n)
-  // PartitionToPartition(p, q)
-  kPartitionToPartition = (std::uint64_t{1} << 63) | (std::uint64_t{1} << 31),
-};
-
-/// Door-cache key of one memoized distance: (from << 32) | to with the
-/// kind's tag bits set. Ids are non-negative int32s, so bits 63 and 31 are
-/// free for the tags and distinct (kind, from, to) triples get distinct
-/// keys. The one triple that would pack to the cache's empty sentinel, a
-/// partition pair at 2^31 - 1 (which PartitionToPartition answers with 0
-/// before keying), is rejected.
-inline std::uint64_t DistanceMemoKey(DistanceMemoKind kind, std::int32_t from,
-                                     std::int32_t to) {
-  IFLS_DCHECK(from >= 0 && to >= 0);
-  const std::uint64_t key = static_cast<std::uint64_t>(kind) |
-                            (static_cast<std::uint64_t>(from) << 32) |
-                            static_cast<std::uint32_t>(to);
-  IFLS_DCHECK(key < ConcurrentDoorCache::kReservedKeys);
-  return key;
-}
-
 /// Transient structural description of a tree: plain per-node vectors, as
 /// produced by the build clustering phase or sliced out of a v3 snapshot's
 /// ids section, before conversion into the flat arena layout. Internal API
@@ -185,7 +161,7 @@ struct VipTreeLayoutStats {
 /// Thread-safety: after Build/LoadV3FromFile, every distance/structure
 /// accessor is a read-only path safe to call from any number of threads
 /// concurrently — counters go to per-thread sinks or the atomic aggregate,
-/// and the door memo (when enabled) is a sharded lock-free cache
+/// and the door memo (when enabled) is a lock-free bucketed cache
 /// (ConcurrentDoorCache), so query threads never serialize on it. Only
 /// Build/SaveV3ToFile/LoadV3FromFile and moves require external
 /// exclusivity.
@@ -266,7 +242,7 @@ class VipTree final : public DistanceOracle {
   /// as above.
   ///
   /// With the door cache enabled, each of these three is memoized under its
-  /// own tagged key (DistanceMemoKey).
+  /// own kind of key (DistanceMemoKeySpace).
   double PartitionToNode(PartitionId p, NodeId n) const override;
 
   /// Lower bound used by top-down NN: distance from a concrete point to the
@@ -301,7 +277,8 @@ class VipTree final : public DistanceOracle {
   void ClearDistanceCache() const;
   std::size_t distance_cache_size() const;
 
-  /// Occupancy/eviction gauges of the sharded door-distance memo.
+  /// Occupancy/eviction/capacity gauges of the door-distance memo (zero
+  /// when the memo is off).
   ConcurrentDoorCache::Stats door_cache_stats() const;
 
   /// Resident heap bytes held by arenas, node descriptors and auxiliary
@@ -374,17 +351,11 @@ class VipTree final : public DistanceOracle {
   double ComposeDoorSets(std::span<const DoorId> home_doors,
                          std::span<const DoorId> targets) const;
 
-  /// ComposeDoorSets behind the memo entry `key` when the cache is enabled.
-  double MemoizedDoorSets(std::uint64_t key, std::span<const DoorId> home_doors,
+  /// ComposeDoorSets behind the memo entry (kind, from, to) when the memo
+  /// is on.
+  double MemoizedDoorSets(DistanceMemoKind kind, std::int32_t from,
+                          std::int32_t to, std::span<const DoorId> home_doors,
                           std::span<const DoorId> targets) const;
-
-  /// Memo lookup/insert used when the cache is enabled, under the keys of
-  /// DistanceMemoKey. Door-pair keys are per orientation, since the two
-  /// orientations' compositions may differ in the last ULP and the cache
-  /// must never change a bit. The backing store is a sharded lock-free
-  /// ConcurrentDoorCache held behind a pointer so the tree stays movable.
-  bool CachedDoorDistance(std::uint64_t key, double* out) const;
-  void StoreDoorDistance(std::uint64_t key, double value) const;
 
   const Venue* venue_ = nullptr;
   VipTreeOptions options_;
@@ -406,7 +377,12 @@ class VipTree final : public DistanceOracle {
   NodeId root_ = kInvalidNode;
   std::size_t num_leaves_ = 0;
   int height_ = 0;
+  /// The door memo, null when it is off. Keys are memo_keys_ ranks; door-
+  /// pair keys are per orientation, since the two orientations'
+  /// compositions may differ in the last ULP and the cache must never
+  /// change a bit. Held behind a pointer so the tree stays movable.
   mutable std::unique_ptr<ConcurrentDoorCache> door_cache_;
+  DistanceMemoKeySpace memo_keys_{0, 0, 0};
   /// Keeps the v3 snapshot mapping alive while arenas view it; null for
   /// heap-backed trees. Shared so future readers of the same file could
   /// share one mapping.

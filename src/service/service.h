@@ -28,7 +28,7 @@ namespace ifls {
 
 /// Serving defaults for the index build: unlike offline paper-comparison
 /// runs (where memoizing door distances would blur the baseline-vs-efficient
-/// comparison, see VipTreeOptions), a long-lived service wants the sharded
+/// comparison, see VipTreeOptions), a long-lived service wants the
 /// door-distance cache on — repeated client traffic against one snapshot is
 /// exactly the workload it pays off for.
 inline VipTreeOptions DefaultServiceTreeOptions() {
@@ -132,7 +132,7 @@ struct ServiceMetrics {
   std::size_t overlay_size = 0;         // gauge
   std::size_t queue_depth = 0;          // gauge
   std::size_t subscriptions_active = 0; // gauge
-  /// Sharded door-distance cache occupancy/evictions of the serving
+  /// Door-distance cache occupancy/evictions of the serving
   /// snapshot's tree (gauges).
   std::uint64_t oracle_cache_entries = 0;
   std::uint64_t oracle_cache_evictions = 0;

@@ -233,7 +233,7 @@ void ExpectSameAnswer(const BatchQueryOutcome& a, const BatchQueryOutcome& b,
 
 // The tentpole's contract, checked end to end: solver answers must be
 // bit-identical across the kernel-dispatch axis (scalar reference vs every
-// supported SIMD tier of the ladder) and the door-cache axis (sharded memo
+// supported SIMD tier of the ladder) and the door-cache axis (bucketed memo
 // on vs off), in every combination. The dispatch axis must preserve even
 // the per-query work counters; the cache axis preserves answers while
 // (intentionally) changing the counters.

@@ -1,7 +1,7 @@
 // Concurrent readers of the memoized partition-level distances
 // (PartitionToNode, PartitionToPartition, DoorToPartition): eight threads
 // query every argument pair of one shared cache-enabled tree while they race
-// each other's memo inserts (tagged keys) and door-pair inserts
+// each other's memo inserts (per-kind keys) and door-pair inserts
 // (DoorToDoor), and every answer must equal the single-threaded value bit
 // for bit.
 

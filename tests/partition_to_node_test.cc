@@ -4,7 +4,7 @@
 // PartitionToPartition (iMinD(p, q), over doors(p) x doors(q)) and
 // DoorToPartition (over {d} x doors(f)). One composer computes all three,
 // composing the LCA row once per home door, and the door cache memoizes
-// each under its own tagged key; neither may change a single bit. Every
+// each under its own kind of key; neither may change a single bit. Every
 // argument pair is checked on generated venues and one preset, in VIP and
 // IP mode, with the cache off and on, on heap-built and mapped v3 trees,
 // under every kernel tier this machine supports.
@@ -288,36 +288,81 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
-// The four memo-key kinds share one 64-bit key space with the cache's
-// empty sentinel: no two (kind, from, to) triples may pack to one key, and
-// no key may be the sentinel, at the extreme ids as well as small ones.
-TEST(DistanceMemoKeyTest, KindsNeverCollideAndAvoidTheEmptySentinel) {
-  constexpr std::int32_t kMaxId = 0x7fffffff;
-  const std::vector<std::int32_t> ids = {0, 1, 2, 0x7fff, 0x8000,
-                                         kMaxId - 1, kMaxId};
-  const DistanceMemoKind kinds[] = {DistanceMemoKind::kDoorPair,
-                                    DistanceMemoKind::kDoorToPartition,
-                                    DistanceMemoKind::kPartitionToNode,
-                                    DistanceMemoKind::kPartitionToPartition};
-  std::set<std::uint64_t> keys;
-  std::size_t packed = 0;
-  for (const DistanceMemoKind kind : kinds) {
-    for (const std::int32_t from : ids) {
-      for (const std::int32_t to : ids) {
-        // The one rejected triple: PartitionToPartition(p, p) is 0 and
-        // never keyed.
-        if (kind == DistanceMemoKind::kPartitionToPartition &&
-            from == kMaxId && to == kMaxId) {
-          continue;
+// The four memo kinds share one dense 32-bit key space: every (kind, from,
+// to) of a venue maps to its own rank in [1, K], so none collides with
+// another and none is the cache's empty sentinel 0.
+TEST(DistanceMemoKeySpaceTest, RanksAreDistinctAndFillOneToK) {
+  struct Shape {
+    std::int32_t doors, partitions, nodes;
+  };
+  // Unequal counts catch a width or offset taken from the wrong dimension;
+  // the last shape is GraphDistanceOracle's, door pairs only.
+  for (const Shape& s : {Shape{1, 1, 1}, Shape{3, 5, 7}, Shape{6, 4, 2},
+                         Shape{9, 2, 5}, Shape{5, 0, 0}}) {
+    const DistanceMemoKeySpace keys(s.doors, s.partitions, s.nodes);
+    ASSERT_TRUE(keys.fits());
+    const struct {
+      DistanceMemoKind kind;
+      std::int32_t from, to;
+    } kinds[] = {
+        {DistanceMemoKind::kDoorPair, s.doors, s.doors},
+        {DistanceMemoKind::kDoorToPartition, s.doors, s.partitions},
+        {DistanceMemoKind::kPartitionToNode, s.partitions, s.nodes},
+        {DistanceMemoKind::kPartitionToPartition, s.partitions, s.partitions},
+    };
+    std::set<std::uint32_t> seen;
+    std::uint64_t triples = 0;
+    for (const auto& k : kinds) {
+      for (std::int32_t from = 0; from < k.from; ++from) {
+        for (std::int32_t to = 0; to < k.to; ++to, ++triples) {
+          const std::uint32_t key = keys.Key(k.kind, from, to);
+          EXPECT_GE(key, 1u);
+          EXPECT_LE(key, keys.size());
+          seen.insert(key);
         }
-        const std::uint64_t key = DistanceMemoKey(kind, from, to);
-        EXPECT_LT(key, ConcurrentDoorCache::kReservedKeys);
-        keys.insert(key);
-        ++packed;
       }
     }
+    EXPECT_EQ(triples, keys.size());
+    EXPECT_EQ(seen.size(), keys.size());
   }
-  EXPECT_EQ(keys.size(), packed);
+}
+
+// A venue too large for 32-bit keys is recognised from its counts alone,
+// before any tree is built; the boundary sits at K = 2^32 - 1.
+TEST(DistanceMemoKeySpaceTest, OverflowIsReportedFromTheCounts) {
+  EXPECT_FALSE(DistanceMemoKeySpace(40000, 40000, 1).fits());
+  EXPECT_TRUE(DistanceMemoKeySpace(1438, 1424, 243).fits());  // MZB-sized
+  EXPECT_TRUE(DistanceMemoKeySpace(65535, 0, 0).fits());
+  EXPECT_FALSE(DistanceMemoKeySpace(65536, 0, 0).fits());  // K = 2^32
+}
+
+// The memo is sized from the venue: 64 entries per partition and door,
+// and at least 2^16, so MZB gets room for its working set and a
+// fleet-sized venue keeps the floor.
+TEST(DistanceMemoKeySpaceTest, CacheIsSizedFromTheVenue) {
+  VipTreeOptions options;
+  options.enable_door_distance_cache = true;
+
+  const Venue mzb =
+      Unwrap(BuildPresetVenue(VenuePreset::kMenziesBuilding));
+  const VipTree big = Unwrap(VipTree::Build(&mzb, options));
+  EXPECT_GE(big.door_cache_stats().capacity,
+            64 * (mzb.num_partitions() + mzb.num_doors()));
+
+  VenueGeneratorSpec spec;
+  spec.levels = 4;
+  spec.total_rooms = 240;
+  const Venue small = Unwrap(GenerateVenue(spec));
+  ASSERT_GE(small.num_partitions(), 250u);
+  ASSERT_LT(64 * (small.num_partitions() + small.num_doors()), 1u << 16);
+  const VipTree tree = Unwrap(VipTree::Build(&small, options));
+  EXPECT_GE(tree.door_cache_stats().capacity, 1u << 16);
+  EXPECT_LT(tree.door_cache_stats().capacity,
+            (1u << 16) + ConcurrentDoorCache::kWays);
+
+  options.enable_door_distance_cache = false;
+  const VipTree off = Unwrap(VipTree::Build(&small, options));
+  EXPECT_EQ(off.door_cache_stats().capacity, 0u);
 }
 
 }  // namespace

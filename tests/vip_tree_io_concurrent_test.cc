@@ -2,7 +2,7 @@
 // snapshot round trip, many threads may map their own copies of one file
 // and query one shared mapped instance simultaneously, and every
 // distance/solver answer must equal the single-threaded truth. This
-// exercises the sharded lock-free door-distance cache, the atomic counter
+// exercises the lock-free door-distance cache, the atomic counter
 // aggregate, and the call_once memoization under real contention.
 
 #include <gtest/gtest.h>
