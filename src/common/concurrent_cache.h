@@ -25,16 +25,20 @@ namespace ifls {
 ///
 /// A key lives only in the bucket mulhi(Mix(key), buckets) picks. Readers
 /// are pure loads: read seq, scan the keys, read the matching value, then
-/// re-read seq after an acquire fence and accept only if it was even and is
-/// unchanged. Writers claim the bucket by CAS-ing seq even -> odd, fill an
-/// empty way or evict the way the key's hash picks, and publish with
-/// seq + 2. Every write moves seq forward, so a reader's re-check can only
-/// pass with a stale seq after 2^31 rewrites of one bucket inside its few
-/// loads (DESIGN §9.2). Inserts that find the bucket claimed drop their
-/// write: the value is a memo, so "lose an insert occasionally" beats
-/// "wait". All access goes through std::atomic_ref, so TSan has no plain
-/// access to flag, and tests/concurrent_cache_test.cc checks every hit of
-/// a contended table bit for bit.
+/// re-read seq and accept only if it was even and is unchanged. Writers
+/// claim the bucket by CAS-ing seq even -> odd, fill an empty way or evict
+/// the way the key's hash picks, and publish with seq + 2. The payload
+/// words are stored with release and loaded with acquire order: a reader
+/// that loads a word a writer stored after its claim also sees the odd seq
+/// on its re-read, and no fence is needed (plain moves on x86; TSan checks
+/// this ordering, which it cannot do for fences). Every write moves seq
+/// forward, so a reader's re-check can only pass with a stale seq after
+/// 2^31 rewrites of one bucket inside its few loads (DESIGN §9.2). Inserts
+/// that find the bucket claimed drop their write: the value is a memo, so
+/// "lose an insert occasionally" beats "wait". All access goes through
+/// std::atomic_ref, so TSan has no plain access to flag, and
+/// tests/concurrent_cache_test.cc checks every hit of a contended table bit
+/// for bit.
 ///
 /// The bucket array is its own anonymous mapping. A fresh mapping reads as
 /// zeros, which is an empty table, so construction writes nothing; it is
@@ -83,12 +87,11 @@ class ConcurrentDoorCache {
     if ((s1 & 1) != 0) return false;  // writer mid-publish: miss
     for (std::size_t w = 0; w < kWays; ++w) {
       if (std::atomic_ref<std::uint32_t>(b.keys[w]).load(
-              std::memory_order_relaxed) != key) {
+              std::memory_order_acquire) != key) {
         continue;
       }
       const std::uint64_t bits = std::atomic_ref<std::uint64_t>(b.values[w])
-                                     .load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
+                                     .load(std::memory_order_acquire);
       if (seq.load(std::memory_order_relaxed) != s1) return false;
       std::memcpy(out, &bits, sizeof(*out));
       return true;
@@ -108,9 +111,6 @@ class ConcurrentDoorCache {
                                      std::memory_order_relaxed)) {
       return;
     }
-    // Orders the claim before the payload stores below for any reader
-    // whose acquire fence follows a load of one of them.
-    std::atomic_thread_fence(std::memory_order_release);
     std::size_t way = kWays;
     for (std::size_t w = 0; w < kWays; ++w) {
       const std::uint32_t k = std::atomic_ref<std::uint32_t>(b.keys[w]).load(
@@ -129,10 +129,12 @@ class ConcurrentDoorCache {
     }
     std::uint64_t bits;
     std::memcpy(&bits, &value, sizeof(bits));
+    // Release: a reader whose acquire load sees either store also sees
+    // the odd seq of the claim above on its re-read.
     std::atomic_ref<std::uint64_t>(b.values[way])
-        .store(bits, std::memory_order_relaxed);
+        .store(bits, std::memory_order_release);
     std::atomic_ref<std::uint32_t>(b.keys[way])
-        .store(key, std::memory_order_relaxed);
+        .store(key, std::memory_order_release);
     seq.store(s + 2, std::memory_order_release);
   }
 
@@ -151,11 +153,10 @@ class ConcurrentDoorCache {
                                         std::memory_order_relaxed)) {
         s = seq.load(std::memory_order_relaxed);
       }
-      std::atomic_thread_fence(std::memory_order_release);
       for (std::size_t w = 0; w < kWays; ++w) {
         const std::atomic_ref<std::uint32_t> k(b.keys[w]);
         if (k.load(std::memory_order_relaxed) == kEmptyKey) continue;
-        k.store(kEmptyKey, std::memory_order_relaxed);
+        k.store(kEmptyKey, std::memory_order_release);
         ++cleared;
       }
       seq.store(s + 2, std::memory_order_release);

@@ -77,11 +77,13 @@ std::uint64_t TraceNanosFrom(std::chrono::steady_clock::time_point tp) {
 
 /// One ring of seqlock-guarded span slots, written by exactly one thread at
 /// a time and read concurrently by the exporter. Slot protocol (mirrors
-/// ConcurrentDoorCache): the writer bumps `seq` to odd (acq_rel RMW, so the
-/// payload stores below cannot be hoisted above it), fills the payload with
-/// relaxed stores, then publishes by storing the next even value with
-/// release order. Readers accept a slot only when `seq` reads even and
-/// identical before and after the payload loads.
+/// ConcurrentDoorCache): the writer bumps `seq` to odd, fills the payload
+/// with release stores, then publishes by storing the next even value with
+/// release order. Readers load the payload with acquire order and accept a
+/// slot only when `seq` reads even and identical before and after those
+/// loads: a reader that sees any payload word of a newer write also sees
+/// that write's odd `seq` on its re-read. No fence is involved, so TSan
+/// checks the ordering.
 struct TraceRecorder::ThreadBuffer {
   struct Slot {
     std::atomic<std::uint64_t> seq{0};
@@ -107,15 +109,15 @@ struct TraceRecorder::ThreadBuffer {
     const std::uint64_t h = head.load(std::memory_order_relaxed);
     Slot& slot = slots[h % kSlotsPerThread];
     std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
-    // Single writer: the claim CAS cannot fail; acq_rel keeps the payload
-    // stores from moving above the odd mark.
+    // Single writer: the claim CAS cannot fail. The release stores keep
+    // the odd mark ahead of each payload word.
     slot.seq.compare_exchange_strong(seq, seq + 1, std::memory_order_acq_rel);
-    slot.name.store(name, std::memory_order_relaxed);
-    slot.trace_id.store(trace_id, std::memory_order_relaxed);
-    slot.start_nanos.store(start_nanos, std::memory_order_relaxed);
-    slot.end_nanos.store(end_nanos, std::memory_order_relaxed);
+    slot.name.store(name, std::memory_order_release);
+    slot.trace_id.store(trace_id, std::memory_order_release);
+    slot.start_nanos.store(start_nanos, std::memory_order_release);
+    slot.end_nanos.store(end_nanos, std::memory_order_release);
     slot.category.store(static_cast<std::uint32_t>(category),
-                        std::memory_order_relaxed);
+                        std::memory_order_release);
     slot.seq.store(seq + 2, std::memory_order_release);
     head.store(h + 1, std::memory_order_release);
   }
@@ -139,13 +141,12 @@ struct TraceRecorder::ThreadBuffer {
     const Slot& slot = slots[index];
     const std::uint64_t seq_before = slot.seq.load(std::memory_order_acquire);
     if (seq_before & 1) return false;
-    out->name = slot.name.load(std::memory_order_relaxed);
-    out->trace_id = slot.trace_id.load(std::memory_order_relaxed);
-    out->start_nanos = slot.start_nanos.load(std::memory_order_relaxed);
-    out->end_nanos = slot.end_nanos.load(std::memory_order_relaxed);
+    out->name = slot.name.load(std::memory_order_acquire);
+    out->trace_id = slot.trace_id.load(std::memory_order_acquire);
+    out->start_nanos = slot.start_nanos.load(std::memory_order_acquire);
+    out->end_nanos = slot.end_nanos.load(std::memory_order_acquire);
     out->category = static_cast<TraceCategory>(
-        slot.category.load(std::memory_order_relaxed));
-    std::atomic_thread_fence(std::memory_order_acquire);
+        slot.category.load(std::memory_order_acquire));
     const std::uint64_t seq_after = slot.seq.load(std::memory_order_relaxed);
     if (seq_before != seq_after || out->name == nullptr) return false;
     out->tid = tid;

@@ -1,6 +1,7 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
+#include "src/common/thread_pool.h"
 #include "src/index/minplus_kernels.h"
 #include "src/index/vip_tree.h"
 
@@ -207,6 +208,14 @@ double VipTree::PartitionToPartition(PartitionId p, PartitionId q) const {
 }
 
 double VipTree::PartitionToNode(PartitionId p, NodeId n) const {
+  if (partition_to_node_ != nullptr) {
+    IFLS_DCHECK(p >= 0 &&
+                static_cast<std::size_t>(p) < leaf_of_partition_.size());
+    IFLS_DCHECK(n >= 0 && static_cast<std::size_t>(n) < nodes_.size());
+    BumpMatrixLookups(1);
+    return partition_to_node_[static_cast<std::size_t>(p) * nodes_.size() +
+                              static_cast<std::size_t>(n)];
+  }
   if (NodeContainsPartition(n, p)) return 0.0;
   return MemoizedDoorSets(DistanceMemoKind::kPartitionToNode, p, n,
                           venue_->partition(p).doors, node(n).access_doors);
@@ -389,6 +398,204 @@ double VipTree::ComposeDoorSets(std::span<const DoorId> home_doors,
   CountKernelInvocation(pairwise_calls);
   BumpDoorDistanceEvals(direct_cells + pairwise_calls);
   return best;
+}
+
+std::vector<double> VipTree::ComposePartitionToNodeTable() const {
+  // The terms of ComposeDoorSets(doors(p), AD(n)) depend only on the door
+  // pair (d1, t): the direct leaf cell when t lies in one of d1's leaves,
+  // else MinPlusPairwise(u, b) with u composed for d1 through the LCA child
+  // pair of their home leaves and b = t's distances to AD(cb). So each
+  // door's terms toward every access door are evaluated once, with the same
+  // kernel calls on the same operands, and the table takes per-node, then
+  // per-partition minima of them. min is exact, so every cell is bit-
+  // identical to the composer's (tests/partition_to_node_test.cc).
+  const std::size_t num_partitions = venue_->num_partitions();
+  const std::size_t num_nodes = nodes_.size();
+  const std::size_t num_doors = venue_->num_doors();
+  // Index work, not query work: keep it out of the caller's counters (the
+  // pool's own threads start without a sink).
+  ScopedOracleCounterSink no_counters(nullptr);
+
+  // Targets: every node's access doors, sorted by home leaf so one LCA walk
+  // serves each (door leaf, target leaf) group.
+  struct Target {
+    NodeId leaf;
+    DoorId door;
+  };
+  std::vector<Target> targets;
+  {
+    std::vector<DoorId> doors;
+    for (const VipNode& n : nodes_) {
+      doors.insert(doors.end(), n.access_doors.begin(), n.access_doors.end());
+    }
+    std::sort(doors.begin(), doors.end());
+    doors.erase(std::unique(doors.begin(), doors.end()), doors.end());
+    targets.reserve(doors.size());
+    for (DoorId t : doors) {
+      targets.push_back({LeafOf(venue_->door(t).partition_a), t});
+    }
+    std::sort(targets.begin(), targets.end(),
+              [](const Target& a, const Target& b) {
+                return a.leaf != b.leaf ? a.leaf < b.leaf : a.door < b.door;
+              });
+  }
+  std::vector<std::int32_t> slot_of_door(num_doors, -1);
+  std::vector<std::size_t> group_begin;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    slot_of_door[static_cast<std::size_t>(targets[i].door)] =
+        static_cast<std::int32_t>(i);
+    if (i == 0 || targets[i].leaf != targets[i - 1].leaf) {
+      group_begin.push_back(i);
+    }
+  }
+  group_begin.push_back(targets.size());
+
+  // Per target t homed in leaf lb, its distances to AD(c) for every c from
+  // lb up to a child of the root: AncestorAccessDistances(t, lb, c), the b
+  // operand of every composed term toward t. b_level[b_first[i] + k] is the
+  // offset in b_flat of level k = depth(lb) - depth(c).
+  std::vector<double> b_flat;
+  std::vector<std::size_t> b_level;
+  std::vector<std::size_t> b_first(targets.size());
+  {
+    std::vector<double> scratch;
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      b_first[i] = b_level.size();
+      for (NodeId c = targets[i].leaf; node(c).parent != kInvalidNode;
+           c = node(c).parent) {
+        const std::span<const double> row =
+            AncestorAccessDistances(targets[i].door, targets[i].leaf, c,
+                                    &scratch);
+        b_level.push_back(b_flat.size());
+        b_flat.insert(b_flat.end(), row.begin(), row.end());
+      }
+    }
+  }
+
+  // door_min[d * N + n]: min over AD(n) of door d's terms (0 when d is an
+  // access door of n). Each door writes its own row.
+  std::vector<double> door_min(num_doors * num_nodes);
+  ThreadPool pool(BuildThreads());
+  pool.ParallelFor(num_doors, [&](std::size_t d) {
+    // One LCA child pair (ca, cb) of d1's home leaf and the row u composed
+    // through it: |AD(cb)| = width values at `offset` in u_flat.
+    struct ChildPair {
+      NodeId ca;
+      NodeId cb;
+      std::size_t offset;
+      std::size_t width;
+    };
+    // Per-thread buffers, bound once: each access of a thread_local
+    // checks its initialization.
+    static thread_local std::vector<ChildPair> pairs_buffer;
+    static thread_local std::vector<double> u_buffer;
+    static thread_local std::vector<double> terms_buffer;
+    static thread_local std::vector<char> direct_buffer;
+    static thread_local std::vector<double> scratch_buffer;
+    std::vector<ChildPair>& pairs = pairs_buffer;
+    std::vector<double>& u_flat = u_buffer;
+    std::vector<double>& terms = terms_buffer;
+    std::vector<char>& direct = direct_buffer;
+    std::vector<double>& scratch = scratch_buffer;
+    pairs.clear();
+    u_flat.clear();
+    terms.resize(targets.size());
+    direct.assign(targets.size(), 0);
+
+    const DoorId d1 = static_cast<DoorId>(d);
+    NodeId leaves[2];
+    int count = 0;
+    LeavesOfDoor(*this, venue_->door(d1), leaves, &count);
+    // Shared-leaf fast path: a target in one of d1's leaves takes the
+    // direct matrix cell, as DoorToDoor reads it (the first such leaf).
+    for (int i = 0; i < count; ++i) {
+      const DoorMatrixView& m = node(leaves[i]).matrix;
+      const int row = m.RowIndex(d1);
+      if (row < 0) continue;
+      const std::span<const DoorId> cols = m.cols();
+      for (std::size_t c = 0; c < cols.size(); ++c) {
+        const std::int32_t j = slot_of_door[static_cast<std::size_t>(cols[c])];
+        if (j < 0 || direct[static_cast<std::size_t>(j)]) continue;
+        direct[static_cast<std::size_t>(j)] = 1;
+        terms[static_cast<std::size_t>(j)] = m.At(row, static_cast<int>(c));
+      }
+    }
+    const NodeId la = leaves[0];
+    for (std::size_t g = 0; g + 1 < group_begin.size(); ++g) {
+      const NodeId lb = targets[group_begin[g]].leaf;
+      // The group's pair and b-row level, walked on first use.
+      const ChildPair* pair = nullptr;
+      std::size_t level = 0;
+      for (std::size_t j = group_begin[g]; j < group_begin[g + 1]; ++j) {
+        if (direct[j]) continue;
+        if (pair == nullptr) {
+          NodeId ca = kInvalidNode;
+          NodeId cb = kInvalidNode;
+          LcaChildren(*this, la, lb, &ca, &cb);
+          auto it = std::find_if(pairs.begin(), pairs.end(),
+                                 [&](const ChildPair& c) {
+                                   return c.ca == ca && c.cb == cb;
+                                 });
+          if (it == pairs.end()) {
+            const VipNode& lca = node(node(ca).parent);
+            const std::span<const std::int32_t> rows =
+                lca.child_access_idx(ChildPosition(lca, ca));
+            const std::span<const std::int32_t> cols =
+                lca.child_access_idx(ChildPosition(lca, cb));
+            const std::span<const double> dist_a =
+                AncestorAccessDistances(d1, la, ca, &scratch);
+            const std::size_t offset = u_flat.size();
+            u_flat.resize(offset + cols.size());
+            kernels::MinPlusCompose(dist_a.data(), rows.data(), rows.size(),
+                                    cols.data(), cols.size(),
+                                    lca.matrix.dist_data(),
+                                    lca.matrix.num_cols(),
+                                    u_flat.data() + offset);
+            pairs.push_back({ca, cb, offset, cols.size()});
+            it = pairs.end() - 1;
+          }
+          pair = &*it;
+          level = static_cast<std::size_t>(node(lb).depth - node(cb).depth);
+        }
+        terms[j] = kernels::MinPlusPairwise(
+            u_flat.data() + pair->offset,
+            b_flat.data() + b_level[b_first[j] + level], pair->width);
+      }
+    }
+
+    double* out = door_min.data() + d * num_nodes;
+    for (std::size_t n = 0; n < num_nodes; ++n) {
+      double best = kInfDistance;
+      for (DoorId t : nodes_[n].access_doors) {
+        if (t == d1) {
+          best = 0.0;
+          break;
+        }
+        const std::int32_t j = slot_of_door[static_cast<std::size_t>(t)];
+        const double cand = terms[static_cast<std::size_t>(j)];
+        if (cand < best) best = cand;
+      }
+      out[n] = best;
+    }
+  });
+
+  std::vector<double> table(num_partitions * num_nodes);
+  pool.ParallelFor(num_partitions, [&](std::size_t p) {
+    double* row = table.data() + p * num_nodes;
+    std::fill(row, row + num_nodes, kInfDistance);
+    for (DoorId d : venue_->partition(static_cast<PartitionId>(p)).doors) {
+      const double* mins =
+          door_min.data() + static_cast<std::size_t>(d) * num_nodes;
+      for (std::size_t n = 0; n < num_nodes; ++n) {
+        if (mins[n] < row[n]) row[n] = mins[n];
+      }
+    }
+    for (NodeId c = LeafOf(static_cast<PartitionId>(p)); c != kInvalidNode;
+         c = node(c).parent) {
+      row[static_cast<std::size_t>(c)] = 0.0;
+    }
+  });
+  return table;
 }
 
 double VipTree::PointToNode(const Point& a, PartitionId pa, NodeId n) const {

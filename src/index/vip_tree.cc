@@ -150,10 +150,12 @@ VipTree::VipTree(VipTree&& other) noexcept
       height_(other.height_),
       door_cache_(std::move(other.door_cache_)),
       memo_keys_(other.memo_keys_),
+      partition_to_node_(other.partition_to_node_),
       mapping_(std::move(other.mapping_)) {
   // Spans and matrix views in nodes_ point into the arenas' heap blocks,
   // which the vector moves transfer verbatim — no rewiring needed.
   other.venue_ = nullptr;
+  other.partition_to_node_ = nullptr;
 }
 
 VipTree& VipTree::operator=(VipTree&& other) noexcept {
@@ -173,8 +175,14 @@ VipTree& VipTree::operator=(VipTree&& other) noexcept {
   height_ = tmp.height_;
   door_cache_ = std::move(tmp.door_cache_);
   memo_keys_ = tmp.memo_keys_;
+  partition_to_node_ = tmp.partition_to_node_;
   mapping_ = std::move(tmp.mapping_);
   return *this;
+}
+
+int VipTree::BuildThreads() const {
+  return options_.build_threads <= 0 ? ThreadPool::DefaultThreads()
+                                     : options_.build_threads;
 }
 
 void VipTree::ClearDistanceCache() const {
@@ -348,17 +356,28 @@ Result<VipTree> VipTree::Build(const Venue* venue, VipTreeOptions options) {
   // Door d's Dijkstra run fills exactly the matrix rows indexed by door d,
   // so distinct doors write disjoint arena cells and the sweep parallelizes
   // without synchronization; the built index is bit-identical for any
-  // thread count. Each worker leases a reusable Dijkstra workspace so the
+  // thread count. Each run stops once every column of those rows is
+  // settled: settled labels and first hops are final, so the cells equal a
+  // full run's. Each worker leases a reusable Dijkstra workspace so the
   // sweep is allocation-free after warmup.
-  const int build_threads = options.build_threads <= 0
-                                ? ThreadPool::DefaultThreads()
-                                : options.build_threads;
+  const int build_threads = tree.BuildThreads();
   WorkspacePool<DijkstraWorkspace> workspaces;
   const auto fill_rows_for_door = [&](std::size_t d) {
     const DoorId door = static_cast<DoorId>(d);
     WorkspacePool<DijkstraWorkspace>::Lease ws = workspaces.Acquire();
+    static thread_local std::vector<DoorId> columns;
+    columns.clear();
+    for (NodeId nid : matrix_rows[d]) {
+      const VipNode& n = tree.nodes_[static_cast<std::size_t>(nid)];
+      columns.insert(columns.end(), n.doors.begin(), n.doors.end());
+      if (n.is_leaf()) {
+        for (const DoorMatrixView& anc : n.ancestor_matrices) {
+          columns.insert(columns.end(), anc.cols().begin(), anc.cols().end());
+        }
+      }
+    }
     const ShortestPaths& paths =
-        SingleSourceShortestPaths(graph, door, ws.get());
+        ShortestPathsToTargets(graph, door, columns, ws.get());
     for (NodeId nid : matrix_rows[d]) {
       const VipNode& n = tree.nodes_[static_cast<std::size_t>(nid)];
       tree.FillMatrixRow(n.matrix, door, paths);

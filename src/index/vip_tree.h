@@ -33,11 +33,13 @@ struct VipTreeOptions {
   bool build_leaf_to_ancestor = true;
   /// Worker threads for the matrix-building Dijkstra sweep (one global run
   /// per door; each door writes its own disjoint matrix rows, so the built
-  /// index is bit-identical for any thread count). <= 0 uses all hardware
+  /// index is bit-identical for any thread count) and for the iMinD(p, n)
+  /// table SaveV3ToFile composes (likewise one row per door). <= 0 uses all hardware
   /// threads; 1 keeps the build single-threaded.
   int build_threads = 0;
   /// Memoize DoorToDoor results and the partition-level distances
-  /// (PartitionToNode, PartitionToPartition, DoorToPartition) in a hash
+  /// (PartitionToNode on heap-built trees, which mapped trees read from
+  /// their image instead; PartitionToPartition; DoorToPartition) in a hash
   /// table owned by the index (the door-graph distances are static, so the
   /// cache is conceptually part of the materialized index, like Yang et
   /// al.'s door-to-door hash table). Sized from the venue; a venue whose
@@ -238,11 +240,13 @@ class VipTree final : public DistanceOracle {
   double PartitionToPartition(PartitionId p, PartitionId q) const override;
 
   /// Paper iMinD(p, I) with I a tree node: 0 when the node contains p, else
-  /// min over doors(p) x access_doors(n) of DoorToDoor, bit for bit, batched
-  /// as above.
+  /// min over doors(p) x access_doors(n) of DoorToDoor, bit for bit. A
+  /// mapped tree reads it from the image's P x N table in one cell read;
+  /// a heap-built tree batches it as above.
   ///
   /// With the door cache enabled, each of these three is memoized under its
-  /// own kind of key (DistanceMemoKeySpace).
+  /// own kind of key (DistanceMemoKeySpace) wherever it is composed, so
+  /// PartitionToNode uses the memo on heap-built trees only.
   double PartitionToNode(PartitionId p, NodeId n) const override;
 
   /// Lower bound used by top-down NN: distance from a concrete point to the
@@ -256,17 +260,21 @@ class VipTree final : public DistanceOracle {
   // ---- Serialization (vip_tree_io_v3.cc) ---------------------------------
 
   /// Writes the complete index in the binary snapshot format v3
-  /// (page-aligned, checksummed, directly mappable; see vip_tree_io_v3.h).
-  /// Deterministic and backing-agnostic: heap-built and mapped trees of the
-  /// same index serialize byte-identically.
+  /// (page-aligned, checksummed, directly mappable; see vip_tree_io_v3.h),
+  /// including the iMinD(p, n) table, which a heap-built tree composes here
+  /// on its build threads. Deterministic and backing-agnostic: heap-built
+  /// and mapped trees of the same index serialize byte-identically, for
+  /// any thread count.
   Status SaveV3ToFile(const std::string& path) const;
 
   /// Maps a format-v3 snapshot: validates magic/version/checksums/venue,
   /// adopts the payload sections as read-only mapped arenas, and replays
   /// the layout pass as a descriptor fixup that re-derives and verifies
-  /// every span. All corruption modes (short map, bad magic, checksum
-  /// mismatch, truncated descriptor table, payload/structure disagreement)
-  /// surface as proper Status errors.
+  /// every span; PartitionToNode then reads the mapped iMinD(p, n) table.
+  /// All corruption modes (short map, bad magic, checksum mismatch,
+  /// truncated descriptor table, payload/structure disagreement, a table of
+  /// the wrong shape or with NaN or negative cells) surface as proper
+  /// Status errors.
   static Result<VipTree> LoadV3FromFile(const Venue* venue,
                                         const std::string& path);
 
@@ -329,6 +337,10 @@ class VipTree final : public DistanceOracle {
       const Venue& venue, const VipTreeStructure& structure, NodeId id,
       const std::function<bool(NodeId, PartitionId)>& contains);
 
+  /// Worker threads of the matrix build and of the iMinD(p, n) table fill:
+  /// options_.build_threads, or all hardware threads when <= 0.
+  int BuildThreads() const;
+
   /// Fills matrix row `row` of `view` (which must alias this tree's arenas)
   /// from a completed single-source run.
   void FillMatrixRow(const DoorMatrixView& view, DoorId row,
@@ -350,6 +362,12 @@ class VipTree final : public DistanceOracle {
   /// PartitionToNode, PartitionToPartition and DoorToPartition.
   double ComposeDoorSets(std::span<const DoorId> home_doors,
                          std::span<const DoorId> targets) const;
+
+  /// The P x N iMinD(p, n) table the v3 image persists, row-major: 0 where
+  /// node n contains partition p, else ComposeDoorSets(doors(p), AD(n)) bit
+  /// for bit. Composed door by door over every access door of every node,
+  /// on BuildThreads() workers (DESIGN §7.3).
+  std::vector<double> ComposePartitionToNodeTable() const;
 
   /// ComposeDoorSets behind the memo entry (kind, from, to) when the memo
   /// is on.
@@ -383,6 +401,10 @@ class VipTree final : public DistanceOracle {
   /// change a bit. Held behind a pointer so the tree stays movable.
   mutable std::unique_ptr<ConcurrentDoorCache> door_cache_;
   DistanceMemoKeySpace memo_keys_{0, 0, 0};
+  /// Mapped trees: the image's iMinD(p, n) table (num_partitions x
+  /// num_nodes doubles, row-major) that serves PartitionToNode; null for
+  /// heap-built trees.
+  const double* partition_to_node_ = nullptr;
   /// Keeps the v3 snapshot mapping alive while arenas view it; null for
   /// heap-backed trees. Shared so future readers of the same file could
   /// share one mapping.

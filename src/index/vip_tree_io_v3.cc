@@ -13,11 +13,12 @@
 #include "src/index/vip_tree.h"
 
 // Format v3: the mappable binary snapshot (layout documented in
-// vip_tree_io_v3.h). Saving streams the arenas out verbatim; loading is an
-// mmap plus a descriptor fixup pass — InitFromStructure replayed over
-// mapped arenas, which validates the computed layout against the section
-// sizes and the derived id tables against the mapped bytes, so every
-// corruption mode surfaces as a proper Status.
+// vip_tree_io_v3.h). Saving streams the arenas out verbatim, then the
+// iMinD(p, n) table (composed for a heap-built tree, copied from a mapped
+// one); loading is an mmap plus a descriptor fixup pass — InitFromStructure
+// replayed over mapped arenas, which validates the computed layout against
+// the section sizes and the derived id tables against the mapped bytes, so
+// every corruption mode surfaces as a proper Status.
 
 namespace ifls {
 
@@ -92,7 +93,19 @@ Status VipTree::SaveV3ToFile(const std::string& path) const {
   h.dist_count = dist_.size();
   h.hops_offset = V3AlignUp(h.dist_offset + h.dist_count * sizeof(double));
   h.hops_count = hops_.size();
-  h.file_bytes = h.hops_offset + h.hops_count * sizeof(DoorId);
+  h.partition_node_offset =
+      V3AlignUp(h.hops_offset + h.hops_count * sizeof(DoorId));
+  h.partition_node_rows = venue_->num_partitions();
+  h.partition_node_cols = nodes_.size();
+  const std::uint64_t table_bytes =
+      h.partition_node_rows * h.partition_node_cols * sizeof(double);
+  h.file_bytes = h.partition_node_offset + table_bytes;
+  std::vector<double> composed;
+  const double* table = partition_to_node_;
+  if (table == nullptr) {
+    composed = ComposePartitionToNodeTable();
+    table = composed.data();
+  }
 
   h.structure_checksum =
       Fnv1a64(records.data(), static_cast<std::size_t>(h.structure_bytes));
@@ -100,6 +113,8 @@ Status VipTree::SaveV3ToFile(const std::string& path) const {
   payload = Fnv1a64Continue(payload, dist_.data(), dist_.size() * sizeof(double));
   payload = Fnv1a64Continue(payload, hops_.data(), hops_.size() * sizeof(DoorId));
   h.payload_checksum = payload;
+  h.partition_node_checksum =
+      Fnv1a64(table, static_cast<std::size_t>(table_bytes));
   h.header_checksum = 0;
   h.header_checksum = Fnv1a64(&h, sizeof(h));
 
@@ -123,6 +138,10 @@ Status VipTree::SaveV3ToFile(const std::string& path) const {
              h.hops_offset - (h.dist_offset + h.dist_count * sizeof(double)));
   os.write(reinterpret_cast<const char*>(hops_.data()),
            static_cast<std::streamsize>(h.hops_count * sizeof(DoorId)));
+  WriteZeros(os, h.partition_node_offset -
+                     (h.hops_offset + h.hops_count * sizeof(DoorId)));
+  os.write(reinterpret_cast<const char*>(table),
+           static_cast<std::streamsize>(table_bytes));
   if (!os.good()) {
     return Status::IOError("failed writing v3 snapshot '" + path + "'");
   }
@@ -225,6 +244,42 @@ Result<VipTree> VipTree::LoadV3FromFile(const Venue* venue,
         "section");
   }
 
+  // ---- iMinD(p, n) table: one row per partition, one column per node.
+  if (h.partition_node_rows != h.num_partitions ||
+      h.partition_node_cols != h.num_nodes) {
+    return Status::InvalidArgument(
+        "v3 snapshot partition-to-node table is " +
+        std::to_string(h.partition_node_rows) + " x " +
+        std::to_string(h.partition_node_cols) + ", expected " +
+        std::to_string(h.num_partitions) + " x " +
+        std::to_string(h.num_nodes));
+  }
+  // A table with more cells than the file has bytes is truncated; bounding
+  // the rows first keeps the cell count from wrapping.
+  const std::uint64_t table_cells =
+      h.partition_node_cols != 0 &&
+              h.partition_node_rows > h.file_bytes / h.partition_node_cols
+          ? h.file_bytes + 1
+          : h.partition_node_rows * h.partition_node_cols;
+  IFLS_RETURN_NOT_OK(CheckSection("partition-to-node",
+                                  h.partition_node_offset, table_cells,
+                                  sizeof(double), h.file_bytes));
+  const auto* table = mapping->ViewAt<double>(h.partition_node_offset);
+  const auto table_count = static_cast<std::size_t>(table_cells);
+  if (Fnv1a64(table, table_count * sizeof(double)) !=
+      h.partition_node_checksum) {
+    return Status::InvalidArgument(
+        "v3 snapshot partition-to-node table checksum mismatch");
+  }
+  // PartitionToNode serves these cells as lower bounds without a further
+  // check: a NaN would compare false everywhere, and a negative one would
+  // break the bound.
+  if (!std::all_of(table, table + table_count,
+                   [](double x) { return x >= 0.0; })) {
+    return Status::InvalidArgument(
+        "v3 snapshot partition-to-node table holds a NaN or negative cell");
+  }
+
   // ---- Rebuild the transient structure by slicing the mapped ids arena
   // with the record counts; the derived index maps are skipped here and
   // re-derived + verified by the fixup pass below.
@@ -316,6 +371,7 @@ Result<VipTree> VipTree::LoadV3FromFile(const Venue* venue,
           "v3 snapshot door sets do not match the venue");
     }
   }
+  tree.partition_to_node_ = table;
   tree.mapping_ = std::move(mapping);
   return tree;
 }

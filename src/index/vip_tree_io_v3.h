@@ -10,16 +10,26 @@ namespace ifls {
 
 // On-disk layout of the IFLS VIP-tree snapshot format v3 (binary,
 // little-endian, page-aligned, checksummed), the index's only persisted
-// form. A v3 file is *directly mappable*: the three arena sections are the
-// bytes the in-memory index reads at query time, so loading is mmap + a
-// descriptor fixup pass over the (small) node-record table — never a parse
-// or a copy of the bulk payload.
+// form. A v3 file is *directly mappable*: the three arena sections and the
+// iMinD(p, n) table are the bytes the in-memory index reads at query time,
+// so loading is mmap + a descriptor fixup pass over the (small) node-record
+// table — never a parse or a copy of the bulk payload.
 //
 //   [ V3Header, zero-padded to kV3SectionAlignment ]
 //   [ num_nodes x V3NodeRecord  (the descriptor table) ]  -> checksummed
 //   [ pad ] [ ids section:  ids_count  x int32  ]  -+
 //   [ pad ] [ dist section: dist_count x double ]   +- checksummed together
 //   [ pad ] [ hops section: hops_count x int32  ]  -+
+//   [ pad ] [ partition-to-node table:              -> checksummed
+//             num_partitions x num_nodes double, row-major ]
+//
+// The table holds the paper's iMinD(p, n) for every partition p and tree
+// node n: 0 where n contains p, else the min over doors(p) x AD(n) of the
+// door-to-door distance, bit-identical to what a heap-built tree composes.
+// A mapped tree answers PartitionToNode with one cell read of it. The
+// loader checks its shape against the header's partition and node counts
+// and rejects NaN or negative cells. Version 4 added the table; older
+// images are rejected by the version check and must be rewritten.
 //
 // Every section offset is kV3SectionAlignment-aligned, so any mmap base
 // (page-aligned by definition) yields naturally aligned int32/double views.
@@ -32,7 +42,7 @@ namespace ifls {
 // tampered with.
 
 inline constexpr char kV3Magic[8] = {'I', 'F', 'L', 'S', 'S', 'N', 'P', '3'};
-inline constexpr std::uint32_t kV3Version = 3;
+inline constexpr std::uint32_t kV3Version = 4;
 /// Section alignment; one x86/arm64 page, so mapped sections start on page
 /// boundaries and the header occupies exactly one page.
 inline constexpr std::size_t kV3SectionAlignment = 4096;
@@ -73,12 +83,19 @@ struct V3Header {
   std::uint64_t dist_count = 0;
   std::uint64_t hops_offset = 0;
   std::uint64_t hops_count = 0;
+  /// iMinD(p, n) table: byte offset and shape (rows = num_partitions,
+  /// cols = num_nodes).
+  std::uint64_t partition_node_offset = 0;
+  std::uint64_t partition_node_rows = 0;
+  std::uint64_t partition_node_cols = 0;
 
   /// FNV-1a 64 over the descriptor table bytes.
   std::uint64_t structure_checksum = 0;
   /// FNV-1a 64 over the ids, dist and hops section bytes, in that order
   /// (padding between sections excluded).
   std::uint64_t payload_checksum = 0;
+  /// FNV-1a 64 over the iMinD(p, n) table bytes.
+  std::uint64_t partition_node_checksum = 0;
   /// FNV-1a 64 over this struct's bytes with this field zeroed.
   std::uint64_t header_checksum = 0;
 };

@@ -200,14 +200,15 @@ TEST_F(V3CorruptionTest, UnsupportedVersionRejected) {
   std::memcpy(&h, bytes.data(), sizeof(h));
   // A future version with a valid header checksum: the version check itself
   // (not the checksum) must refuse it.
-  h.version = 4;
+  h.version = kV3Version + 1;
   h.header_checksum = 0;
   h.header_checksum = Fnv1a64(&h, sizeof(h));
   std::memcpy(bytes.data(), &h, sizeof(h));
   WriteBytes(bytes);
   const Status s = Load();
   ASSERT_TRUE(s.IsInvalidArgument()) << s.ToString();
-  EXPECT_NE(s.message().find("unsupported v3 snapshot version 4"),
+  EXPECT_NE(s.message().find("unsupported v3 snapshot version " +
+                            std::to_string(kV3Version + 1)),
             std::string::npos);
 }
 

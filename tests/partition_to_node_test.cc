@@ -52,6 +52,9 @@ struct Family {
   std::function<std::size_t(const VipTree&)> num_to;
   std::function<double(const VipTree&, std::int32_t, std::int32_t)> batched;
   std::function<double(const VipTree&, std::int32_t, std::int32_t)> reference;
+  /// Served from the v3 image's table on mapped trees, so never memoized
+  /// there.
+  bool mapped_table = false;
 };
 
 Family PartitionToNodeFamily() {
@@ -65,7 +68,8 @@ Family PartitionToNodeFamily() {
             if (t.NodeContainsPartition(n, p)) return 0.0;
             return PerPairMinimum(t, t.venue().partition(p).doors,
                                   t.node(n).access_doors);
-          }};
+          },
+          /*mapped_table=*/true};
 }
 
 Family PartitionToPartitionFamily() {
@@ -150,6 +154,7 @@ class PartitionToNodeTest : public ::testing::TestWithParam<VenueCase> {
   /// Checks every (from, to) pair of `family` on `tree` under the active
   /// kernel tier: the batched distance equals the reference, and (cache on)
   /// the memoized second call equals the first and is served by the memo.
+  /// A family a mapped tree reads from its table must not touch the memo.
   void CheckAllPairs(const Family& family, const VipTree& tree,
                      const std::string& what) {
     const std::size_t num_from = family.num_from(tree);
@@ -191,7 +196,9 @@ class PartitionToNodeTest : public ::testing::TestWithParam<VenueCase> {
         }
       }
     }
-    if (tree.options().enable_door_distance_cache) {
+    if (family.mapped_table && tree.is_mapped()) {
+      EXPECT_EQ(counters.cache_hits + counters.cache_misses, 0u) << what;
+    } else if (tree.options().enable_door_distance_cache) {
       EXPECT_GT(counters.cache_hits, 0u) << what;
     } else {
       EXPECT_EQ(counters.cache_hits + counters.cache_misses, 0u) << what;

@@ -4,16 +4,18 @@
 // one venue, each iteration applies a few mutations — bit flips, boundary
 // values (0, 1, -1, INT32_MAX, UINT64_MAX) written into header, node-record
 // and ids-section fields, and truncation or extension of the file — and
-// loads the result. The invariant:
+// loads the result. Boundary values also land in cells of the iMinD(p, n)
+// table, together with NaN and -1.0. The invariant:
 //
 //   * the load returns OK or a typed InvalidArgument/IOError, never a crash,
 //     an abort or a hang (run it under -DIFLS_SANITIZE=address, which also
 //     enables UBSan, to make memory errors fatal);
-//   * an accepted tree answers LeafOf for every partition and DoorToDoor for
-//     sampled door pairs. Distance values in a fuzzed payload are
-//     attacker-chosen, so no solver runs on them and no value is checked.
+//   * an accepted tree answers LeafOf for every partition, DoorToDoor for
+//     sampled door pairs and PartitionToNode for sampled (partition, node)
+//     pairs. Distance values in a fuzzed payload are attacker-chosen, so no
+//     solver runs on them and no value is checked beyond the table's sign.
 //
-// Half of the iterations re-seal the structure, payload and header
+// Half of the iterations re-seal the structure, payload, table and header
 // checksums after mutating; otherwise the checksums reject almost every
 // mutation and the structural checks behind them never run.
 //
@@ -80,6 +82,9 @@ constexpr Field kHeaderFields[] = {
     {offsetof(V3Header, dist_count), 8},
     {offsetof(V3Header, hops_offset), 8},
     {offsetof(V3Header, hops_count), 8},
+    {offsetof(V3Header, partition_node_offset), 8},
+    {offsetof(V3Header, partition_node_rows), 8},
+    {offsetof(V3Header, partition_node_cols), 8},
 };
 
 constexpr Field kRecordFields[] = {
@@ -129,12 +134,30 @@ void WriteBoundaryValue(std::string* bytes, const V3Header& original,
                         Rng* rng) {
   const std::uint64_t value =
       kBoundaryValues[rng->NextBounded(std::size(kBoundaryValues))];
-  switch (rng->NextBounded(3)) {
+  switch (rng->NextBounded(4)) {
     case 0:
       WriteField(bytes,
                  kHeaderFields[rng->NextBounded(std::size(kHeaderFields))],
                  value);
       break;
+    case 3: {
+      // One cell of the iMinD(p, n) table: a boundary bit pattern, NaN or
+      // a negative distance.
+      const Field f{static_cast<std::size_t>(
+                        original.partition_node_offset +
+                        rng->NextBounded(original.partition_node_rows *
+                                         original.partition_node_cols) *
+                            sizeof(double)),
+                    sizeof(double)};
+      const double special[] = {std::numeric_limits<double>::quiet_NaN(),
+                                -1.0};
+      std::uint64_t bits = value;
+      if (rng->NextBounded(2) == 0) {
+        std::memcpy(&bits, &special[rng->NextBounded(2)], sizeof(bits));
+      }
+      WriteField(bytes, f, bits);
+      break;
+    }
     case 1: {
       Field f = kRecordFields[rng->NextBounded(std::size(kRecordFields))];
       f.offset += original.structure_offset +
@@ -192,6 +215,16 @@ void Reseal(std::string* bytes, bool fix_file_bytes) {
         payload, bytes->data() + h.hops_offset,
         static_cast<std::size_t>(h.hops_count) * sizeof(DoorId));
     h.payload_checksum = payload;
+  }
+  if (h.partition_node_cols != 0 &&
+      h.partition_node_rows <= bytes->size() / h.partition_node_cols &&
+      InImage(*bytes, h.partition_node_offset,
+              h.partition_node_rows * h.partition_node_cols, sizeof(double))) {
+    h.partition_node_checksum =
+        Fnv1a64(bytes->data() + h.partition_node_offset,
+                static_cast<std::size_t>(h.partition_node_rows *
+                                         h.partition_node_cols) *
+                    sizeof(double));
   }
   h.header_checksum = 0;
   h.header_checksum = Fnv1a64(&h, sizeof(h));
@@ -268,6 +301,10 @@ TEST(V3SnapshotFuzzTest, MutatedImagesLoadOrFailTyped) {
       const auto a = static_cast<DoorId>(rng.NextBounded(venue.num_doors()));
       const auto b = static_cast<DoorId>(rng.NextBounded(venue.num_doors()));
       static_cast<void>(tree.DoorToDoor(a, b));
+      const auto p =
+          static_cast<PartitionId>(rng.NextBounded(venue.num_partitions()));
+      const auto n = static_cast<NodeId>(rng.NextBounded(tree.num_nodes()));
+      ASSERT_GE(tree.PartitionToNode(p, n), 0.0);
     }
   }
   std::remove(path.c_str());

@@ -12,11 +12,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "src/core/solve_dispatch.h"
 #include "src/datasets/facility_selector.h"
+#include "src/datasets/presets.h"
 #include "src/index/graph_oracle.h"
 #include "src/index/vip_tree.h"
 #include "src/index/vip_tree_io_v3.h"
@@ -107,7 +110,10 @@ TEST(VipTreeIoV3Test, RoundTripPreservesStructureAndPayload) {
 
 /// The acceptance bar of the mmap refactor: on every objective, a query
 /// against file-backed arenas returns the bit-identical answer, objective
-/// and work counters as the heap-built tree.
+/// and distance computations as the heap-built tree. It reads matrix cells
+/// only where the heap tree reads them too, except that each iMinD(p, n)
+/// bound is one read of the image's table instead of a composition, so it
+/// reads fewer.
 TEST(VipTreeIoV3Test, MappedAnswersBitIdenticalAcrossObjectives) {
   Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
   VipTree built = Unwrap(VipTree::Build(&venue));
@@ -136,22 +142,123 @@ TEST(VipTreeIoV3Test, MappedAnswersBitIdenticalAcrossObjectives) {
     EXPECT_EQ(heap.objective, mapped_result.objective);  // bit-identical
     EXPECT_EQ(heap.stats.distance_computations,
               mapped_result.stats.distance_computations);
-    EXPECT_EQ(heap.stats.matrix_lookups, mapped_result.stats.matrix_lookups);
+    EXPECT_LT(mapped_result.stats.matrix_lookups, heap.stats.matrix_lookups);
   }
 }
 
+/// The image is deterministic: the iMinD(p, n) table is composed on the
+/// build threads, and the bytes must not depend on their number, for VIP
+/// and IP trees; a mapped tree re-saves the same bytes, its table verbatim.
 TEST(VipTreeIoV3Test, V3SaveIsByteStable) {
-  Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
-  VipTree built = Unwrap(VipTree::Build(&venue));
-  const std::string first = SaveV3ToTempFile(built, "stable_first");
-  VipTree mapped = Unwrap(VipTree::LoadV3FromFile(&venue, first));
-  const std::string second = SaveV3ToTempFile(mapped, "stable_second");
+  std::vector<Venue> venues;
+  venues.push_back(Unwrap(GenerateVenue(SmallVenueSpec())));
+  venues.push_back(Unwrap(BuildPresetVenue(VenuePreset::kMelbourneCentral)));
+  for (std::size_t v = 0; v < venues.size(); ++v) {
+    for (const bool vip : {true, false}) {
+      const std::string stem =
+          "stable_" + std::to_string(v) + (vip ? "_vip" : "_ip");
+      std::vector<std::string> images;
+      for (const int threads : {1, 4}) {
+        VipTreeOptions options;
+        options.build_leaf_to_ancestor = vip;
+        options.build_threads = threads;
+        const VipTree built = Unwrap(VipTree::Build(&venues[v], options));
+        images.push_back(ReadFileBytes(
+            SaveV3ToTempFile(built, stem + "_" + std::to_string(threads))));
+      }
+      EXPECT_EQ(images[0], images[1]) << stem;
+      const VipTree mapped = Unwrap(VipTree::LoadV3FromFile(
+          &venues[v], ::testing::TempDir() + "/" + stem + "_4.v3.ifls"));
+      EXPECT_EQ(ReadFileBytes(SaveV3ToTempFile(mapped, stem + "_resaved")),
+                images[0])
+          << stem;
+    }
+  }
+}
 
-  std::ifstream a(first, std::ios::binary);
-  std::ifstream b(second, std::ios::binary);
-  const std::string bytes_a(std::istreambuf_iterator<char>(a), {});
-  const std::string bytes_b(std::istreambuf_iterator<char>(b), {});
-  EXPECT_EQ(bytes_a, bytes_b);
+/// Every defect of the iMinD(p, n) table is a typed load error, also when
+/// the forger re-seals the checksums: a shape other than P x N, a
+/// misaligned or out-of-bounds section, a NaN or negative cell, and (not
+/// re-sealed) a flipped cell.
+TEST(VipTreeIoV3Test, PartitionToNodeTableDefectsAreTyped) {
+  Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
+  const VipTree built = Unwrap(VipTree::Build(&venue));
+  const std::string path = SaveV3ToTempFile(built, "table_defects");
+  const std::string image = ReadFileBytes(path);
+  V3Header original;
+  std::memcpy(&original, image.data(), sizeof(original));
+  ASSERT_EQ(original.partition_node_rows, venue.num_partitions());
+  ASSERT_EQ(original.partition_node_cols, built.num_nodes());
+  ASSERT_EQ(original.partition_node_offset % kV3SectionAlignment, 0u);
+  ASSERT_EQ(original.file_bytes,
+            original.partition_node_offset +
+                original.partition_node_rows * original.partition_node_cols *
+                    sizeof(double));
+  // A cell off the diagonal of containment: partition 0 against the leaf
+  // of the last partition, when that leaf does not contain partition 0.
+  const PartitionId last =
+      static_cast<PartitionId>(venue.num_partitions() - 1);
+  const NodeId far = built.LeafOf(last);
+  ASSERT_FALSE(built.NodeContainsPartition(far, 0));
+  const std::size_t cell = original.partition_node_offset +
+                           static_cast<std::size_t>(far) * sizeof(double);
+
+  struct Case {
+    const char* name;
+    std::function<void(V3Header*, std::string*)> mutate;
+    bool reseal_table;
+    const char* expected;
+  };
+  const auto write_cell = [cell](std::string* bytes, double value) {
+    std::memcpy(bytes->data() + cell, &value, sizeof(value));
+  };
+  const std::vector<Case> cases = {
+      {"rows", [](V3Header* h, std::string*) { h->partition_node_rows += 1; },
+       true, "partition-to-node table is"},
+      {"cols", [](V3Header* h, std::string*) { h->partition_node_cols -= 1; },
+       true, "partition-to-node table is"},
+      {"misaligned",
+       [](V3Header* h, std::string*) { h->partition_node_offset += 8; }, true,
+       "partition-to-node section is misaligned"},
+      {"out of bounds",
+       [](V3Header* h, std::string*) {
+         h->partition_node_offset += kV3SectionAlignment;
+       },
+       true, "partition-to-node section extends past the end"},
+      {"NaN cell",
+       [&](V3Header*, std::string* b) {
+         write_cell(b, std::numeric_limits<double>::quiet_NaN());
+       },
+       true, "NaN or negative cell"},
+      {"negative cell",
+       [&](V3Header*, std::string* b) { write_cell(b, -1.0); }, true,
+       "NaN or negative cell"},
+      {"flipped cell",
+       [&](V3Header*, std::string* b) { write_cell(b, 12345.0); }, false,
+       "partition-to-node table checksum mismatch"},
+  };
+  for (const Case& c : cases) {
+    std::string bytes = image;
+    V3Header h = original;
+    c.mutate(&h, &bytes);
+    if (c.reseal_table) {
+      h.partition_node_checksum = Fnv1a64(
+          bytes.data() + original.partition_node_offset,
+          static_cast<std::size_t>(original.file_bytes -
+                                   original.partition_node_offset));
+    }
+    h.header_checksum = 0;
+    h.header_checksum = Fnv1a64(&h, sizeof(h));
+    std::memcpy(bytes.data(), &h, sizeof(h));
+    const std::string mutated = ::testing::TempDir() + "/table_defect_" +
+                                std::to_string(&c - cases.data()) +
+                                ".v3.ifls";
+    WriteFileBytes(mutated, bytes);
+    const Status s = VipTree::LoadV3FromFile(&venue, mutated).status();
+    ASSERT_TRUE(s.IsInvalidArgument()) << c.name << ": " << s.ToString();
+    EXPECT_NE(s.message().find(c.expected), std::string::npos)
+        << c.name << ": " << s.ToString();
+  }
 }
 
 TEST(VipTreeIoV3Test, IpTreeVariantRoundTrips) {

@@ -6,6 +6,9 @@
 #include <set>
 #include <tuple>
 
+#include "src/datasets/presets.h"
+#include "src/graph/dijkstra.h"
+#include "src/graph/door_graph.h"
 #include "src/index/graph_oracle.h"
 #include "tests/test_util.h"
 
@@ -168,6 +171,62 @@ TEST(VipTreeBuildTest, MemoryFootprintAndToStringArePopulated) {
   EXPECT_NE(ip_tree.ToString().find("IP-tree"), std::string::npos);
   // The VIP-tree strictly dominates the IP-tree in stored matrix bytes.
   EXPECT_GT(tree.MemoryFootprintBytes(), ip_tree.MemoryFootprintBytes());
+}
+
+// The build stops each door's Dijkstra run once every column of its matrix
+// rows is settled. Those rows must equal a full single-source run's cell
+// for cell and first hop for first hop, in every matrix that has a row for
+// the door: the node matrices and, in VIP mode, the leaves' ancestor
+// matrices.
+TEST(VipTreeBuildTest, RowsEqualFullSingleSourceRuns) {
+  VenueGeneratorSpec multi = SmallVenueSpec();
+  multi.levels = 3;
+  multi.extra_room_doors_per_level = 10;
+  multi.door_jitter_seed = 7;
+  multi.stairwells = 2;
+  std::vector<Venue> venues;
+  venues.push_back(Unwrap(GenerateVenue(multi)));
+  venues.push_back(Unwrap(BuildPresetVenue(VenuePreset::kMelbourneCentral)));
+  for (const Venue& venue : venues) {
+    const DoorGraph graph(venue);
+    for (const bool vip : {true, false}) {
+      for (const int threads : {1, 4}) {
+        VipTreeOptions options;
+        options.build_leaf_to_ancestor = vip;
+        options.build_threads = threads;
+        options.leaf_capacity = 4;
+        options.internal_fanout = 3;
+        const VipTree tree = Unwrap(VipTree::Build(&venue, options));
+        int rows_checked = 0;
+        // Every third door, so each run covers a few hundred of them.
+        for (std::size_t d = 0; d < venue.num_doors(); d += 3) {
+          const DoorId door = static_cast<DoorId>(d);
+          const ShortestPaths full = SingleSourceShortestPaths(graph, door);
+          const auto check_row = [&](const DoorMatrixView& m) {
+            const int r = m.RowIndex(door);
+            if (r < 0) return;
+            ++rows_checked;
+            for (std::size_t c = 0; c < m.num_cols(); ++c) {
+              const auto col = static_cast<std::size_t>(m.cols()[c]);
+              const int ci = static_cast<int>(c);
+              ASSERT_EQ(m.At(r, ci), full.distance[col])
+                  << "door " << d << " col " << col << " vip " << vip;
+              ASSERT_EQ(m.FirstHopAt(r, ci), full.first_hop[col])
+                  << "door " << d << " col " << col << " vip " << vip;
+            }
+          };
+          for (std::size_t n = 0; n < tree.num_nodes(); ++n) {
+            const VipNode& node = tree.node(static_cast<NodeId>(n));
+            check_row(node.matrix);
+            for (const DoorMatrixView& anc : node.ancestor_matrices) {
+              check_row(anc);
+            }
+          }
+        }
+        EXPECT_GT(rows_checked, static_cast<int>(venue.num_doors() / 3));
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- Distances

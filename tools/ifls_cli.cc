@@ -53,7 +53,11 @@
 // --dir. It then opens a VenueRouter over the directory — optionally under
 // a resident-memory budget (--budget-mb / --max-resident, which force LRU
 // eviction of cold venues) — and round-robins queries across the whole
-// fleet, printing per-venue residency and router totals.
+// fleet, printing per-venue residency and router totals. Every routed
+// answer is differentially checked, bit for bit, against the same request
+// solved on a heap-built tree of that venue: the router serves the mapped
+// v3 images, whose iMinD(p, n) bounds come from the persisted table, so a
+// mismatch exits 1.
 //
 // `serve` starts the binary wire-protocol server (DESIGN.md §13) over a
 // preset-backed service on a loopback TCP port (--port 0 picks one and
@@ -791,28 +795,60 @@ int Fleet(const Args& args) {
               ropts.max_resident_venues);
 
   // Round-robin the fleet. Client sets are generated per venue (partition
-  // ids are venue-local) and reused across that venue's queries.
+  // ids are venue-local) and reused across that venue's queries. Each
+  // venue also gets a reference service over a heap-built tree of the
+  // snapshot's venue, options and facility sets, which answers every
+  // routed request a second time for the differential check.
   const IflsObjective kObjectives[] = {
       IflsObjective::kMinMax, IflsObjective::kMinDist, IflsObjective::kMaxSum};
-  std::map<std::string, std::vector<Client>> fleet_clients;
+  struct FleetVenue {
+    std::vector<Client> clients;
+    std::unique_ptr<IflsService> reference;
+  };
+  std::map<std::string, FleetVenue> fleet_venues;
   for (int q = 0; q < queries; ++q) {
     const std::string& id = ids[static_cast<std::size_t>(q) % ids.size()];
-    auto it = fleet_clients.find(id);
-    if (it == fleet_clients.end()) {
-      Result<Venue> venue =
-          LoadVenueFromFile(*dir + "/" + id + "/" + kFleetVenueFileName);
-      if (!venue.ok()) return Fail(venue.status());
+    auto it = fleet_venues.find(id);
+    if (it == fleet_venues.end()) {
+      Result<LoadedVenueSnapshot> snapshot =
+          LoadVenueSnapshot(*dir + "/" + id, SnapshotLoadMode::kMmap);
+      if (!snapshot.ok()) return Fail(snapshot.status());
+      ServiceOptions reference_options;
+      reference_options.num_workers = 1;
+      reference_options.tree = snapshot->tree->options();
+      Result<VipTree> heap =
+          VipTree::Build(snapshot->venue.get(), reference_options.tree);
+      if (!heap.ok()) return Fail(heap.status());
+      Result<std::unique_ptr<IflsService>> reference =
+          IflsService::CreateFromParts(
+              snapshot->venue,
+              std::make_shared<const VipTree>(std::move(heap).value()),
+              snapshot->existing, snapshot->candidates, reference_options);
+      if (!reference.ok()) return Fail(reference.status());
       Rng rng(seed ^ std::hash<std::string>{}(id));
-      it = fleet_clients
-               .emplace(id, GenerateClients(*venue, clients_per_query, {},
-                                            &rng))
-               .first;
+      FleetVenue entry;
+      entry.clients =
+          GenerateClients(*snapshot->venue, clients_per_query, {}, &rng);
+      entry.reference = std::move(reference).value();
+      it = fleet_venues.emplace(id, std::move(entry)).first;
     }
     ServiceRequest request;
     request.objective = kObjectives[q % 3];
-    request.clients = it->second;
+    request.clients = it->second.clients;
+    ServiceRequest truth = request;
     const ServiceReply reply = (*router)->Query(id, std::move(request));
     if (!reply.status.ok()) return Fail(reply.status);
+    const ServiceReply expected =
+        it->second.reference->Query(std::move(truth));
+    if (!expected.status.ok()) return Fail(expected.status);
+    if (reply.result.found != expected.result.found ||
+        reply.result.answer != expected.result.answer ||
+        std::memcmp(&reply.result.objective, &expected.result.objective,
+                    sizeof(double)) != 0) {
+      return Fail(("fleet: routed answer for " + id +
+                   " differs from a heap-built tree of the venue")
+                      .c_str());
+    }
     if (reply.result.found) {
       std::printf("  %s %s: partition %d objective %.4f\n", id.c_str(),
                   IflsObjectiveName(request.objective), reply.result.answer,
@@ -822,6 +858,10 @@ int Fleet(const Args& args) {
                   IflsObjectiveName(request.objective));
     }
   }
+
+  std::printf("fleet differential ok: %d routed answers bit-identical to "
+              "heap-built trees\n",
+              queries);
 
   for (const VenueEntryStats& s : (*router)->VenueStats()) {
     std::printf("venue %s: %s, %.2f MiB resident, %.2f MiB mapped, "
