@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "src/core/brute_force.h"
 #include "src/core/efficient.h"
+#include "src/core/maxsum.h"
 #include "src/core/minmax_baseline.h"
+#include "src/core/mindist.h"
 #include "tests/test_util.h"
 
 namespace ifls {
@@ -283,6 +291,177 @@ TEST(SolverStatsTest, PruningReducesDistanceComputations) {
   const IflsResult unpruned = Unwrap(SolveEfficient(ctx, without));
   EXPECT_LE(pruned.stats.distance_computations,
             unpruned.stats.distance_computations);
+}
+
+// ------------------------------------------------------ Work-counter pins
+
+/// One pinned run: the answer, the objective's bit pattern and every
+/// solver-level work counter. `kernels` is pinned for MinMax runs only
+/// (-1 elsewhere).
+struct WorkPin {
+  const char* run;
+  std::uint64_t seed;
+  PartitionId answer;
+  std::uint64_t objective_bits;
+  std::int64_t pushes;
+  std::int64_t pops;
+  std::int64_t lower_bounds;
+  std::int64_t distances;
+  std::int64_t retrieved;
+  std::int64_t pruned;
+  std::int64_t check_list;
+  std::int64_t check_answer;
+  std::int64_t kernels;
+
+  bool operator==(const WorkPin& o) const {
+    return std::string(run) == o.run && seed == o.seed &&
+           answer == o.answer && objective_bits == o.objective_bits &&
+           pushes == o.pushes && pops == o.pops &&
+           lower_bounds == o.lower_bounds && distances == o.distances &&
+           retrieved == o.retrieved && pruned == o.pruned &&
+           check_list == o.check_list && check_answer == o.check_answer &&
+           kernels == o.kernels;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const WorkPin& p) {
+  return os << "{\"" << p.run << "\", " << p.seed << ", " << p.answer
+            << ", 0x" << std::hex << p.objective_bits << std::dec << "ull, "
+            << p.pushes << ", " << p.pops << ", " << p.lower_bounds << ", "
+            << p.distances << ", " << p.retrieved << ", " << p.pruned << ", "
+            << p.check_list << ", " << p.check_answer << ", " << p.kernels
+            << "}";
+}
+
+WorkPin MakePin(const char* run, std::uint64_t seed, PartitionId answer,
+                double objective, const QueryStats& s, bool pin_kernels) {
+  return {run,
+          seed,
+          answer,
+          std::bit_cast<std::uint64_t>(objective),
+          s.queue_pushes,
+          s.queue_pops,
+          s.lower_bound_computations,
+          s.distance_computations,
+          s.facilities_retrieved,
+          s.clients_pruned,
+          s.check_list_calls,
+          s.check_answer_calls,
+          pin_kernels ? static_cast<std::int64_t>(s.kernel_invocations) : -1};
+}
+
+/// Every pinned run of one seeded instance: MinMax with defaults, with each
+/// ablation switch flipped and with top_k = 3; each page (size 1) of a
+/// ranked stream with its cumulative stats; MinDist and MaxSum.
+std::vector<WorkPin> PinnedRuns(std::uint64_t seed, std::size_t existing,
+                                std::size_t candidates, std::size_t clients) {
+  const IflsContext ctx = RandomContext(seed, existing, candidates, clients);
+  std::vector<WorkPin> pins;
+  const auto minmax = [&](const char* run, const EfficientOptions& options) {
+    const IflsResult r = Unwrap(SolveEfficient(ctx, options));
+    pins.push_back(MakePin(run, seed, r.answer, r.objective, r.stats, true));
+  };
+  EfficientOptions options;
+  minmax("minmax", options);
+  options.group_clients = false;
+  minmax("minmax/ungrouped", options);
+  options = {};
+  options.prune_clients = false;
+  minmax("minmax/unpruned", options);
+  options = {};
+  options.skip_empty_subtrees = false;
+  minmax("minmax/no_skip", options);
+  options = {};
+  options.reuse_group_distances = false;
+  minmax("minmax/no_reuse", options);
+  options = {};
+  options.top_k = 3;
+  minmax("minmax/top3", options);
+
+  static const char* const kPages[] = {"stream/1", "stream/2", "stream/3",
+                                       "stream/4", "stream/5", "stream/6",
+                                       "stream/7", "stream/8"};
+  std::unique_ptr<RankedStream> stream = Unwrap(RankedStream::Open(ctx));
+  for (const char* page_name : kPages) {
+    if (stream->exhausted()) break;
+    const RankedStream::Page page = stream->Next(1);
+    const bool empty = page.items.empty();
+    pins.push_back(MakePin(page_name, seed,
+                           empty ? kInvalidPartition : page.items[0].first,
+                           empty ? 0.0 : page.items[0].second, stream->stats(),
+                           true));
+  }
+
+  const IflsResult mindist = Unwrap(SolveMinDist(ctx));
+  pins.push_back(MakePin("mindist", seed, mindist.answer, mindist.objective,
+                         mindist.stats, false));
+  const IflsResult maxsum = Unwrap(SolveMaxSum(ctx));
+  pins.push_back(MakePin("maxsum", seed, maxsum.answer, maxsum.objective,
+                         maxsum.stats, false));
+  return pins;
+}
+
+// The traversal's answers, objective bits and work counters per objective.
+// A refactor of the retrieval core must leave every value unchanged.
+const WorkPin kWorkPins[] = {
+    {"minmax", 901, 26, 0x403b5cb613493ee3ull, 376, 270, 340, 177, 132, 48, 268, 121, 2172},
+    {"minmax/ungrouped", 901, 26, 0x403b5cb613493ee3ull, 567, 413, 513, 213, 131, 48, 409, 121, 3272},
+    {"minmax/unpruned", 901, 26, 0x403b5cb613493ee3ull, 463, 310, 423, 206, 190, 48, 306, 121, 2640},
+    {"minmax/no_skip", 901, 26, 0x403b5cb613493ee3ull, 1080, 744, 1044, 176, 131, 48, 740, 121, 5615},
+    {"minmax/no_reuse", 901, 26, 0x403b5cb613493ee3ull, 376, 270, 340, 214, 132, 48, 268, 121, 2020},
+    {"minmax/top3", 901, 19, 0x403b5cb613493ee3ull, 379, 324, 343, 429, 147, 60, 268, 132, 2888},
+    {"stream/1", 901, 19, 0x403b5cb613493ee3ull, 376, 270, 340, 177, 132, 48, 268, 121, 2172},
+    {"stream/2", 901, 26, 0x403b5cb613493ee3ull, 376, 270, 340, 177, 132, 48, 268, 121, 2172},
+    {"stream/3", 901, 3, 0x4049fac27c642927ull, 379, 324, 343, 429, 147, 60, 268, 132, 2888},
+    {"stream/4", 901, 10, 0x4049fac27c642927ull, 379, 324, 343, 429, 147, 60, 268, 132, 2888},
+    {"stream/5", 901, 12, 0x4049fac27c642927ull, 379, 324, 343, 429, 147, 60, 268, 132, 2888},
+    {"stream/6", 901, 44, 0x4049fac27c642927ull, 379, 324, 343, 429, 147, 60, 268, 132, 2888},
+    {"mindist", 901, 19, 0x4086d2473ba62c18ull, 376, 270, 340, 81, 132, 48, 0, 271, -1},
+    {"maxsum", 901, 3, 0x402e000000000000ull, 379, 324, 343, 93, 147, 60, 0, 325, -1},
+    {"minmax", 902, -1, 0x404b43100eb78987ull, 430, 384, 391, 79, 182, 90, 384, 130, 2114},
+    {"minmax/ungrouped", 902, -1, 0x404b43100eb78987ull, 843, 753, 765, 161, 183, 90, 753, 130, 3619},
+    {"minmax/unpruned", 902, -1, 0x404b43100eb78987ull, 749, 661, 705, 347, 737, 90, 661, 130, 5825},
+    {"minmax/no_skip", 902, -1, 0x404b43100eb78987ull, 990, 892, 951, 79, 182, 90, 892, 130, 4160},
+    {"minmax/no_reuse", 902, -1, 0x404b43100eb78987ull, 430, 384, 391, 160, 182, 90, 384, 130, 1965},
+    {"minmax/top3", 902, 4, 0x404b43100eb78987ull, 430, 384, 391, 529, 182, 90, 384, 130, 2996},
+    {"stream/1", 902, 4, 0x404b43100eb78987ull, 430, 384, 391, 529, 182, 90, 384, 130, 2996},
+    {"stream/2", 902, 11, 0x404b43100eb78987ull, 430, 384, 391, 529, 182, 90, 384, 130, 2996},
+    {"stream/3", 902, 12, 0x404b43100eb78987ull, 430, 384, 391, 529, 182, 90, 384, 130, 2996},
+    {"stream/4", 902, 33, 0x404b43100eb78987ull, 430, 384, 391, 529, 182, 90, 384, 130, 2996},
+    {"stream/5", 902, 46, 0x404b43100eb78987ull, 430, 384, 391, 529, 182, 90, 384, 130, 2996},
+    {"mindist", 902, 46, 0x4092da06b06bd08dull, 430, 384, 391, 79, 182, 90, 0, 385, -1},
+    {"maxsum", 902, 12, 0x4020000000000000ull, 430, 384, 391, 79, 182, 90, 0, 385, -1},
+    {"minmax", 903, 37, 0x40490d86adce15bdull, 374, 311, 345, 84, 130, 27, 209, 114, 2498},
+    {"minmax/ungrouped", 903, 37, 0x40490d86adce15bdull, 532, 449, 488, 122, 129, 27, 311, 114, 3775},
+    {"minmax/unpruned", 903, 37, 0x40490d86adce15bdull, 453, 373, 423, 143, 219, 27, 216, 114, 3140},
+    {"minmax/no_skip", 903, 37, 0x40490d86adce15bdull, 1074, 899, 1045, 82, 128, 27, 515, 114, 6166},
+    {"minmax/no_reuse", 903, 37, 0x40490d86adce15bdull, 374, 311, 345, 123, 130, 27, 209, 114, 2381},
+    {"minmax/top3", 903, 37, 0x40490d86adce15bdull, 405, 349, 376, 178, 142, 30, 209, 134, 3244},
+    {"stream/1", 903, 37, 0x40490d86adce15bdull, 374, 311, 345, 139, 130, 28, 209, 119, 2599},
+    {"stream/2", 903, 45, 0x4049b2e52784b3eeull, 374, 311, 345, 139, 130, 28, 209, 119, 2599},
+    {"stream/3", 903, 40, 0x4050407420b06850ull, 405, 349, 376, 178, 142, 32, 209, 136, 3244},
+    {"stream/4", 903, 35, 0x40517fdf97b7a83cull, 414, 360, 385, 212, 144, 32, 209, 138, 3317},
+    {"stream/5", 903, 10, 0x4059815d2a62216aull, 418, 393, 389, 265, 164, 42, 209, 159, 3488},
+    {"stream/6", 903, 21, 0x405bffdf97b7a83cull, 419, 402, 390, 356, 166, 45, 209, 161, 3718},
+    {"stream/7", 903, 26, 0x405bffdf97b7a83cull, 419, 402, 390, 356, 166, 45, 209, 161, 3718},
+    {"mindist", 903, 45, 0x40883b5d9c6f8f43ull, 374, 311, 345, 84, 130, 28, 0, 312, -1},
+    {"maxsum", 903, 10, 0x403f000000000000ull, 418, 393, 389, 106, 164, 42, 0, 394, -1},
+};
+
+TEST(SolverWorkPinTest, AnswersObjectivesAndCountersArePinned) {
+  std::vector<WorkPin> got;
+  for (const TrialParam& p :
+       {TrialParam{901, 4, 6, 60}, TrialParam{902, 8, 5, 90},
+        TrialParam{903, 2, 7, 45}}) {
+    for (const WorkPin& pin :
+         PinnedRuns(p.seed, p.existing, p.candidates, p.clients)) {
+      got.push_back(pin);
+    }
+  }
+  ASSERT_EQ(got.size(), std::size(kWorkPins));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], kWorkPins[i]) << "row " << i;
+  }
 }
 
 TEST(SolverStatsTest, OfflineIndexReuseMatchesOwnedIndex) {
