@@ -12,9 +12,8 @@
 
 namespace ifls {
 
-/// Fixed-capacity concurrent memo (uint32 key -> double) behind both
-/// distance oracles: VipTree's door pairs and batched partition-level
-/// distances, and GraphDistanceOracle's door pairs. Callers key it with
+/// Fixed-capacity concurrent memo (uint32 key -> double) behind VipTree's
+/// door pairs and batched partition-level distances. Callers key it with
 /// venue-dense ranks (DistanceMemoKeySpace in src/index/distance_memo.h);
 /// key 0 means "empty" and must not be used.
 ///

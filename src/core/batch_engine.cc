@@ -16,7 +16,7 @@ BatchQueryOutcome BatchQueryEngine::RunOne(const BatchQuery& query) const {
   BatchQueryOutcome outcome;
   Result<IflsResult> solved =
       SolveWithObjective(query.objective, query.context,
-                         {options_.minmax, options_.mindist, options_.maxsum});
+                         {options_.minmax});
   if (solved.ok()) {
     outcome.result = std::move(solved).value();
   } else {

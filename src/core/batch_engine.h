@@ -27,15 +27,13 @@ struct BatchQueryOutcome {
   IflsResult result;
 };
 
-/// Engine configuration. The solver option structs apply to every query of
-/// the matching objective.
+/// Engine configuration. `minmax` applies to every MinMax query; MinDist and
+/// MaxSum take no options.
 struct BatchEngineOptions {
   /// Worker threads; <= 0 selects ThreadPool::DefaultThreads(). 1 runs
   /// every query inline on the calling thread.
   int num_threads = 0;
   EfficientOptions minmax;
-  MinDistOptions mindist;
-  MaxSumOptions maxsum;
 };
 
 /// Aggregate metrics of the most recent Run/RunSequential.

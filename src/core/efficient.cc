@@ -3,75 +3,20 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <queue>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/common/logging.h"
 #include "src/common/memory_tracker.h"
 #include "src/common/trace.h"
-#include "src/index/minplus_kernels.h"
+#include "src/core/retrieval.h"
 
 namespace ifls {
 namespace {
 
-/// A group of clients sharing one partition (or a singleton when grouping is
-/// disabled). The traversal enqueues one entry stream per group.
-struct Group {
-  PartitionId partition = kInvalidPartition;
-  TrackedVector<std::uint32_t> clients;
-  std::int32_t alive = 0;
-  TrackedHashSet<std::int64_t> visited;
-};
-
-/// Priority-queue entry of the bottom-up traversal: (group's partition,
-/// indoor entity I, iMinD) — paper Algorithm 3.
-struct TraversalEntry {
-  double key = 0.0;
-  std::uint32_t group = 0;
-  std::int32_t entity = -1;  // NodeId, or PartitionId when is_partition
-  bool is_partition = false;
-  bool operator>(const TraversalEntry& other) const {
-    return key > other.key;
-  }
-};
-
-/// A retrieved (client, facility, distance) triple, processed in ascending
-/// distance order once the global distance Gd passes it. Existing-facility
-/// events prune their client (Lemma 5.1); candidate events raise coverage.
-struct FacilityEvent {
-  double dist = 0.0;
-  std::uint32_t client = 0;
-  PartitionId facility = kInvalidPartition;
-  bool existing = false;
-  // Candidate events sort before existing events at equal distance so a
-  // prune's coverage rollback (entries with dist <= d_low) matches exactly
-  // the set of already-processed events.
-  bool operator>(const FacilityEvent& other) const {
-    if (dist != other.dist) return dist > other.dist;
-    return existing && !other.existing;
-  }
-};
-
-struct ClientState {
-  /// Counts toward answer detection (not yet covered by Lemma 5.1).
-  bool alive = true;
-  /// Still receives distance computations. With pruning enabled this flips
-  /// together with `alive`; the no-pruning ablation keeps clients active so
-  /// the answer stays correct while the saved work is measured.
-  bool active = true;
-  double best_existing = kInfDistance;
-  double best_any = kInfDistance;
-  std::uint32_t group = 0;
-  TrackedHashMap<PartitionId, double> candidates;
-};
-
-std::int64_t EncodeEntity(std::int32_t entity, bool is_partition) {
-  return is_partition ? (static_cast<std::int64_t>(1) << 32) + entity
-                      : entity;
-}
-
+/// MinMax over the retrieval core (paper Algorithms 2 + 3): checkList
+/// (UpdateIsFirst), the answer checks on each event, the exact tie-break,
+/// top-k collection and the streaming pause behind RankedStream.
 class EfficientSolver {
  public:
   /// `streaming == true` puts the solver under external pacing (RankedStream):
@@ -82,10 +27,9 @@ class EfficientSolver {
       : ctx_(ctx),
         options_(options),
         oracle_(*ctx.oracle),
-        venue_(ctx.venue()),
         result_(result),
         stats_(result->stats),
-        index_(ctx.oracle, ctx.existing),
+        core_(ctx, options, &result->stats, this),
         streaming_(streaming) {}
 
   void Run() {
@@ -96,28 +40,21 @@ class EfficientSolver {
 
   void Setup() {
     TraceSpan setup_span(TraceCategory::kSolver, "efficient/setup");
-    index_.AddCandidates(ctx_.candidates);
-    candidate_ordinal_.assign(venue_.num_partitions(), -1);
-    for (std::size_t i = 0; i < ctx_.candidates.size(); ++i) {
-      candidate_ordinal_[static_cast<std::size_t>(ctx_.candidates[i])] =
-          static_cast<std::int32_t>(i);
-    }
-    coverage_.assign(ctx_.candidates.size(), 0);
-
     candidate_collected_.assign(ctx_.candidates.size(), 0);
-
-    InitClients();
-    if (alive_count_ == 0) {
+    pending_first_.reserve(ctx_.clients.size());
+    for (std::size_t i = 0; i < ctx_.clients.size(); ++i) {
+      pending_first_.push_back(static_cast<std::uint32_t>(i));
+    }
+    core_.Setup();
+    if (core_.alive_count() == 0) {
       FinishNoAnswer();
       return;
     }
     // Paper Algorithm 2 lines 1-10: clients located inside facilities are
     // served (and possibly pruned) before the traversal starts.
-    ProcessEvents(0.0);
+    core_.ProcessEvents(0.0);
     if (done_) return;
-
-    BuildGroups();
-    SeedQueue();
+    core_.SeedQueue();
   }
 
   /// Paper Algorithm 3 main loop. In streaming mode the loop pauses (and can
@@ -126,34 +63,13 @@ class EfficientSolver {
   /// all events with distance <= Gd have been drained.
   void Advance(std::size_t target_certified) {
     TraceSpan traversal_span(TraceCategory::kSolver, "efficient/traversal");
-    while (!done_ && !queue_.empty()) {
+    while (!done_ && !core_.exhausted()) {
       if (streaming_ && CertifiedCount() >= target_certified) return;
-      const TraversalEntry top = queue_.top();
-      queue_.pop();
-      ++stats_.queue_pops;
-      gd_ = top.key;
-      Group& group = groups_[top.group];
-      if (group.alive > 0) {
-        if (top.is_partition) {
-          // Non-facility partitions can be dequeued when subtree skipping is
-          // disabled (paper line 19 enqueues every child); they carry no
-          // work (paper line 10 guards on "I is a facility").
-          if (index_.IsFacility(top.entity)) {
-            AddFacilityToGroup(group, top.entity);
-          }
-        } else {
-          ExpandNode(top.group, top.entity);
-        }
-      }
+      core_.Step();
       UpdateIsFirst();
-      ProcessEvents(gd_);
+      core_.ProcessEvents(core_.gd());
     }
-    if (!done_) {
-      // Queue exhausted: every facility has been retrieved for every
-      // surviving client. Flush the remaining events.
-      gd_ = kInfDistance;
-      ProcessEvents(kInfDistance);
-    }
+    if (!done_) core_.Flush();
     if (!done_) FinishNoAnswer();
   }
 
@@ -168,7 +84,7 @@ class EfficientSolver {
     if (done_) return collected_.size();
     std::size_t certified = 0;
     for (const auto& entry : collected_) {
-      if (entry.second < gd_) ++certified;
+      if (entry.second < core_.gd()) ++certified;
     }
     return certified;
   }
@@ -178,221 +94,31 @@ class EfficientSolver {
     return collected_;
   }
 
- private:
-  // ---- Setup -----------------------------------------------------------
+  // ---- Retrieval core hooks ---------------------------------------------
 
-  void InitClients() {
-    clients_.resize(ctx_.clients.size());
-    pending_first_.reserve(ctx_.clients.size());
-    for (std::size_t i = 0; i < ctx_.clients.size(); ++i) {
-      pending_first_.push_back(static_cast<std::uint32_t>(i));
+  void OnCandidateEvent(std::size_t ord, double /*dist*/) {
+    if (core_.counts()[ord] == core_.alive_count() &&
+        !candidate_collected_[ord]) {
+      CheckAnswerSingle(ctx_.candidates[ord]);
     }
-    alive_count_ = static_cast<std::int64_t>(ctx_.clients.size());
-    for (std::size_t i = 0; i < ctx_.clients.size(); ++i) {
-      const Client& c = ctx_.clients[i];
-      if (index_.IsFacility(c.partition)) {
-        RecordRetrieval(static_cast<std::uint32_t>(i), c.partition, 0.0);
-      }
-    }
+    ++stats_.check_answer_calls;
   }
 
-  void BuildGroups() {
-    if (options_.group_clients) {
-      std::unordered_map<PartitionId, std::uint32_t> group_of_partition;
-      for (std::size_t i = 0; i < ctx_.clients.size(); ++i) {
-        if (!clients_[i].active) continue;
-        const PartitionId p = ctx_.clients[i].partition;
-        auto [it, inserted] = group_of_partition.try_emplace(
-            p, static_cast<std::uint32_t>(groups_.size()));
-        if (inserted) {
-          groups_.emplace_back();
-          groups_.back().partition = p;
-        }
-        Group& g = groups_[it->second];
-        g.clients.push_back(static_cast<std::uint32_t>(i));
-        ++g.alive;
-        clients_[i].group = it->second;
-      }
-    } else {
-      for (std::size_t i = 0; i < ctx_.clients.size(); ++i) {
-        if (!clients_[i].active) continue;
-        groups_.emplace_back();
-        Group& g = groups_.back();
-        g.partition = ctx_.clients[i].partition;
-        g.clients.push_back(static_cast<std::uint32_t>(i));
-        g.alive = 1;
-        clients_[i].group = static_cast<std::uint32_t>(groups_.size() - 1);
-      }
-    }
-  }
+  void OnPrunedCandidate(std::size_t /*ord*/, double /*dist*/,
+                         bool /*counted*/, double /*nef*/) {}
 
-  void SeedQueue() {
-    for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-      Group& g = groups_[gi];
-      const NodeId leaf = oracle_.LeafOf(g.partition);
-      // iMinD(p, leaf(p)) == 0 by containment.
-      Push(static_cast<std::uint32_t>(gi), leaf, false, 0.0);
-    }
-  }
-
-  // ---- Traversal -------------------------------------------------------
-
-  void Push(std::uint32_t group_index, std::int32_t entity, bool is_partition,
-            double key) {
-    Group& g = groups_[group_index];
-    if (!g.visited.insert(EncodeEntity(entity, is_partition)).second) return;
-    queue_.push({key, group_index, entity, is_partition});
-    ++stats_.queue_pushes;
-  }
-
-  bool Visited(const Group& g, std::int32_t entity, bool is_partition) const {
-    return g.visited.contains(EncodeEntity(entity, is_partition));
-  }
-
-  void ExpandNode(std::uint32_t group_index, NodeId node_id) {
-    Group& g = groups_[group_index];
-    const NodeId parent = oracle_.Parent(node_id);
-    if (parent != kInvalidNode && !Visited(g, parent, false)) {
-      const double key = oracle_.PartitionToNode(g.partition, parent);
-      ++stats_.lower_bound_computations;
-      Push(group_index, parent, false, key);
-    }
-    if (oracle_.IsLeaf(node_id)) {
-      for (PartitionId q : oracle_.NodePartitions(node_id)) {
-        if (q == g.partition) continue;
-        if (options_.skip_empty_subtrees && !index_.IsFacility(q)) continue;
-        if (Visited(g, q, true)) continue;
-        const double key = oracle_.PartitionToPartition(g.partition, q);
-        ++stats_.lower_bound_computations;
-        Push(group_index, q, true, key);
-      }
-    } else {
-      for (NodeId ch : oracle_.Children(node_id)) {
-        if (options_.skip_empty_subtrees && index_.SubtreeCount(ch) == 0) {
-          continue;
-        }
-        if (Visited(g, ch, false)) continue;
-        const double key = oracle_.PartitionToNode(g.partition, ch);
-        ++stats_.lower_bound_computations;
-        Push(group_index, ch, false, key);
-      }
-    }
-  }
-
-  void AddFacilityToGroup(Group& g, PartitionId facility) {
-    const Partition& home = venue_.partition(g.partition);
-    const bool reuse =
-        options_.reuse_group_distances && g.partition != facility;
-    if (reuse) {
-      // Generalized Case-1 reuse: one door-to-facility base distance per
-      // home door serves every client of the group; a client's distance is
-      // min over doors of (local leg + base). Identical to the per-client
-      // formula, with the door-to-door compositions hoisted out.
-      base_distances_.clear();
-      base_distances_.reserve(home.doors.size());
-      for (DoorId d : home.doors) {
-        base_distances_.push_back(oracle_.DoorToPartition(d, facility));
-      }
-      ++stats_.distance_computations;
-      // Per-client evaluation is a pairwise min-plus reduce: fill the local
-      // legs once, then let the kernel scan legs[i] + base[i]. The sum is
-      // the exact two-term expression of the original loop, so answers stay
-      // bit-identical across kernel backends.
-      const std::size_t n_doors = home.doors.size();
-      client_legs_.resize(n_doors);
-      for (std::uint32_t ci : g.clients) {
-        if (!clients_[ci].active) continue;
-        const Client& c = ctx_.clients[ci];
-        for (std::size_t i = 0; i < n_doors; ++i) {
-          client_legs_[i] =
-              PointToDoorDistance(c.position, venue_.door(home.doors[i]));
-        }
-        const double dist = kernels::MinPlusPairwise(
-            client_legs_.data(), base_distances_.data(), n_doors);
-        CountKernelInvocation();
-        RecordRetrieval(ci, facility, dist);
-      }
-      return;
-    }
-    for (std::uint32_t ci : g.clients) {
-      if (!clients_[ci].active) continue;
-      const Client& c = ctx_.clients[ci];
-      const double dist =
-          oracle_.PointToPartition(c.position, c.partition, facility);
-      ++stats_.distance_computations;
-      RecordRetrieval(ci, facility, dist);
-    }
-  }
-
-  // ---- Retrieval lists and events ---------------------------------------
-
-  void RecordRetrieval(std::uint32_t ci, PartitionId facility, double dist) {
-    ClientState& state = clients_[ci];
-    const bool existing = index_.IsExisting(facility);
-    if (existing) {
-      state.best_existing = std::min(state.best_existing, dist);
-    } else {
-      state.candidates.emplace(facility, dist);
-    }
-    state.best_any = std::min(state.best_any, dist);
-    events_.push({dist, ci, facility, existing});
-    ++stats_.facilities_retrieved;
-  }
-
-  /// Drains events with distance <= bound, in ascending order, advancing
-  /// d_low, pruning clients on existing-facility events (Lemma 5.1), and
-  /// checking for a common candidate after each step (paper lines 23-37).
-  void ProcessEvents(double bound) {
-    while (!done_ && !events_.empty() && events_.top().dist <= bound) {
-      const FacilityEvent e = events_.top();
-      events_.pop();
-      if (!clients_[e.client].alive) continue;
-      d_low_ = std::max(d_low_, e.dist);
-      if (e.existing) {
-        PruneClient(e.client);
-        if (done_) return;
-        // A prune removes constraints: several candidates may become
-        // common simultaneously.
-        CheckAnswerFullScan();
-      } else {
-        const std::int32_t ord =
-            candidate_ordinal_[static_cast<std::size_t>(e.facility)];
-        IFLS_DCHECK(ord >= 0);
-        if (++coverage_[static_cast<std::size_t>(ord)] == alive_count_ &&
-            !candidate_collected_[static_cast<std::size_t>(ord)]) {
-          CheckAnswerSingle(e.facility);
-        }
-      }
-      ++stats_.check_answer_calls;
-    }
-  }
-
-  void PruneClient(std::uint32_t ci) {
-    ClientState& state = clients_[ci];
-    IFLS_DCHECK(state.alive);
-    state.alive = false;
-    ++stats_.clients_pruned;
-    pruned_floor_ = std::max(pruned_floor_, state.best_existing);
+  void OnPrune(std::uint32_t ci, double nef) {
+    pruned_floor_ = std::max(pruned_floor_, nef);
     pruned_clients_.push_back(ci);
-    --alive_count_;
-    if (options_.prune_clients) {
-      state.active = false;
-      if (!groups_.empty()) {
-        Group& g = groups_[state.group];
-        if (g.alive > 0) --g.alive;
-      }
-    }
-    // Remove the client's counted coverage contributions.
-    for (const auto& [facility, dist] : state.candidates) {
-      if (dist <= d_low_) {
-        const std::int32_t ord =
-            candidate_ordinal_[static_cast<std::size_t>(facility)];
-        --coverage_[static_cast<std::size_t>(ord)];
-      }
-    }
-    if (alive_count_ == 0) FinishNoAnswer();
+    if (core_.alive_count() == 0) FinishNoAnswer();
+    if (done_) return;
+    // A prune removes constraints: several candidates may become common
+    // simultaneously.
+    CheckAnswerFullScan();
+    ++stats_.check_answer_calls;
   }
 
+ private:
   // ---- Answer detection --------------------------------------------------
 
   void CheckAnswerSingle(PartitionId candidate) {
@@ -400,10 +126,10 @@ class EfficientSolver {
   }
 
   void CheckAnswerFullScan() {
-    if (alive_count_ == 0) return;
     std::vector<PartitionId> common;
     for (std::size_t i = 0; i < ctx_.candidates.size(); ++i) {
-      if (coverage_[i] == alive_count_ && !candidate_collected_[i]) {
+      if (core_.counts()[i] == core_.alive_count() &&
+          !candidate_collected_[i]) {
         common.push_back(ctx_.candidates[i]);
       }
     }
@@ -414,10 +140,10 @@ class EfficientSolver {
   /// d_low by construction).
   double AliveMaxDistance(PartitionId candidate) const {
     double worst = 0.0;
-    for (std::size_t i = 0; i < clients_.size(); ++i) {
-      if (!clients_[i].alive) continue;
-      const auto it = clients_[i].candidates.find(candidate);
-      IFLS_DCHECK(it != clients_[i].candidates.end());
+    for (const internal::ClientState& client : core_.clients()) {
+      if (!client.alive) continue;
+      const auto it = client.candidates.find(candidate);
+      IFLS_DCHECK(it != client.candidates.end());
       worst = std::max(worst, it->second);
     }
     return worst;
@@ -463,8 +189,7 @@ class EfficientSolver {
   /// exactly the top k.
   void CollectForTopK(const std::vector<PartitionId>& common) {
     for (PartitionId n : common) {
-      const auto ord = static_cast<std::size_t>(
-          candidate_ordinal_[static_cast<std::size_t>(n)]);
+      const std::size_t ord = core_.ordinal(n);
       if (candidate_collected_[ord]) continue;
       candidate_collected_[ord] = 1;
       collected_.emplace_back(n, ExactObjective(n, AliveMaxDistance(n)));
@@ -504,7 +229,7 @@ class EfficientSolver {
       const double dn =
           oracle_.PointToPartition(c.position, c.partition, candidate);
       ++stats_.distance_computations;
-      worst = std::max(worst, std::min(clients_[ci].best_existing, dn));
+      worst = std::max(worst, std::min(core_.clients()[ci].best_existing, dn));
     }
     return worst;
   }
@@ -514,7 +239,7 @@ class EfficientSolver {
       // Rank whatever became common; when every client is covered the
       // remaining candidates' objectives are fully determined by the
       // pruned clients, so the ranking can be completed exactly.
-      if (alive_count_ == 0) {
+      if (core_.alive_count() == 0) {
         for (std::size_t i = 0; i < ctx_.candidates.size(); ++i) {
           if (candidate_collected_[i]) continue;
           collected_.emplace_back(ctx_.candidates[i],
@@ -527,10 +252,8 @@ class EfficientSolver {
     // Either every client was pruned (no candidate can improve the
     // objective) or there are no candidates at all.
     double objective = pruned_floor_;
-    for (std::size_t i = 0; i < clients_.size(); ++i) {
-      if (clients_[i].alive) {
-        objective = std::max(objective, clients_[i].best_existing);
-      }
+    for (const internal::ClientState& client : core_.clients()) {
+      if (client.alive) objective = std::max(objective, client.best_existing);
     }
     result_->found = false;
     result_->answer = kInvalidPartition;
@@ -546,7 +269,8 @@ class EfficientSolver {
     std::size_t i = 0;
     while (i < pending_first_.size()) {
       const std::uint32_t ci = pending_first_[i];
-      if (!clients_[ci].alive || clients_[ci].best_any <= gd_) {
+      const internal::ClientState& client = core_.clients()[ci];
+      if (!client.alive || client.best_any <= core_.gd()) {
         pending_first_[i] = pending_first_.back();
         pending_first_.pop_back();
       } else {
@@ -561,33 +285,16 @@ class EfficientSolver {
   const IflsContext& ctx_;
   const EfficientOptions& options_;
   const DistanceOracle& oracle_;
-  const Venue& venue_;
   IflsResult* result_;
   QueryStats& stats_;
-  FacilityIndex index_;
+  internal::RetrievalCore<EfficientSolver> core_;
 
-  TrackedVector<ClientState> clients_;
-  TrackedVector<Group> groups_;
-  std::priority_queue<TraversalEntry,
-                      TrackedVector<TraversalEntry>,
-                      std::greater<TraversalEntry>>
-      queue_;
-  std::priority_queue<FacilityEvent, TrackedVector<FacilityEvent>,
-                      std::greater<FacilityEvent>>
-      events_;
-  std::vector<std::int32_t> candidate_ordinal_;  // partition -> Fn ordinal
-  TrackedVector<std::int32_t> coverage_;         // per Fn ordinal
-  std::vector<char> candidate_collected_;        // top-k bookkeeping
+  std::vector<char> candidate_collected_;  // top-k bookkeeping
   std::vector<std::pair<PartitionId, double>> collected_;
-  std::vector<double> base_distances_;           // AddFacilityToGroup scratch
-  std::vector<double> client_legs_;              // AddFacilityToGroup scratch
   TrackedVector<std::uint32_t> pending_first_;
   TrackedVector<std::uint32_t> pruned_clients_;
 
-  double gd_ = 0.0;
-  double d_low_ = 0.0;
   double pruned_floor_ = 0.0;
-  std::int64_t alive_count_ = 0;
   bool is_first_ = false;
   bool done_ = false;
   const bool streaming_ = false;

@@ -5,12 +5,6 @@
 
 namespace ifls {
 
-/// Options for the MaxSum extension solver.
-struct MaxSumOptions {
-  /// Group clients by partition (same knob as EfficientOptions).
-  bool group_clients = true;
-};
-
 /// MaxSum variant of the efficient approach (paper §7): finds the candidate
 /// maximizing the number of clients whose nearest facility would become the
 /// new one, i.e. #{c : iDist(c, n) < NEF(c)}. Single bottom-up pass; every
@@ -20,8 +14,7 @@ struct MaxSumOptions {
 ///
 /// Contract: when `found`, `answer` maximizes the count and `objective` is
 /// that exact count. found == false only when Fn is empty.
-Result<IflsResult> SolveMaxSum(const IflsContext& ctx,
-                               const MaxSumOptions& options = {});
+Result<IflsResult> SolveMaxSum(const IflsContext& ctx);
 
 }  // namespace ifls
 

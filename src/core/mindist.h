@@ -5,12 +5,6 @@
 
 namespace ifls {
 
-/// Options for the MinDist extension solver.
-struct MinDistOptions {
-  /// Group clients by partition (same knob as EfficientOptions).
-  bool group_clients = true;
-};
-
 /// MinDist variant of the efficient approach (paper §7): finds the candidate
 /// minimizing the *total* (equivalently average) distance of the clients to
 /// their nearest facilities. Single bottom-up pass; every candidate carries
@@ -21,8 +15,7 @@ struct MinDistOptions {
 /// Contract: when `found`, `answer` minimizes sum_c min(NEF(c), iDist(c, n))
 /// and `objective` is that exact total. found == false only when Fn is
 /// empty.
-Result<IflsResult> SolveMinDist(const IflsContext& ctx,
-                                const MinDistOptions& options = {});
+Result<IflsResult> SolveMinDist(const IflsContext& ctx);
 
 }  // namespace ifls
 

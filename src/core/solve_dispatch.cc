@@ -21,9 +21,9 @@ Result<IflsResult> SolveWithObjective(IflsObjective objective,
     case IflsObjective::kMinMax:
       return SolveEfficient(ctx, options.minmax);
     case IflsObjective::kMinDist:
-      return SolveMinDist(ctx, options.mindist);
+      return SolveMinDist(ctx);
     case IflsObjective::kMaxSum:
-      return SolveMaxSum(ctx, options.maxsum);
+      return SolveMaxSum(ctx);
   }
   return Status::Internal("unknown objective");
 }

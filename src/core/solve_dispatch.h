@@ -16,12 +16,11 @@ enum class IflsObjective : std::uint8_t { kMinMax, kMinDist, kMaxSum };
 /// "MinMax" / "MinDist" / "MaxSum".
 const char* IflsObjectiveName(IflsObjective objective);
 
-/// One option struct per objective, so every execution front (batch engine,
-/// online service, CLI) configures the solvers identically.
+/// Solver options shared by every execution front (batch engine, online
+/// service, CLI), so all of them configure the solvers identically. Only
+/// MinMax has options; MinDist and MaxSum run the retrieval core's defaults.
 struct SolverOptionSet {
   EfficientOptions minmax;
-  MinDistOptions mindist;
-  MaxSumOptions maxsum;
 };
 
 /// Runs the matching efficient solver on `ctx`: the single

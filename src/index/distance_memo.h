@@ -25,8 +25,7 @@ enum class DistanceMemoKind : std::uint8_t {
 /// with the kinds laid out back to back in DistanceMemoKind order, so the
 /// K = D^2 + D*P + P*N + P^2 keys fill [1, K] and 0 stays free for the
 /// cache's empty sentinel. Keys are 32-bit: a venue whose K does not fit
-/// (fits() false) runs without the memo. GraphDistanceOracle uses the same
-/// space with P = N = 0, i.e. only door pairs.
+/// (fits() false) runs without the memo.
 class DistanceMemoKeySpace {
  public:
   DistanceMemoKeySpace(std::uint64_t doors, std::uint64_t partitions,

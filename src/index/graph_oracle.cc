@@ -9,15 +9,8 @@
 namespace ifls {
 
 GraphDistanceOracle::GraphDistanceOracle(const Venue* venue)
-    : venue_(venue),
-      graph_(*venue),
-      cache_(venue->num_doors()),
-      pair_keys_(venue->num_doors(), 0, 0) {
+    : venue_(venue), graph_(*venue), cache_(venue->num_doors()) {
   IFLS_CHECK(venue != nullptr);
-  if (pair_keys_.fits()) {
-    pair_cache_ =
-        std::make_unique<ConcurrentDoorCache>(pair_keys_.cache_entries());
-  }
 }
 
 const ShortestPaths& GraphDistanceOracle::PathsFrom(DoorId source) const {
@@ -40,23 +33,8 @@ const ShortestPaths& GraphDistanceOracle::PathsFrom(DoorId source) const {
 
 double GraphDistanceOracle::DoorToDoor(DoorId a, DoorId b) const {
   if (a == b) return 0.0;
-  // Pair memo first: a hit answers without touching the per-source row.
-  // The key is per-orientation (not normalized): two opposite Dijkstra
-  // runs agree mathematically but not necessarily bit-for-bit, and the
-  // repo-wide contract is that caching never changes a single bit.
-  const std::uint32_t key = pair_keys_.Key(DistanceMemoKind::kDoorPair, a, b);
-  if (pair_cache_ != nullptr) {
-    double cached = 0.0;
-    if (pair_cache_->Lookup(key, &cached)) {
-      BumpCacheHits();
-      return cached;
-    }
-    BumpCacheMisses();
-  }
   BumpDoorDistanceEvals();
-  const double result = PathsFrom(a).distance[static_cast<std::size_t>(b)];
-  if (pair_cache_ != nullptr) pair_cache_->Insert(key, result);
-  return result;
+  return PathsFrom(a).distance[static_cast<std::size_t>(b)];
 }
 
 double GraphDistanceOracle::PointToPoint(const Point& a, PartitionId pa,

@@ -6,11 +6,9 @@
 #include <mutex>
 #include <vector>
 
-#include "src/common/concurrent_cache.h"
 #include "src/common/workspace_pool.h"
 #include "src/graph/dijkstra.h"
 #include "src/graph/door_graph.h"
-#include "src/index/distance_memo.h"
 #include "src/index/distance_oracle.h"
 #include "src/indoor/venue.h"
 
@@ -27,10 +25,7 @@ namespace ifls {
 /// Dijkstra run is computed exactly once (std::call_once per cache slot);
 /// runs for distinct sources proceed in parallel, each on a pooled
 /// workspace. Memoized slots are immutable after publication, so the read
-/// path is lock-free. DoorToDoor additionally fronts the per-source rows
-/// with a pair-level memo (ConcurrentDoorCache, keyed and sized like
-/// VipTree's with no partitions) so repeated pair queries skip even the
-/// row indirection.
+/// path is lock-free; DoorToDoor is one read of the source door's row.
 class GraphDistanceOracle : public DistanceOracle {
  public:
   explicit GraphDistanceOracle(const Venue* venue);
@@ -58,13 +53,6 @@ class GraphDistanceOracle : public DistanceOracle {
     return num_runs_.load(std::memory_order_relaxed);
   }
 
-  /// Occupancy/eviction/capacity gauges of the pair-level memo (zero when
-  /// the venue's door pairs overflow 32-bit keys and it runs uncached).
-  ConcurrentDoorCache::Stats pair_cache_stats() const {
-    return pair_cache_ != nullptr ? pair_cache_->stats()
-                                  : ConcurrentDoorCache::Stats{};
-  }
-
  private:
   /// One memoized source door. `once` guarantees a single compute even
   /// under a concurrent stampede; `paths` is written exactly once.
@@ -80,11 +68,6 @@ class GraphDistanceOracle : public DistanceOracle {
   mutable std::vector<CacheSlot> cache_;  // fixed size, slots never move
   mutable WorkspacePool<DijkstraWorkspace> workspaces_;
   mutable std::atomic<std::size_t> num_runs_{0};
-  /// Pair-level memo under pair_keys_' door-pair ranks, per orientation —
-  /// opposite Dijkstra runs agree only mathematically, not bit-for-bit.
-  /// Null when those keys overflow 32 bits.
-  DistanceMemoKeySpace pair_keys_;
-  std::unique_ptr<ConcurrentDoorCache> pair_cache_;
 };
 
 }  // namespace ifls

@@ -67,21 +67,15 @@ TEST_P(MinDistAgreementTest, MatchesBruteForceOptimum) {
   const IflsContext ctx =
       RandomContext(p.seed, p.existing, p.candidates, p.clients);
   const IflsResult brute = Unwrap(SolveBruteForceMinDist(ctx));
-  for (bool grouped : {true, false}) {
-    MinDistOptions options;
-    options.group_clients = grouped;
-    const IflsResult result = Unwrap(SolveMinDist(ctx, options));
-    SCOPED_TRACE(grouped ? "grouped" : "ungrouped");
-    ASSERT_EQ(result.found, brute.found);
-    if (!result.found) continue;
-    // The solver's answer must achieve the optimal total, and its reported
-    // objective must be that exact total.
-    const double achieved = EvaluateMinDist(ctx, result.answer);
-    EXPECT_NEAR(achieved, brute.objective,
-                kTol * std::max(1.0, brute.objective));
-    EXPECT_NEAR(result.objective, achieved,
-                kTol * std::max(1.0, achieved));
-  }
+  const IflsResult result = Unwrap(SolveMinDist(ctx));
+  ASSERT_EQ(result.found, brute.found);
+  if (!result.found) return;
+  // The solver's answer must achieve the optimal total, and its reported
+  // objective must be that exact total.
+  const double achieved = EvaluateMinDist(ctx, result.answer);
+  EXPECT_NEAR(achieved, brute.objective,
+              kTol * std::max(1.0, brute.objective));
+  EXPECT_NEAR(result.objective, achieved, kTol * std::max(1.0, achieved));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -98,17 +92,12 @@ TEST_P(MaxSumAgreementTest, MatchesBruteForceOptimum) {
   const IflsContext ctx =
       RandomContext(p.seed, p.existing, p.candidates, p.clients);
   const IflsResult brute = Unwrap(SolveBruteForceMaxSum(ctx));
-  for (bool grouped : {true, false}) {
-    MaxSumOptions options;
-    options.group_clients = grouped;
-    const IflsResult result = Unwrap(SolveMaxSum(ctx, options));
-    SCOPED_TRACE(grouped ? "grouped" : "ungrouped");
-    ASSERT_EQ(result.found, brute.found);
-    if (!result.found) continue;
-    const double achieved = EvaluateMaxSum(ctx, result.answer);
-    EXPECT_NEAR(achieved, brute.objective, 1e-9);
-    EXPECT_NEAR(result.objective, achieved, 1e-9);
-  }
+  const IflsResult result = Unwrap(SolveMaxSum(ctx));
+  ASSERT_EQ(result.found, brute.found);
+  if (!result.found) return;
+  const double achieved = EvaluateMaxSum(ctx, result.answer);
+  EXPECT_NEAR(achieved, brute.objective, 1e-9);
+  EXPECT_NEAR(result.objective, achieved, 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -303,7 +303,7 @@ TEST(DistanceMemoKeySpaceTest, RanksAreDistinctAndFillOneToK) {
     std::int32_t doors, partitions, nodes;
   };
   // Unequal counts catch a width or offset taken from the wrong dimension;
-  // the last shape is GraphDistanceOracle's, door pairs only.
+  // the last shape has door pairs only.
   for (const Shape& s : {Shape{1, 1, 1}, Shape{3, 5, 7}, Shape{6, 4, 2},
                          Shape{9, 2, 5}, Shape{5, 0, 0}}) {
     const DistanceMemoKeySpace keys(s.doors, s.partitions, s.nodes);
