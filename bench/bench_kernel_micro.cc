@@ -100,7 +100,7 @@ struct CurvePoint {
   std::map<std::string, double> ns_per_op;  // tier name -> ns
 };
 
-/// The seven kernels, each as a runner over a rotating instance pool. The
+/// The three kernels, each as a runner over a rotating instance pool. The
 /// runner must consume its result through g_sink so no timed call is dead.
 struct KernelCase {
   const char* name;
@@ -112,19 +112,6 @@ struct KernelCase {
 };
 
 const KernelCase kKernelCases[] = {
-    {"join",
-     [](std::vector<KernelInstance>& pool, int which) {
-       KernelInstance& in = pool[static_cast<std::size_t>(which) % pool.size()];
-       g_sink = g_sink + kernels::MinPlusJoin(
-                             in.a.data(), in.rows.data(), in.rows.size(),
-                             in.b.data(), in.cols.data(), in.cols.size(),
-                             in.matrix.data(), in.stride);
-     },
-     [](KernelInstance& in) {
-       return std::vector<double>{kernels::MinPlusJoin(
-           in.a.data(), in.rows.data(), in.rows.size(), in.b.data(),
-           in.cols.data(), in.cols.size(), in.matrix.data(), in.stride)};
-     }},
     {"compose",
      [](std::vector<KernelInstance>& pool, int which) {
        KernelInstance& in = pool[static_cast<std::size_t>(which) % pool.size()];
@@ -140,30 +127,6 @@ const KernelCase kKernelCases[] = {
                                in.matrix.data(), in.stride, out.data());
        return out;
      }},
-    {"gather",
-     [](std::vector<KernelInstance>& pool, int which) {
-       KernelInstance& in = pool[static_cast<std::size_t>(which) % pool.size()];
-       g_sink = g_sink + kernels::MinPlusGather(1.0, in.matrix.data(),
-                                                in.cols.data(),
-                                                in.cols.size());
-     },
-     [](KernelInstance& in) {
-       return std::vector<double>{kernels::MinPlusGather(
-           1.0, in.matrix.data(), in.cols.data(), in.cols.size())};
-     }},
-    {"gather_add",
-     [](std::vector<KernelInstance>& pool, int which) {
-       KernelInstance& in = pool[static_cast<std::size_t>(which) % pool.size()];
-       g_sink = g_sink + kernels::MinPlusGatherAdd(1.0, in.matrix.data(),
-                                                   in.cols.data(),
-                                                   in.b.data(),
-                                                   in.cols.size());
-     },
-     [](KernelInstance& in) {
-       return std::vector<double>{
-           kernels::MinPlusGatherAdd(1.0, in.matrix.data(), in.cols.data(),
-                                     in.b.data(), in.cols.size())};
-     }},
     {"pairwise",
      [](std::vector<KernelInstance>& pool, int which) {
        KernelInstance& in = pool[static_cast<std::size_t>(which) % pool.size()];
@@ -173,16 +136,6 @@ const KernelCase kKernelCases[] = {
      [](KernelInstance& in) {
        return std::vector<double>{
            kernels::MinPlusPairwise(in.a.data(), in.b.data(), in.a.size())};
-     }},
-    {"argmin",
-     [](std::vector<KernelInstance>& pool, int which) {
-       KernelInstance& in = pool[static_cast<std::size_t>(which) % pool.size()];
-       g_sink = g_sink + static_cast<double>(kernels::MinPlusArgmin(
-                             1.0, in.a.data(), in.a.size()));
-     },
-     [](KernelInstance& in) {
-       return std::vector<double>{static_cast<double>(
-           kernels::MinPlusArgmin(1.0, in.a.data(), in.a.size()))};
      }},
     {"gather_cells",
      [](std::vector<KernelInstance>& pool, int which) {

@@ -32,21 +32,9 @@ class GraphDistanceOracle : public DistanceOracle {
 
   const Venue& venue() const override { return *venue_; }
 
-  /// Global shortest walking distance between two doors.
+  /// Global shortest walking distance between two doors. The point and
+  /// partition distances are the interface's generic loops over it.
   double DoorToDoor(DoorId a, DoorId b) const override;
-
-  /// Exact indoor distance between two points. Overrides the generic
-  /// composition to reuse one memoized Dijkstra row per source door.
-  double PointToPoint(const Point& a, PartitionId pa, const Point& b,
-                      PartitionId pb) const override;
-
-  /// Exact indoor distance from a point to partition `target`'s nearest
-  /// reachable door (0 when pa == target).
-  double PointToPartition(const Point& a, PartitionId pa,
-                          PartitionId target) const override;
-
-  /// min over door pairs, zero intra offsets (iMinD for partitions).
-  double PartitionToPartition(PartitionId p, PartitionId q) const override;
 
   /// Number of Dijkstra runs performed so far (memoization hit rate probe).
   std::size_t num_sssp_runs() const {

@@ -170,34 +170,14 @@ KernelTier ActiveKernelTier() { return Active().tier; }
 
 const char* ActiveKernelName() { return Active().name; }
 
-double MinPlusJoin(const double* a, const std::int32_t* rows, std::size_t nr,
-                   const double* b, const std::int32_t* cols, std::size_t nc,
-                   const double* m, std::size_t stride) {
-  return Active().min_plus_join(a, rows, nr, b, cols, nc, m, stride);
-}
-
 void MinPlusCompose(const double* a, const std::int32_t* rows, std::size_t nr,
                     const std::int32_t* cols, std::size_t nc, const double* m,
                     std::size_t stride, double* out) {
   Active().min_plus_compose(a, rows, nr, cols, nc, m, stride, out);
 }
 
-double MinPlusGather(double s, const double* row, const std::int32_t* idx,
-                     std::size_t n) {
-  return Active().min_plus_gather(s, row, idx, n);
-}
-
-double MinPlusGatherAdd(double s, const double* row, const std::int32_t* idx,
-                        const double* b, std::size_t n) {
-  return Active().min_plus_gather_add(s, row, idx, b, n);
-}
-
 double MinPlusPairwise(const double* a, const double* b, std::size_t n) {
   return Active().min_plus_pairwise(a, b, n);
-}
-
-std::size_t MinPlusArgmin(double s, const double* row, std::size_t n) {
-  return Active().min_plus_argmin(s, row, n);
 }
 
 void GatherCells(const double* row, const std::int32_t* idx, std::size_t n,

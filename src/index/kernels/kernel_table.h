@@ -20,22 +20,14 @@ namespace internal {
 ///
 /// Every entry implements the same bit-identity contract as the scalar
 /// reference in minplus_scalar.cc: left-associated sums, min returns an
-/// operand, argmin ties to the lowest index. See minplus_kernels.h.
+/// operand. See minplus_kernels.h.
 struct KernelTable {
   KernelTier tier;
   const char* name;
-  double (*min_plus_join)(const double*, const std::int32_t*, std::size_t,
-                          const double*, const std::int32_t*, std::size_t,
-                          const double*, std::size_t);
   void (*min_plus_compose)(const double*, const std::int32_t*, std::size_t,
                            const std::int32_t*, std::size_t, const double*,
                            std::size_t, double*);
-  double (*min_plus_gather)(double, const double*, const std::int32_t*,
-                            std::size_t);
-  double (*min_plus_gather_add)(double, const double*, const std::int32_t*,
-                                const double*, std::size_t);
   double (*min_plus_pairwise)(const double*, const double*, std::size_t);
-  std::size_t (*min_plus_argmin)(double, const double*, std::size_t);
   void (*gather_cells)(const double*, const std::int32_t*, std::size_t,
                        double*);
 };

@@ -1,8 +1,7 @@
-// The one SIMD implementation of the seven min-plus kernels, written over a
+// The one SIMD implementation of the three min-plus kernels, written over a
 // lane-traits struct `L` so the AVX2 and AVX-512 backends share a single
-// algorithm: blocked vector main loops of L::kWidth lanes, scalar tails,
-// a one-block scalar fallback and the two-pass argmin. Only the traits
-// differ between tiers. `L` supplies:
+// algorithm: blocked vector main loops of L::kWidth lanes, scalar tails and
+// a one-block scalar fallback. Only the traits differ between tiers. `L` supplies:
 //
 //   using Vec;                          the vector type
 //   static constexpr std::size_t kWidth doubles per vector
@@ -54,32 +53,6 @@ double HorizontalMin(typename L::Vec acc, double tail) {
 }
 
 template <typename L>
-double MinPlusJoin(const double* a, const std::int32_t* rows, std::size_t nr,
-                   const double* b, const std::int32_t* cols, std::size_t nc,
-                   const double* m, std::size_t stride) {
-  if (nc < L::kWidth) {
-    return Scalar().min_plus_join(a, rows, nr, b, cols, nc, m, stride);
-  }
-  typename L::Vec acc = L::Set1(kInf);
-  double tail_best = kInf;
-  const std::size_t blocked = BlockEnd<L>(nc);
-  for (std::size_t i = 0; i < nr; ++i) {
-    const double ai = a[i];
-    const double* row = m + static_cast<std::size_t>(rows[i]) * stride;
-    const typename L::Vec va = L::Set1(ai);
-    for (std::size_t j = 0; j < blocked; j += L::kWidth) {
-      const typename L::Vec g = L::Gather(row, cols + j);
-      acc = L::Min(acc, L::Add(L::Add(va, g), L::LoadU(b + j)));
-    }
-    for (std::size_t j = blocked; j < nc; ++j) {
-      const double cand = (ai + row[cols[j]]) + b[j];
-      if (cand < tail_best) tail_best = cand;
-    }
-  }
-  return HorizontalMin<L>(acc, tail_best);
-}
-
-template <typename L>
 void MinPlusCompose(const double* a, const std::int32_t* rows, std::size_t nr,
                     const std::int32_t* cols, std::size_t nc, const double* m,
                     std::size_t stride, double* out) {
@@ -107,43 +80,6 @@ void MinPlusCompose(const double* a, const std::int32_t* rows, std::size_t nr,
 }
 
 template <typename L>
-double MinPlusGather(double s, const double* row, const std::int32_t* idx,
-                     std::size_t n) {
-  if (n < L::kWidth) return Scalar().min_plus_gather(s, row, idx, n);
-  typename L::Vec acc = L::Set1(kInf);
-  const typename L::Vec vs = L::Set1(s);
-  const std::size_t blocked = BlockEnd<L>(n);
-  for (std::size_t j = 0; j < blocked; j += L::kWidth) {
-    acc = L::Min(acc, L::Add(vs, L::Gather(row, idx + j)));
-  }
-  double tail_best = kInf;
-  for (std::size_t j = blocked; j < n; ++j) {
-    const double cand = s + row[idx[j]];
-    if (cand < tail_best) tail_best = cand;
-  }
-  return HorizontalMin<L>(acc, tail_best);
-}
-
-template <typename L>
-double MinPlusGatherAdd(double s, const double* row, const std::int32_t* idx,
-                        const double* b, std::size_t n) {
-  if (n < L::kWidth) return Scalar().min_plus_gather_add(s, row, idx, b, n);
-  typename L::Vec acc = L::Set1(kInf);
-  const typename L::Vec vs = L::Set1(s);
-  const std::size_t blocked = BlockEnd<L>(n);
-  for (std::size_t j = 0; j < blocked; j += L::kWidth) {
-    const typename L::Vec g = L::Gather(row, idx + j);
-    acc = L::Min(acc, L::Add(L::Add(vs, g), L::LoadU(b + j)));
-  }
-  double tail_best = kInf;
-  for (std::size_t j = blocked; j < n; ++j) {
-    const double cand = (s + row[idx[j]]) + b[j];
-    if (cand < tail_best) tail_best = cand;
-  }
-  return HorizontalMin<L>(acc, tail_best);
-}
-
-template <typename L>
 double MinPlusPairwise(const double* a, const double* b, std::size_t n) {
   if (n < L::kWidth) return Scalar().min_plus_pairwise(a, b, n);
   typename L::Vec acc = L::Set1(kInf);
@@ -159,31 +95,6 @@ double MinPlusPairwise(const double* a, const double* b, std::size_t n) {
   return HorizontalMin<L>(acc, tail_best);
 }
 
-/// Two passes: a vectorized min over the sums, then a scalar scan for the
-/// first index attaining it, which reproduces the reference tie-break.
-template <typename L>
-std::size_t MinPlusArgmin(double s, const double* row, std::size_t n) {
-  if (n < L::kWidth) return Scalar().min_plus_argmin(s, row, n);
-  typename L::Vec acc = L::Set1(kInf);
-  const typename L::Vec vs = L::Set1(s);
-  const std::size_t blocked = BlockEnd<L>(n);
-  for (std::size_t k = 0; k < blocked; k += L::kWidth) {
-    acc = L::Min(acc, L::Add(vs, L::LoadU(row + k)));
-  }
-  double best = kInf;
-  for (std::size_t k = blocked; k < n; ++k) {
-    const double cand = s + row[k];
-    if (cand < best) best = cand;
-  }
-  best = HorizontalMin<L>(acc, best);
-  for (std::size_t k = 0; k < n; ++k) {
-    if (s + row[k] == best) return k;
-  }
-  // best == +inf with every sum +inf (or NaN inputs, which the distance
-  // arrays never contain): the reference scan returns index 0.
-  return 0;
-}
-
 template <typename L>
 void GatherCells(const double* row, const std::int32_t* idx, std::size_t n,
                  double* out) {
@@ -195,18 +106,10 @@ void GatherCells(const double* row, const std::int32_t* idx, std::size_t n,
   for (std::size_t i = blocked; i < n; ++i) out[i] = row[idx[i]];
 }
 
-/// The backend's table: the seven kernels above instantiated for `L`.
+/// The backend's table: the three kernels above instantiated for `L`.
 template <typename L>
 constexpr KernelTable MakeSimdKernelTable(KernelTier tier, const char* name) {
-  return {tier,
-          name,
-          MinPlusJoin<L>,
-          MinPlusCompose<L>,
-          MinPlusGather<L>,
-          MinPlusGatherAdd<L>,
-          MinPlusPairwise<L>,
-          MinPlusArgmin<L>,
-          GatherCells<L>};
+  return {tier, name, MinPlusCompose<L>, MinPlusPairwise<L>, GatherCells<L>};
 }
 
 #endif  // IFLS_INDEX_KERNELS_MINPLUS_SIMD_BODY_H_

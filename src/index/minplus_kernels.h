@@ -10,10 +10,12 @@ namespace ifls {
 namespace kernels {
 
 /// Every IFLS objective bottoms out in min-plus reductions over VIP-tree
-/// door matrices: min_k (src[k] + M[k][j] + dst[j]) and friends, executed
-/// millions of times per workload directly on the arena-resident matrix
-/// spans. This family implements those reductions as blocked, contiguous
-/// kernels over three ISA tiers (src/index/kernels/):
+/// door matrices, executed millions of times per workload directly on the
+/// arena-resident matrix spans: a row folded through a matrix
+/// (MinPlusCompose), then reduced against a second row (MinPlusPairwise),
+/// with rows gathered by index map (GatherCells). This family implements
+/// those three as blocked, contiguous kernels over three ISA tiers
+/// (src/index/kernels/):
 ///
 ///  * scalar    — portable reference, always compiled, always available;
 ///  * avx2      — 4-lane __m256d blocks with vgatherdpd (-mavx2);
@@ -32,10 +34,8 @@ namespace kernels {
 /// sums like (a[i] + m) + b[j], no FMA contraction, no reassociation — and
 /// the reduction operator `min` always returns one of its operands, so the
 /// reduction order (scalar loop vs 4/8-lane tree) cannot change a single
-/// bit. Argmin kernels additionally pin the tie-break: lowest index
-/// attaining the minimal sum wins, matching the reference `cand < best`
-/// loops. tests/minplus_kernels_test.cc locks both properties in across
-/// the full tier product under ASan.
+/// bit. tests/minplus_kernels_test.cc locks this in across the full tier
+/// product under ASan.
 
 /// The ISA ladder, ordered: a higher tier is never slower to select. Values
 /// are dense and stable (bench reports and the tier-product tests iterate
@@ -86,35 +86,16 @@ const char* ActiveKernelName();
 // +infinity / are no-ops.
 // ---------------------------------------------------------------------------
 
-/// Row+matrix+col join (the DoorToDoor LCA composition):
-///   min over i,j of (a[i] + m[rows[i]*stride + cols[j]]) + b[j].
-double MinPlusJoin(const double* a, const std::int32_t* rows, std::size_t nr,
-                   const double* b, const std::int32_t* cols, std::size_t nc,
-                   const double* m, std::size_t stride);
-
 /// Fold distances through a matrix (IP-mode chain composition):
 ///   out[j] = min over i of a[i] + m[rows[i]*stride + cols[j]].
 void MinPlusCompose(const double* a, const std::int32_t* rows, std::size_t nr,
                     const std::int32_t* cols, std::size_t nc, const double* m,
                     std::size_t stride, double* out);
 
-/// Scalar-source gather reduce: min over j of s + row[idx[j]].
-double MinPlusGather(double s, const double* row, const std::int32_t* idx,
-                     std::size_t n);
-
-/// Scalar-source gather join: min over j of (s + row[idx[j]]) + b[j].
-double MinPlusGatherAdd(double s, const double* row, const std::int32_t* idx,
-                        const double* b, std::size_t n);
-
-/// Batched pairwise reduce (many-clients-one-candidate):
+/// Pairwise reduce (a composed row against a target's row, or many clients
+/// against one candidate):
 ///   min over k of a[k] + b[k].
 double MinPlusPairwise(const double* a, const double* b, std::size_t n);
-
-/// First-hop extraction: the lowest index k attaining
-///   min over k of s + row[k].
-/// Precondition: n > 0. Ties resolve to the lowest index, matching the
-/// reference `cand < best` scan.
-std::size_t MinPlusArgmin(double s, const double* row, std::size_t n);
 
 /// out[i] = row[idx[i]] (row extraction by access-door index map).
 void GatherCells(const double* row, const std::int32_t* idx, std::size_t n,

@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "src/common/logging.h"
-#include "src/index/distance_oracle.h"
-#include "src/index/minplus_kernels.h"
 
 namespace ifls {
 
@@ -71,30 +69,21 @@ Result<IndoorPath> PathReconstructor::PointToPoint(const Point& a,
     path.distance = PlanarDistance(a, b);
     return path;
   }
-  // Row-at-a-time argmin: materialize each source door's candidate sums
-  // (the exact left-associated expression of the original nested loop),
-  // then let the kernel pick the first index attaining the row minimum.
-  // A strict `row_min < best` update preserves the original flattened-scan
-  // tie-break: within a row, the last strict improvement lands on the first
-  // occurrence of the row minimum.
+  // The first door pair attaining the minimum in (d1, d2) scan order.
   const std::vector<DoorId>& doors_b = venue.partition(pb).doors;
-  std::vector<double> sums(doors_b.size());
   double best = kInfDistance;
   DoorId best_a = kInvalidDoor;
   DoorId best_b = kInvalidDoor;
   for (DoorId d1 : venue.partition(pa).doors) {
     const double leg_a = PointToDoorDistance(a, venue.door(d1));
-    for (std::size_t j = 0; j < doors_b.size(); ++j) {
-      const double leg_b = PointToDoorDistance(b, venue.door(doors_b[j]));
-      sums[j] = leg_a + tree_->DoorToDoor(d1, doors_b[j]) + leg_b;
-    }
-    if (sums.empty()) continue;
-    const std::size_t j = kernels::MinPlusArgmin(0.0, sums.data(), sums.size());
-    CountKernelInvocation();
-    if (sums[j] < best) {
-      best = sums[j];
-      best_a = d1;
-      best_b = doors_b[j];
+    for (DoorId d2 : doors_b) {
+      const double leg_b = PointToDoorDistance(b, venue.door(d2));
+      const double cand = leg_a + tree_->DoorToDoor(d1, d2) + leg_b;
+      if (cand < best) {
+        best = cand;
+        best_a = d1;
+        best_b = d2;
+      }
     }
   }
   if (best_a == kInvalidDoor) {
@@ -122,26 +111,19 @@ Result<IndoorPath> PathReconstructor::PointToPartition(
     path.distance = 0.0;
     return path;
   }
-  const std::vector<DoorId>& doors_t = venue.partition(target).doors;
-  std::vector<double> row(doors_t.size());
+  // The first door pair attaining the minimum in (d1, d2) scan order.
   double best = kInfDistance;
   DoorId best_a = kInvalidDoor;
   DoorId best_b = kInvalidDoor;
   for (DoorId d1 : venue.partition(pa).doors) {
     const double leg = PointToDoorDistance(a, venue.door(d1));
-    for (std::size_t j = 0; j < doors_t.size(); ++j) {
-      row[j] = tree_->DoorToDoor(d1, doors_t[j]);
-    }
-    if (row.empty()) continue;
-    // First-index argmin over leg + row[j]; strict update keeps the
-    // original flattened-scan tie-break (see PointToPoint above).
-    const std::size_t j = kernels::MinPlusArgmin(leg, row.data(), row.size());
-    CountKernelInvocation();
-    const double cand = leg + row[j];
-    if (cand < best) {
-      best = cand;
-      best_a = d1;
-      best_b = doors_t[j];
+    for (DoorId d2 : venue.partition(target).doors) {
+      const double cand = leg + tree_->DoorToDoor(d1, d2);
+      if (cand < best) {
+        best = cand;
+        best_a = d1;
+        best_b = d2;
+      }
     }
   }
   if (best_a == kInvalidDoor) {

@@ -676,16 +676,6 @@ bool VipTree::NodeContainsPartition(NodeId n, PartitionId p) const {
   return cur == n;
 }
 
-NodeId VipTree::LowestCommonAncestor(NodeId a, NodeId b) const {
-  while (node(a).depth > node(b).depth) a = node(a).parent;
-  while (node(b).depth > node(a).depth) b = node(b).parent;
-  while (a != b) {
-    a = node(a).parent;
-    b = node(b).parent;
-  }
-  return a;
-}
-
 std::size_t VipTree::MemoryFootprintBytes() const {
   std::size_t total = sizeof(VipTree);
   total += nodes_.capacity() * sizeof(VipNode);

@@ -34,8 +34,8 @@ struct VipTreeOptions {
   /// Worker threads for the matrix-building Dijkstra sweep (one global run
   /// per door; each door writes its own disjoint matrix rows, so the built
   /// index is bit-identical for any thread count) and for the iMinD(p, n)
-  /// table SaveV3ToFile composes (likewise one row per door). <= 0 uses all hardware
-  /// threads; 1 keeps the build single-threaded.
+  /// table SaveV3ToFile composes (one chunk of door rows per thread).
+  /// <= 0 uses all hardware threads; 1 keeps the build single-threaded.
   int build_threads = 0;
   /// Memoize DoorToDoor results and the partition-level distances
   /// (PartitionToNode on heap-built trees, which mapped trees read from
@@ -212,45 +212,47 @@ class VipTree final : public DistanceOracle {
   /// True when partition `p` lies inside node `n`'s subtree.
   bool NodeContainsPartition(NodeId n, PartitionId p) const override;
 
-  /// Lowest common ancestor of two nodes.
-  NodeId LowestCommonAncestor(NodeId a, NodeId b) const;
-
   // ---- Distances (implemented in vip_distance.cc) ---------------------
   // PointToDoor / PointToPoint are inherited from DistanceOracle: their
   // compositions over DoorToDoor are the generic ones.
+
+  // Every distance below is a minimum over the door-set composer's terms
+  // (DoorTerms, DESIGN §3.1), bit for bit the per-pair minimum of
+  // DoorToDoor it defines.
 
   /// Exact global door-to-door walking distance, composed from the stored
   /// matrices (leaf lookup, or leaf->LCA-access-door->leaf composition).
   double DoorToDoor(DoorId a, DoorId b) const override;
 
   /// Exact indoor distance from a point to the nearest reachable boundary of
-  /// partition `target` (paper iDist(c, p)); 0 when pa == target. Applies
-  /// the paper's single-door shortcut (§5.3.1 Case 1), which is bit-identical
-  /// to the generic composition.
+  /// partition `target` (paper iDist(c, p)); 0 when pa == target. The min
+  /// over doors(pa) of the local leg plus DoorToPartition, so a memoized
+  /// door-to-partition distance serves every point behind that door (the
+  /// paper's §5.3.1 Case 1 for single-door partitions).
   double PointToPartition(const Point& a, PartitionId pa,
                           PartitionId target) const override;
 
   /// Shortest distance from door `d` to the nearest door of `target`: the
-  /// min over {d} x doors(target) of DoorToDoor, bit for bit, composed by
-  /// the batched door-set composer (DESIGN §3.1).
+  /// min over {d} x doors(target) of DoorToDoor.
   double DoorToPartition(DoorId d, PartitionId target) const override;
 
   /// Paper iMinD(p, q) with q a partition: 0 when p == q, else the min over
-  /// doors(p) x doors(q) of DoorToDoor, bit for bit, batched as above.
+  /// doors(p) x doors(q) of DoorToDoor.
   double PartitionToPartition(PartitionId p, PartitionId q) const override;
 
   /// Paper iMinD(p, I) with I a tree node: 0 when the node contains p, else
-  /// min over doors(p) x access_doors(n) of DoorToDoor, bit for bit. A
-  /// mapped tree reads it from the image's P x N table in one cell read;
-  /// a heap-built tree batches it as above.
+  /// min over doors(p) x access_doors(n) of DoorToDoor. A mapped tree
+  /// reads it from the image's P x N table in one cell read; a heap-built
+  /// tree composes it.
   ///
-  /// With the door cache enabled, each of these three is memoized under its
-  /// own kind of key (DistanceMemoKeySpace) wherever it is composed, so
-  /// PartitionToNode uses the memo on heap-built trees only.
+  /// With the door cache enabled, DoorToDoor and these three are memoized
+  /// under their own kind of key (DistanceMemoKeySpace) wherever they are
+  /// composed, so PartitionToNode uses the memo on heap-built trees only.
   double PartitionToNode(PartitionId p, NodeId n) const override;
 
   /// Lower bound used by top-down NN: distance from a concrete point to the
-  /// nearest access door of node `n` (0 when the node contains pa).
+  /// nearest access door of node `n` (0 when the node contains pa); the min
+  /// over doors(pa) of the local leg plus the composed {d1} x AD(n) minimum.
   double PointToNode(const Point& a, PartitionId pa, NodeId n) const override;
 
   /// First door to take from door `a` toward door `b` when both doors share
@@ -351,22 +353,30 @@ class VipTree final : public DistanceOracle {
   /// the row of the materialized leaf->ancestor matrix in place; for
   /// `ancestor == leaf`, and in IP mode, the distances are gathered and
   /// composed along the node chain into `*scratch`, which the result views.
-  /// Shared by DoorToDoor and ComposeDoorSets.
   std::span<const double> AncestorAccessDistances(
       DoorId a, NodeId leaf, NodeId ancestor,
       std::vector<double>* scratch) const;
 
-  /// The min over home_doors x targets of DoorToDoor's terms, without the
-  /// memo: one LCA row composed per home door and distinct LCA child pair,
-  /// one pairwise reduce per target door (DESIGN §3.1). Serves
-  /// PartitionToNode, PartitionToPartition and DoorToPartition.
+  /// Target doors of a composition and the rows DoorTerms reuses across
+  /// home doors (defined in vip_distance.cc).
+  struct TargetSet;
+
+  /// The one door-term routine: terms[j] = DoorToDoor(d1, t_j) for every
+  /// target t_j of `set`, bit for bit, without the memo. A target in one of
+  /// d1's leaves reads the leaf cell; the others cost one LCA row composed
+  /// per home door and LCA child pair, and one pairwise reduce each
+  /// (DESIGN §3.1).
+  void DoorTerms(DoorId d1, TargetSet* set, std::span<double> terms) const;
+
+  /// The min over home_doors x targets of DoorTerms. Serves DoorToDoor,
+  /// DoorToPartition, PartitionToPartition, PartitionToNode and PointToNode.
   double ComposeDoorSets(std::span<const DoorId> home_doors,
                          std::span<const DoorId> targets) const;
 
   /// The P x N iMinD(p, n) table the v3 image persists, row-major: 0 where
   /// node n contains partition p, else ComposeDoorSets(doors(p), AD(n)) bit
-  /// for bit. Composed door by door over every access door of every node,
-  /// on BuildThreads() workers (DESIGN §7.3).
+  /// for bit. Every door's DoorTerms toward every access door, reduced per
+  /// node and then per partition, on BuildThreads() workers (DESIGN §7.3).
   std::vector<double> ComposePartitionToNodeTable() const;
 
   /// ComposeDoorSets behind the memo entry (kind, from, to) when the memo

@@ -120,8 +120,7 @@ RandomInstance MakeInstance(Rng& rng, std::size_t matrix_dim, std::size_t nr,
 
 // Sizes straddle every lane-block boundary in the ladder (4 for avx2, 8
 // for avx512): empty, tiny, each remainder class mod 8, and two or more
-// full 8-lane blocks with every tail class (24..127). Measured MinPlusJoin
-// calls mostly have nr*nc of 16-31 or >= 64 (DESIGN.md §9.1).
+// full 8-lane blocks with every tail class (24..127).
 const std::size_t kSizes[] = {0u,  1u,  2u,  3u,  4u,  5u,  6u,  7u,
                               8u,  9u,  13u, 16u, 17u, 24u, 31u, 32u,
                               33u, 63u, 64u, 65u, 127u};
@@ -175,28 +174,6 @@ TEST(MinPlusKernelsTest, PinRejectsUnavailableTierAndKeepsDispatch) {
   ResetKernelTierAuto();
 }
 
-TEST(MinPlusKernelsTest, JoinBitIdenticalAcrossTiers) {
-  Rng rng(20260806);
-  for (const std::size_t nr : {0u, 1u, 3u, 4u, 5u, 8u, 17u}) {
-    for (const std::size_t nc : kSizes) {
-      for (int trial = 0; trial < 4; ++trial) {
-        const RandomInstance in =
-            MakeInstance(rng, 64, nr, nc, /*quantized=*/trial % 2 == 1);
-        const auto results = AllTiers([&] {
-          return MinPlusJoin(in.a.data(), in.row_idx.data(), nr, in.b.data(),
-                             in.col_idx.data(), nc, in.matrix.data(),
-                             in.stride);
-        });
-        ExpectAllTiersEqual(results, "join nr=" + std::to_string(nr) +
-                                         " nc=" + std::to_string(nc));
-        if (nr == 0 || nc == 0) {
-          EXPECT_EQ(results[0], kInf);
-        }
-      }
-    }
-  }
-}
-
 TEST(MinPlusKernelsTest, ComposeBitIdenticalAcrossTiers) {
   Rng rng(20260807);
   for (const std::size_t nr : {0u, 1u, 4u, 9u}) {
@@ -223,15 +200,8 @@ TEST(MinPlusKernelsTest, GatherFamilyBitIdenticalAcrossTiers) {
     for (int trial = 0; trial < 4; ++trial) {
       const RandomInstance in =
           MakeInstance(rng, 128, n, n, /*quantized=*/trial % 2 == 1);
-      const double s0 = rng.NextUniform(0.0, 100.0);
       const double* row = in.matrix.data();  // any row works
       const std::string suffix = " n=" + std::to_string(n);
-      ExpectAllTiersEqual(
-          AllTiers([&] { return MinPlusGather(s0, row, in.col_idx.data(), n); }),
-          "gather" + suffix);
-      ExpectAllTiersEqual(AllTiers([&] {
-        return MinPlusGatherAdd(s0, row, in.col_idx.data(), in.b.data(), n);
-      }), "gather_add" + suffix);
       ExpectAllTiersEqual(AllTiers([&] {
         return MinPlusPairwise(in.a.data(), in.b.data(), n);
       }), "pairwise" + suffix);
@@ -244,53 +214,21 @@ TEST(MinPlusKernelsTest, GatherFamilyBitIdenticalAcrossTiers) {
   }
 }
 
-TEST(MinPlusKernelsTest, ArgminBitIdenticalAndLowestIndexTieBreak) {
-  Rng rng(20260809);
-  for (const std::size_t n : {1u, 2u, 4u, 5u, 8u, 9u, 16u, 32u, 77u}) {
-    for (int trial = 0; trial < 16; ++trial) {
-      std::vector<double> row(n);
-      for (double& v : row) {
-        // Coarse quantization to force plenty of exact ties.
-        v = static_cast<double>(rng.NextInt(0, 8)) * 0.5;
-      }
-      const double s0 = rng.NextUniform(0.0, 4.0);
-      const auto results =
-          AllTiers([&] { return MinPlusArgmin(s0, row.data(), n); });
-      ExpectAllTiersEqual(results, "argmin n=" + std::to_string(n));
-      // Lowest-index contract, checked against a fresh scan.
-      double best = kInf;
-      std::size_t best_k = 0;
-      for (std::size_t k = 0; k < n; ++k) {
-        if (s0 + row[k] < best) {
-          best = s0 + row[k];
-          best_k = k;
-        }
-      }
-      EXPECT_EQ(results[0], best_k);
-    }
-  }
-}
-
-TEST(MinPlusKernelsTest, ArgminAllInfinityReturnsIndexZero) {
-  std::vector<double> row(11, kInf);
-  const auto results =
-      AllTiers([&] { return MinPlusArgmin(3.0, row.data(), row.size()); });
-  for (const std::size_t k : results) EXPECT_EQ(k, 0u);
-}
-
 TEST(MinPlusKernelsTest, InfinityRowsNeverBeatFiniteCandidates) {
-  // The DoorToDoor caller dropped its dist_a[i] == inf skip when moving to
-  // the kernel; this is the property that makes the drop safe.
+  // The door-set composer folds unreachable rows (a[i] == inf) through the
+  // matrix without skipping them; this is the property that makes that safe.
   const std::vector<double> a = {kInf, 2.0};
   const std::vector<double> b = {1.0, kInf};
   const std::vector<std::int32_t> rows = {0, 1};
   const std::vector<std::int32_t> cols = {0, 1};
   const std::vector<double> m = {0.5, kInf, 1.5, 2.5};  // 2x2, stride 2
   const auto results = AllTiers([&] {
-    return MinPlusJoin(a.data(), rows.data(), 2, b.data(), cols.data(), 2,
-                       m.data(), 2);
+    std::vector<double> u(2);
+    MinPlusCompose(a.data(), rows.data(), 2, cols.data(), 2, m.data(), 2,
+                   u.data());
+    return MinPlusPairwise(u.data(), b.data(), 2);
   });
-  ExpectAllTiersEqual(results, "inf-join");
+  ExpectAllTiersEqual(results, "inf-compose");
   EXPECT_EQ(results[0], (2.0 + 1.5) + 1.0);
 }
 

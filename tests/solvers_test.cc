@@ -404,46 +404,46 @@ std::vector<WorkPin> PinnedRuns(std::uint64_t seed, std::size_t existing,
 // The traversal's answers, objective bits and work counters per objective.
 // A refactor of the retrieval core must leave every value unchanged.
 const WorkPin kWorkPins[] = {
-    {"minmax", 901, 26, 0x403b5cb613493ee3ull, 376, 270, 340, 177, 132, 48, 268, 121, 2172},
-    {"minmax/ungrouped", 901, 26, 0x403b5cb613493ee3ull, 567, 413, 513, 213, 131, 48, 409, 121, 3272},
-    {"minmax/unpruned", 901, 26, 0x403b5cb613493ee3ull, 463, 310, 423, 206, 190, 48, 306, 121, 2640},
-    {"minmax/no_skip", 901, 26, 0x403b5cb613493ee3ull, 1080, 744, 1044, 176, 131, 48, 740, 121, 5615},
-    {"minmax/no_reuse", 901, 26, 0x403b5cb613493ee3ull, 376, 270, 340, 214, 132, 48, 268, 121, 2020},
-    {"minmax/top3", 901, 19, 0x403b5cb613493ee3ull, 379, 324, 343, 429, 147, 60, 268, 132, 2888},
-    {"stream/1", 901, 19, 0x403b5cb613493ee3ull, 376, 270, 340, 177, 132, 48, 268, 121, 2172},
-    {"stream/2", 901, 26, 0x403b5cb613493ee3ull, 376, 270, 340, 177, 132, 48, 268, 121, 2172},
-    {"stream/3", 901, 3, 0x4049fac27c642927ull, 379, 324, 343, 429, 147, 60, 268, 132, 2888},
-    {"stream/4", 901, 10, 0x4049fac27c642927ull, 379, 324, 343, 429, 147, 60, 268, 132, 2888},
-    {"stream/5", 901, 12, 0x4049fac27c642927ull, 379, 324, 343, 429, 147, 60, 268, 132, 2888},
-    {"stream/6", 901, 44, 0x4049fac27c642927ull, 379, 324, 343, 429, 147, 60, 268, 132, 2888},
+    {"minmax", 901, 26, 0x403b5cb613493ee3ull, 376, 270, 340, 177, 132, 48, 268, 121, 2332},
+    {"minmax/ungrouped", 901, 26, 0x403b5cb613493ee3ull, 567, 413, 513, 213, 131, 48, 409, 121, 3432},
+    {"minmax/unpruned", 901, 26, 0x403b5cb613493ee3ull, 463, 310, 423, 206, 190, 48, 306, 121, 2800},
+    {"minmax/no_skip", 901, 26, 0x403b5cb613493ee3ull, 1080, 744, 1044, 176, 131, 48, 740, 121, 5775},
+    {"minmax/no_reuse", 901, 26, 0x403b5cb613493ee3ull, 376, 270, 340, 214, 132, 48, 268, 121, 2216},
+    {"minmax/top3", 901, 19, 0x403b5cb613493ee3ull, 379, 324, 343, 429, 147, 60, 268, 132, 3413},
+    {"stream/1", 901, 19, 0x403b5cb613493ee3ull, 376, 270, 340, 177, 132, 48, 268, 121, 2332},
+    {"stream/2", 901, 26, 0x403b5cb613493ee3ull, 376, 270, 340, 177, 132, 48, 268, 121, 2332},
+    {"stream/3", 901, 3, 0x4049fac27c642927ull, 379, 324, 343, 429, 147, 60, 268, 132, 3413},
+    {"stream/4", 901, 10, 0x4049fac27c642927ull, 379, 324, 343, 429, 147, 60, 268, 132, 3413},
+    {"stream/5", 901, 12, 0x4049fac27c642927ull, 379, 324, 343, 429, 147, 60, 268, 132, 3413},
+    {"stream/6", 901, 44, 0x4049fac27c642927ull, 379, 324, 343, 429, 147, 60, 268, 132, 3413},
     {"mindist", 901, 19, 0x4086d2473ba62c18ull, 376, 270, 340, 81, 132, 48, 0, 271, -1},
     {"maxsum", 901, 3, 0x402e000000000000ull, 379, 324, 343, 93, 147, 60, 0, 325, -1},
     {"minmax", 902, -1, 0x404b43100eb78987ull, 430, 384, 391, 79, 182, 90, 384, 130, 2114},
     {"minmax/ungrouped", 902, -1, 0x404b43100eb78987ull, 843, 753, 765, 161, 183, 90, 753, 130, 3619},
     {"minmax/unpruned", 902, -1, 0x404b43100eb78987ull, 749, 661, 705, 347, 737, 90, 661, 130, 5825},
     {"minmax/no_skip", 902, -1, 0x404b43100eb78987ull, 990, 892, 951, 79, 182, 90, 892, 130, 4160},
-    {"minmax/no_reuse", 902, -1, 0x404b43100eb78987ull, 430, 384, 391, 160, 182, 90, 384, 130, 1965},
-    {"minmax/top3", 902, 4, 0x404b43100eb78987ull, 430, 384, 391, 529, 182, 90, 384, 130, 2996},
-    {"stream/1", 902, 4, 0x404b43100eb78987ull, 430, 384, 391, 529, 182, 90, 384, 130, 2996},
-    {"stream/2", 902, 11, 0x404b43100eb78987ull, 430, 384, 391, 529, 182, 90, 384, 130, 2996},
-    {"stream/3", 902, 12, 0x404b43100eb78987ull, 430, 384, 391, 529, 182, 90, 384, 130, 2996},
-    {"stream/4", 902, 33, 0x404b43100eb78987ull, 430, 384, 391, 529, 182, 90, 384, 130, 2996},
-    {"stream/5", 902, 46, 0x404b43100eb78987ull, 430, 384, 391, 529, 182, 90, 384, 130, 2996},
+    {"minmax/no_reuse", 902, -1, 0x404b43100eb78987ull, 430, 384, 391, 160, 182, 90, 384, 130, 1990},
+    {"minmax/top3", 902, 4, 0x404b43100eb78987ull, 430, 384, 391, 529, 182, 90, 384, 130, 3628},
+    {"stream/1", 902, 4, 0x404b43100eb78987ull, 430, 384, 391, 529, 182, 90, 384, 130, 3628},
+    {"stream/2", 902, 11, 0x404b43100eb78987ull, 430, 384, 391, 529, 182, 90, 384, 130, 3628},
+    {"stream/3", 902, 12, 0x404b43100eb78987ull, 430, 384, 391, 529, 182, 90, 384, 130, 3628},
+    {"stream/4", 902, 33, 0x404b43100eb78987ull, 430, 384, 391, 529, 182, 90, 384, 130, 3628},
+    {"stream/5", 902, 46, 0x404b43100eb78987ull, 430, 384, 391, 529, 182, 90, 384, 130, 3628},
     {"mindist", 902, 46, 0x4092da06b06bd08dull, 430, 384, 391, 79, 182, 90, 0, 385, -1},
     {"maxsum", 902, 12, 0x4020000000000000ull, 430, 384, 391, 79, 182, 90, 0, 385, -1},
     {"minmax", 903, 37, 0x40490d86adce15bdull, 374, 311, 345, 84, 130, 27, 209, 114, 2498},
     {"minmax/ungrouped", 903, 37, 0x40490d86adce15bdull, 532, 449, 488, 122, 129, 27, 311, 114, 3775},
     {"minmax/unpruned", 903, 37, 0x40490d86adce15bdull, 453, 373, 423, 143, 219, 27, 216, 114, 3140},
     {"minmax/no_skip", 903, 37, 0x40490d86adce15bdull, 1074, 899, 1045, 82, 128, 27, 515, 114, 6166},
-    {"minmax/no_reuse", 903, 37, 0x40490d86adce15bdull, 374, 311, 345, 123, 130, 27, 209, 114, 2381},
-    {"minmax/top3", 903, 37, 0x40490d86adce15bdull, 405, 349, 376, 178, 142, 30, 209, 134, 3244},
-    {"stream/1", 903, 37, 0x40490d86adce15bdull, 374, 311, 345, 139, 130, 28, 209, 119, 2599},
-    {"stream/2", 903, 45, 0x4049b2e52784b3eeull, 374, 311, 345, 139, 130, 28, 209, 119, 2599},
-    {"stream/3", 903, 40, 0x4050407420b06850ull, 405, 349, 376, 178, 142, 32, 209, 136, 3244},
-    {"stream/4", 903, 35, 0x40517fdf97b7a83cull, 414, 360, 385, 212, 144, 32, 209, 138, 3317},
-    {"stream/5", 903, 10, 0x4059815d2a62216aull, 418, 393, 389, 265, 164, 42, 209, 159, 3488},
-    {"stream/6", 903, 21, 0x405bffdf97b7a83cull, 419, 402, 390, 356, 166, 45, 209, 161, 3718},
-    {"stream/7", 903, 26, 0x405bffdf97b7a83cull, 419, 402, 390, 356, 166, 45, 209, 161, 3718},
+    {"minmax/no_reuse", 903, 37, 0x40490d86adce15bdull, 374, 311, 345, 123, 130, 27, 209, 114, 2537},
+    {"minmax/top3", 903, 37, 0x40490d86adce15bdull, 405, 349, 376, 178, 142, 30, 209, 134, 3343},
+    {"stream/1", 903, 37, 0x40490d86adce15bdull, 374, 311, 345, 139, 130, 28, 209, 119, 2670},
+    {"stream/2", 903, 45, 0x4049b2e52784b3eeull, 374, 311, 345, 139, 130, 28, 209, 119, 2670},
+    {"stream/3", 903, 40, 0x4050407420b06850ull, 405, 349, 376, 178, 142, 32, 209, 136, 3343},
+    {"stream/4", 903, 35, 0x40517fdf97b7a83cull, 414, 360, 385, 212, 144, 32, 209, 138, 3444},
+    {"stream/5", 903, 10, 0x4059815d2a62216aull, 418, 393, 389, 265, 164, 42, 209, 159, 3668},
+    {"stream/6", 903, 21, 0x405bffdf97b7a83cull, 419, 402, 390, 356, 166, 45, 209, 161, 4042},
+    {"stream/7", 903, 26, 0x405bffdf97b7a83cull, 419, 402, 390, 356, 166, 45, 209, 161, 4042},
     {"mindist", 903, 45, 0x40883b5d9c6f8f43ull, 374, 311, 345, 84, 130, 28, 0, 312, -1},
     {"maxsum", 903, 10, 0x403f000000000000ull, 418, 393, 389, 106, 164, 42, 0, 394, -1},
 };

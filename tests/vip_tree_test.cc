@@ -93,23 +93,6 @@ TEST(VipTreeStructureTest, RootHasNoAccessDoors) {
   EXPECT_TRUE(tree.node(tree.root()).access_doors.empty());
 }
 
-TEST(VipTreeStructureTest, LowestCommonAncestor) {
-  Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
-  VipTree tree = Unwrap(VipTree::Build(&venue));
-  const NodeId leaf0 = tree.LeafOf(0);
-  EXPECT_EQ(tree.LowestCommonAncestor(leaf0, leaf0), leaf0);
-  EXPECT_EQ(tree.LowestCommonAncestor(leaf0, tree.root()), tree.root());
-  // LCA of two distinct leaves contains both.
-  const NodeId leaf_last = tree.LeafOf(
-      static_cast<PartitionId>(venue.num_partitions() - 1));
-  if (leaf0 != leaf_last) {
-    const NodeId lca = tree.LowestCommonAncestor(leaf0, leaf_last);
-    EXPECT_TRUE(tree.NodeContainsPartition(lca, 0));
-    EXPECT_TRUE(tree.NodeContainsPartition(
-        lca, static_cast<PartitionId>(venue.num_partitions() - 1)));
-  }
-}
-
 TEST(VipTreeStructureTest, LeavesNeverStraddleLevels) {
   // The tiny venue spans two levels; even with a huge leaf capacity the
   // builder keeps one leaf per level (floor-coherent nodes whose access
