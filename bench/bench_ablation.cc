@@ -11,6 +11,10 @@
 //                     memo (engineering extension, DESIGN.md §3.3b)
 //   top-down NN     — the modified MinMax baseline (per-client top-down NN
 //                     search) as the reference point
+// A second table measures the efficient approach's memory on Menzies
+// Building (MZB) at the paper's default |C| = 10k, grouped and ungrouped,
+// where the traversal's visited bits take groups x (nodes + partitions)
+// bits (DESIGN.md §3.3).
 // All variants return optimal answers; only cost changes.
 
 #include <cstdio>
@@ -62,25 +66,31 @@ int main() {
 
   TextTable table({"variant", "time (s)", "mem (MB)", "dist comps",
                    "queue pushes", "clients pruned"});
-  for (const Variant& v : variants) {
+  // One row: the efficient approach with `options`, averaged over the
+  // repeats of `spec` on (venue, tree). False when a solve fails.
+  const auto efficient_row = [&scale](TextTable* out, const char* label,
+                                      const Venue& on_venue,
+                                      const VipTree& on_tree,
+                                      const WorkloadSpec& on_spec,
+                                      const EfficientOptions& options) {
     double time = 0, mem = 0;
     long long dist = 0, pushes = 0, pruned = 0;
     for (int r = 0; r < scale.repeats; ++r) {
       Rng rng(1 + static_cast<std::uint64_t>(r));
       IflsContext ctx;
-      ctx.oracle = &tree;
-      Result<FacilitySets> sets = MakeFacilities(venue, spec, &rng);
+      ctx.oracle = &on_tree;
+      Result<FacilitySets> sets = MakeFacilities(on_venue, on_spec, &rng);
       if (!sets.ok()) {
         std::fprintf(stderr, "%s\n", sets.status().ToString().c_str());
-        return 1;
+        return false;
       }
       ctx.existing = sets->existing;
       ctx.candidates = sets->candidates;
-      ctx.clients = MakeClients(venue, spec, &rng);
-      Result<IflsResult> result = SolveEfficient(ctx, v.options);
+      ctx.clients = MakeClients(on_venue, on_spec, &rng);
+      Result<IflsResult> result = SolveEfficient(ctx, options);
       if (!result.ok()) {
         std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-        return 1;
+        return false;
       }
       time += result->stats.elapsed_seconds;
       mem += static_cast<double>(result->stats.peak_memory_bytes) / (1 << 20);
@@ -89,10 +99,16 @@ int main() {
       pruned += result->stats.clients_pruned;
     }
     const double n = scale.repeats;
-    table.AddRow({v.label, TextTable::Num(time / n), TextTable::Num(mem / n),
-                  TextTable::Int(dist / scale.repeats),
-                  TextTable::Int(pushes / scale.repeats),
-                  TextTable::Int(pruned / scale.repeats)});
+    out->AddRow({label, TextTable::Num(time / n), TextTable::Num(mem / n),
+                 TextTable::Int(dist / scale.repeats),
+                 TextTable::Int(pushes / scale.repeats),
+                 TextTable::Int(pruned / scale.repeats)});
+    return true;
+  };
+  for (const Variant& v : variants) {
+    if (!efficient_row(&table, v.label, venue, tree, spec, v.options)) {
+      return 1;
+    }
   }
 
   // Engineering extension beyond the paper: both algorithms on an index
@@ -169,5 +185,28 @@ int main() {
                   TextTable::Int(pushes / scale.repeats), "-"});
   }
   table.Print(&std::cout);
+
+  const Venue& mzb_venue = cache.venue(VenuePreset::kMenziesBuilding, false);
+  const VipTree& mzb_tree = cache.tree(VenuePreset::kMenziesBuilding, false);
+  const ParameterGrid mzb_grid =
+      PresetParameterGrid(VenuePreset::kMenziesBuilding);
+  WorkloadSpec mzb_spec;
+  mzb_spec.preset = VenuePreset::kMenziesBuilding;
+  mzb_spec.num_existing = mzb_grid.default_existing;
+  mzb_spec.num_candidates = mzb_grid.default_candidates;
+  mzb_spec.num_clients = kDefaultClients;
+  std::printf(
+      "\n# EA memory on MZB at |C| = %zu (%zu nodes + %zu partitions)\n\n",
+      mzb_spec.num_clients, mzb_tree.num_nodes(),
+      mzb_venue.num_partitions());
+  TextTable mzb_table({"variant", "time (s)", "mem (MB)", "dist comps",
+                       "queue pushes", "clients pruned"});
+  if (!efficient_row(&mzb_table, "full", mzb_venue, mzb_tree, mzb_spec,
+                     full) ||
+      !efficient_row(&mzb_table, "-grouping", mzb_venue, mzb_tree, mzb_spec,
+                     no_group)) {
+    return 1;
+  }
+  mzb_table.Print(&std::cout);
   return 0;
 }

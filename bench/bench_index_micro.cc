@@ -160,6 +160,33 @@ void BM_IpTreePointToPartition(benchmark::State& state) {
 BENCHMARK(BM_IpTreePointToPartition)->DenseRange(0, 3)->Name(
     "PointToPartition/IP-tree");
 
+/// Point-to-point distance between two of the venue's sampled clients.
+void PointToPointLoop(benchmark::State& state, const VipTree& tree,
+                      const std::vector<Client>& clients) {
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Client& a = clients[i % clients.size()];
+    const Client& b = clients[(i * 7 + 3) % clients.size()];
+    benchmark::DoNotOptimize(
+        tree.PointToPoint(a.position, a.partition, b.position, b.partition));
+    ++i;
+  }
+}
+
+void BM_VipTreePointToPoint(benchmark::State& state) {
+  MicroEnv& env = Env(static_cast<int>(state.range(0)));
+  PointToPointLoop(state, *env.vip, env.clients);
+}
+BENCHMARK(BM_VipTreePointToPoint)->DenseRange(0, 3)->Name(
+    "PointToPoint/VIP-tree");
+
+void BM_IpTreePointToPoint(benchmark::State& state) {
+  MicroEnv& env = Env(static_cast<int>(state.range(0)));
+  PointToPointLoop(state, *env.ip, env.clients);
+}
+BENCHMARK(BM_IpTreePointToPoint)->DenseRange(0, 3)->Name(
+    "PointToPoint/IP-tree");
+
 void BM_WarmGraphOracle(benchmark::State& state) {
   MicroEnv& env = Env(static_cast<int>(state.range(0)));
   // Warm: one pass over the (client, target) cycle runs every source door's

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -180,10 +179,6 @@ template <typename K, typename V>
 using TrackedHashMap =
     std::unordered_map<K, V, std::hash<K>, std::equal_to<K>,
                        TrackingAllocator<std::pair<const K, V>>>;
-
-template <typename K>
-using TrackedHashSet = std::unordered_set<K, std::hash<K>, std::equal_to<K>,
-                                          TrackingAllocator<K>>;
 
 }  // namespace ifls
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -41,10 +43,6 @@ class EfficientSolver {
   void Setup() {
     TraceSpan setup_span(TraceCategory::kSolver, "efficient/setup");
     candidate_collected_.assign(ctx_.candidates.size(), 0);
-    pending_first_.reserve(ctx_.clients.size());
-    for (std::size_t i = 0; i < ctx_.clients.size(); ++i) {
-      pending_first_.push_back(static_cast<std::uint32_t>(i));
-    }
     core_.Setup();
     if (core_.alive_count() == 0) {
       FinishNoAnswer();
@@ -80,13 +78,16 @@ class EfficientSolver {
   /// candidate still has an alive client whose distance to it is >= Gd, so
   /// its objective is >= Gd. Strictly-below-Gd entries are therefore final
   /// (boundary ties at == Gd are not, and stay uncertified until Gd moves).
-  std::size_t CertifiedCount() const {
+  /// Gd only rises and a collected objective is fixed, so an entry once
+  /// certified stays certified: the uncertified objectives wait in a
+  /// min-heap and each is popped once.
+  std::size_t CertifiedCount() {
     if (done_) return collected_.size();
-    std::size_t certified = 0;
-    for (const auto& entry : collected_) {
-      if (entry.second < core_.gd()) ++certified;
+    while (!uncertified_.empty() && uncertified_.top() < core_.gd()) {
+      uncertified_.pop();
+      ++certified_;
     }
-    return certified;
+    return certified_;
   }
 
   /// Streaming: the collection log (sorted by FinishRanked once done).
@@ -126,6 +127,7 @@ class EfficientSolver {
   }
 
   void CheckAnswerFullScan() {
+    if (!core_.any_exact()) return;
     std::vector<PartitionId> common;
     for (std::size_t i = 0; i < ctx_.candidates.size(); ++i) {
       if (core_.counts()[i] == core_.alive_count() &&
@@ -193,6 +195,7 @@ class EfficientSolver {
       if (candidate_collected_[ord]) continue;
       candidate_collected_[ord] = 1;
       collected_.emplace_back(n, ExactObjective(n, AliveMaxDistance(n)));
+      if (streaming_) uncertified_.push(collected_.back().second);
     }
     if (!streaming_ &&
         collected_.size() >= static_cast<std::size_t>(options_.top_k)) {
@@ -263,21 +266,19 @@ class EfficientSolver {
 
   // ---- checkList bookkeeping (paper lines 23-25) -------------------------
 
+  /// A client is pending until it is pruned or has a facility within Gd.
+  /// alive and best_any only fall and Gd only rises, so a client that
+  /// stops pending never pends again: one cursor walks the clients once,
+  /// and isFirst holds once it has passed them all.
   void UpdateIsFirst() {
-    if (is_first_) return;
+    const TrackedVector<internal::ClientState>& clients = core_.clients();
+    if (first_pending_ == clients.size()) return;
     ++stats_.check_list_calls;
-    std::size_t i = 0;
-    while (i < pending_first_.size()) {
-      const std::uint32_t ci = pending_first_[i];
-      const internal::ClientState& client = core_.clients()[ci];
-      if (!client.alive || client.best_any <= core_.gd()) {
-        pending_first_[i] = pending_first_.back();
-        pending_first_.pop_back();
-      } else {
-        ++i;
-      }
+    while (first_pending_ < clients.size() &&
+           (!clients[first_pending_].alive ||
+            clients[first_pending_].best_any <= core_.gd())) {
+      ++first_pending_;
     }
-    is_first_ = pending_first_.empty();
   }
 
   // ---- Members -----------------------------------------------------------
@@ -291,11 +292,14 @@ class EfficientSolver {
 
   std::vector<char> candidate_collected_;  // top-k bookkeeping
   std::vector<std::pair<PartitionId, double>> collected_;
-  TrackedVector<std::uint32_t> pending_first_;
+  /// Streaming: objectives of collected entries not yet below Gd.
+  std::priority_queue<double, std::vector<double>, std::greater<double>>
+      uncertified_;
+  std::size_t certified_ = 0;
+  std::size_t first_pending_ = 0;  // checkList cursor
   TrackedVector<std::uint32_t> pruned_clients_;
 
   double pruned_floor_ = 0.0;
-  bool is_first_ = false;
   bool done_ = false;
   const bool streaming_ = false;
 };

@@ -27,7 +27,6 @@ struct Group {
   PartitionId partition = kInvalidPartition;
   TrackedVector<std::uint32_t> clients;
   std::int32_t alive = 0;
-  TrackedHashSet<std::int64_t> visited;
 };
 
 /// Priority-queue entry of the bottom-up traversal: (group's partition,
@@ -78,7 +77,9 @@ struct ClientState {
 /// grouping, the best-first queue over the node hierarchy, retrieval records,
 /// and the event heap drained in distance order, which raises d_low and
 /// prunes clients (Lemma 5.1). The core also keeps each candidate's count:
-/// the number of alive clients that have it retrieved within d_low.
+/// the number of alive clients that have it retrieved within d_low, and a
+/// histogram of those counts, so whether any candidate is exact (its count
+/// equals alive_count()) is one lookup.
 ///
 /// The objective is a template parameter, so the per-event path makes no
 /// virtual calls. It supplies the answer test through these hooks:
@@ -125,6 +126,8 @@ class RetrievalCore {
           static_cast<std::int32_t>(i);
     }
     count_.assign(ctx_.candidates.size(), 0);
+    with_k_.assign(ctx_.clients.size() + 1, 0);
+    with_k_[0] = static_cast<std::int32_t>(ctx_.candidates.size());
     clients_.resize(ctx_.clients.size());
     alive_count_ = static_cast<std::int64_t>(ctx_.clients.size());
     for (std::size_t i = 0; i < ctx_.clients.size(); ++i) {
@@ -135,7 +138,8 @@ class RetrievalCore {
     }
   }
 
-  /// Groups the active clients and seeds the queue with each group's leaf.
+  /// Groups the active clients, sizes the visited bits and seeds the queue
+  /// with each group's leaf.
   void SeedQueue() {
     std::unordered_map<PartitionId, std::uint32_t> group_of_partition;
     for (std::size_t i = 0; i < ctx_.clients.size(); ++i) {
@@ -154,6 +158,9 @@ class RetrievalCore {
       ++g.alive;
       clients_[i].group = gi;
     }
+    num_nodes_ = oracle_.num_nodes();
+    entities_per_group_ = num_nodes_ + venue_.num_partitions();
+    visited_.assign((groups_.size() * entities_per_group_ + 63) / 64, 0);
     for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
       const NodeId leaf = oracle_.LeafOf(groups_[gi].partition);
       // iMinD(p, leaf(p)) == 0 by containment.
@@ -197,7 +204,7 @@ class RetrievalCore {
         Prune(e.client);
       } else {
         const std::size_t ord = ordinal(e.facility);
-        ++count_[ord];
+        MoveCount(ord, +1);
         objective_.OnCandidateEvent(ord, e.dist);
       }
     }
@@ -215,6 +222,11 @@ class RetrievalCore {
   /// Per Fn ordinal: alive clients with the candidate retrieved within
   /// d_low.
   const TrackedVector<std::int32_t>& counts() const { return count_; }
+  /// True when some candidate's count equals alive_count(): the only way
+  /// an answer test can succeed, so a test may stop here when it is false.
+  bool any_exact() const {
+    return with_k_[static_cast<std::size_t>(alive_count_)] > 0;
+  }
   std::size_t ordinal(PartitionId candidate) const {
     const std::int32_t ord = ordinal_[static_cast<std::size_t>(candidate)];
     IFLS_DCHECK(ord >= 0);
@@ -223,27 +235,41 @@ class RetrievalCore {
   const TrackedVector<ClientState>& clients() const { return clients_; }
 
  private:
-  static std::int64_t EncodeEntity(std::int32_t entity, bool is_partition) {
-    return is_partition ? (static_cast<std::int64_t>(1) << 32) + entity
-                        : entity;
+  /// Index of (group, entity) in visited_: nodes first, then partitions.
+  std::size_t VisitedBit(std::uint32_t group_index, std::int32_t entity,
+                         bool is_partition) const {
+    return group_index * entities_per_group_ + (is_partition ? num_nodes_ : 0) +
+           static_cast<std::size_t>(entity);
   }
 
   void Push(std::uint32_t group_index, std::int32_t entity, bool is_partition,
             double key) {
-    Group& g = groups_[group_index];
-    if (!g.visited.insert(EncodeEntity(entity, is_partition)).second) return;
+    const std::size_t bit = VisitedBit(group_index, entity, is_partition);
+    const std::uint64_t mask = std::uint64_t{1} << (bit & 63);
+    std::uint64_t& word = visited_[bit >> 6];
+    if ((word & mask) != 0) return;
+    word |= mask;
     queue_.push({key, group_index, entity, is_partition});
     ++stats_.queue_pushes;
   }
 
-  bool Visited(const Group& g, std::int32_t entity, bool is_partition) const {
-    return g.visited.contains(EncodeEntity(entity, is_partition));
+  bool Visited(std::uint32_t group_index, std::int32_t entity,
+               bool is_partition) const {
+    const std::size_t bit = VisitedBit(group_index, entity, is_partition);
+    return ((visited_[bit >> 6] >> (bit & 63)) & 1) != 0;
+  }
+
+  /// Moves candidate `ord` to count + delta, keeping with_k_ in step.
+  void MoveCount(std::size_t ord, std::int32_t delta) {
+    --with_k_[static_cast<std::size_t>(count_[ord])];
+    count_[ord] += delta;
+    ++with_k_[static_cast<std::size_t>(count_[ord])];
   }
 
   void ExpandNode(std::uint32_t group_index, NodeId node_id) {
     Group& g = groups_[group_index];
     const NodeId parent = oracle_.Parent(node_id);
-    if (parent != kInvalidNode && !Visited(g, parent, false)) {
+    if (parent != kInvalidNode && !Visited(group_index, parent, false)) {
       const double key = oracle_.PartitionToNode(g.partition, parent);
       ++stats_.lower_bound_computations;
       Push(group_index, parent, false, key);
@@ -252,7 +278,7 @@ class RetrievalCore {
       for (PartitionId q : oracle_.NodePartitions(node_id)) {
         if (q == g.partition) continue;
         if (options_.skip_empty_subtrees && !index_.IsFacility(q)) continue;
-        if (Visited(g, q, true)) continue;
+        if (Visited(group_index, q, true)) continue;
         const double key = oracle_.PartitionToPartition(g.partition, q);
         ++stats_.lower_bound_computations;
         Push(group_index, q, true, key);
@@ -262,7 +288,7 @@ class RetrievalCore {
         if (options_.skip_empty_subtrees && index_.SubtreeCount(ch) == 0) {
           continue;
         }
-        if (Visited(g, ch, false)) continue;
+        if (Visited(group_index, ch, false)) continue;
         const double key = oracle_.PartitionToNode(g.partition, ch);
         ++stats_.lower_bound_computations;
         Push(group_index, ch, false, key);
@@ -345,7 +371,7 @@ class RetrievalCore {
     for (const auto& [facility, dist] : state.candidates) {
       const std::size_t ord = ordinal(facility);
       const bool counted = dist <= d_low_;
-      if (counted) --count_[ord];
+      if (counted) MoveCount(ord, -1);
       objective_.OnPrunedCandidate(ord, dist, counted, state.best_existing);
     }
     objective_.OnPrune(ci, state.best_existing);
@@ -369,6 +395,11 @@ class RetrievalCore {
       events_;
   std::vector<std::int32_t> ordinal_;  // partition -> Fn ordinal
   TrackedVector<std::int32_t> count_;  // per Fn ordinal
+  TrackedVector<std::int32_t> with_k_;  // per count k: candidates at k
+  /// One bit per (group, node or partition) already enqueued, group-major.
+  TrackedVector<std::uint64_t> visited_;
+  std::size_t num_nodes_ = 0;
+  std::size_t entities_per_group_ = 0;
   std::vector<double> base_distances_;  // AddFacilityToGroup scratch
   std::vector<double> client_legs_;     // AddFacilityToGroup scratch
 
@@ -382,13 +413,16 @@ class RetrievalCore {
 ///
 ///   explicit Policy(std::size_t num_candidates);
 ///   // Best certain candidate given the core's counts, `alive` uncovered
-///   // clients and the current Gd; its ordinal, or -1 when undecided.
+///   // clients and the current Gd; its ordinal, or -1 when undecided. A
+///   // certain candidate is exact, so it is called only when some
+///   // candidate is (RetrievalCore::any_exact).
 ///   std::int32_t TryDecide(const TrackedVector<std::int32_t>& counts,
 ///                          std::int64_t alive, double gd,
 ///                          double* objective) const;
 ///
 /// The answer is tested once per queue pop (and once before the traversal
-/// and after the final flush); each test counts one check_answer call.
+/// and after the final flush); each test counts one check_answer call and
+/// scans the candidates only when one of them is exact.
 template <typename Policy>
 Result<IflsResult> SolveWithPolicy(const IflsContext& ctx,
                                    const char* span_name) {
@@ -402,6 +436,7 @@ Result<IflsResult> SolveWithPolicy(const IflsContext& ctx,
                                &policy);
     const auto try_finish = [&] {
       ++result.stats.check_answer_calls;
+      if (!core.any_exact()) return false;
       double objective = 0.0;
       const std::int32_t ord = policy.TryDecide(
           core.counts(), core.alive_count(), core.gd(), &objective);

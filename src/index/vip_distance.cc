@@ -391,6 +391,36 @@ double VipTree::ComposeDoorSets(std::span<const DoorId> home_doors,
   return best;
 }
 
+double VipTree::PointToPoint(const Point& a, PartitionId pa, const Point& b,
+                             PartitionId pb) const {
+  if (pa == pb) return PlanarDistance(a, b);
+  const std::span<const DoorId> doors_b = venue_->partition(pb).doors;
+  // Per-thread buffers, like ComposeDoorSets' (which this never calls).
+  static thread_local TargetSet set;
+  static thread_local std::vector<double> terms;
+  static thread_local std::vector<double> legs_b;
+  set.Reset(*this, doors_b);
+  terms.resize(doors_b.size());
+  legs_b.resize(doors_b.size());
+  for (std::size_t j = 0; j < doors_b.size(); ++j) {
+    legs_b[j] = PointToDoorDistance(b, venue_->door(doors_b[j]));
+  }
+  // The generic loop's order and pruning: every cand is (leg_a + term) +
+  // leg_b, and a term is DoorToDoor(d1, t) bit for bit.
+  double best = kInfDistance;
+  for (DoorId d1 : venue_->partition(pa).doors) {
+    const double leg_a = PointToDoorDistance(a, venue_->door(d1));
+    if (leg_a >= best) continue;
+    DoorTerms(d1, &set, terms);
+    for (std::size_t j = 0; j < doors_b.size(); ++j) {
+      if (leg_a + legs_b[j] >= best) continue;
+      const double cand = leg_a + terms[j] + legs_b[j];
+      if (cand < best) best = cand;
+    }
+  }
+  return best;
+}
+
 std::vector<double> VipTree::ComposePartitionToNodeTable() const {
   // Each door's terms toward every access door, reduced per node and then
   // per partition. min is exact, so every cell is bit-identical to

@@ -213,8 +213,8 @@ class VipTree final : public DistanceOracle {
   bool NodeContainsPartition(NodeId n, PartitionId p) const override;
 
   // ---- Distances (implemented in vip_distance.cc) ---------------------
-  // PointToDoor / PointToPoint are inherited from DistanceOracle: their
-  // compositions over DoorToDoor are the generic ones.
+  // PointToDoor is inherited from DistanceOracle: its composition over
+  // DoorToDoor is the generic one.
 
   // Every distance below is a minimum over the door-set composer's terms
   // (DoorTerms, DESIGN §3.1), bit for bit the per-pair minimum of
@@ -231,6 +231,13 @@ class VipTree final : public DistanceOracle {
   /// paper's §5.3.1 Case 1 for single-door partitions).
   double PointToPartition(const Point& a, PartitionId pa,
                           PartitionId target) const override;
+
+  /// Exact indoor distance between two points (paper iDist(a, b)): the
+  /// planar distance inside one partition, else the min over doors(pa) x
+  /// doors(pb) of leg_a + DoorToDoor + leg_b, with one DoorTerms call per
+  /// door of pa toward doors(pb). Bit for bit the generic per-pair loop.
+  double PointToPoint(const Point& a, PartitionId pa, const Point& b,
+                      PartitionId pb) const override;
 
   /// Shortest distance from door `d` to the nearest door of `target`: the
   /// min over {d} x doors(target) of DoorToDoor.

@@ -136,6 +136,11 @@ void IflsService::RegisterMetrics() {
   query_nn_searches_ = registry.GetCounter("ifls_query_nn_searches_total");
   query_clients_pruned_ =
       registry.GetCounter("ifls_query_clients_pruned_total");
+  query_queue_pops_ = registry.GetCounter("ifls_query_queue_pops_total");
+  query_check_list_calls_ =
+      registry.GetCounter("ifls_query_check_list_calls_total");
+  query_check_answer_calls_ =
+      registry.GetCounter("ifls_query_check_answer_calls_total");
   query_cache_hits_ = registry.GetCounter("ifls_query_cache_hits_total");
   query_cache_misses_ = registry.GetCounter("ifls_query_cache_misses_total");
   iterator_pages_ = registry.GetCounter("ifls_iterator_pages_total");
@@ -480,6 +485,11 @@ ServiceReply IflsService::Execute(PendingQuery* item) {
     query_nn_searches_->Add(static_cast<std::uint64_t>(stats.nn_searches));
     query_clients_pruned_->Add(
         static_cast<std::uint64_t>(stats.clients_pruned));
+    query_queue_pops_->Add(static_cast<std::uint64_t>(stats.queue_pops));
+    query_check_list_calls_->Add(
+        static_cast<std::uint64_t>(stats.check_list_calls));
+    query_check_answer_calls_->Add(
+        static_cast<std::uint64_t>(stats.check_answer_calls));
     query_cache_hits_->Add(stats.cache_hits);
     query_cache_misses_->Add(stats.cache_misses);
     // Cost ledger (DESIGN.md §15): fold this query into the per-{venue,

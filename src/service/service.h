@@ -385,6 +385,9 @@ class IflsService {
   Counter* query_lower_bound_computations_ = nullptr;
   Counter* query_nn_searches_ = nullptr;
   Counter* query_clients_pruned_ = nullptr;
+  Counter* query_queue_pops_ = nullptr;
+  Counter* query_check_list_calls_ = nullptr;
+  Counter* query_check_answer_calls_ = nullptr;
   Counter* query_cache_hits_ = nullptr;
   Counter* query_cache_misses_ = nullptr;
   /// Registry-owned streaming/standing-query series (process-wide, like the

@@ -8,11 +8,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "src/common/metrics_registry.h"
 #include "src/core/solve_dispatch.h"
 #include "src/service/service.h"
 #include "tests/test_util.h"
@@ -274,6 +276,41 @@ TEST(IflsServiceTest, QueryMatchesDirectSolve) {
     EXPECT_EQ(reply.result.answer, direct.answer);
     EXPECT_EQ(reply.result.objective, direct.objective);
     EXPECT_EQ(reply.result.ranked, direct.ranked);
+  }
+}
+
+TEST(IflsServiceTest, QueryFoldsTraversalCountersIntoRegistry) {
+  ServiceOptions options;
+  options.num_workers = 0;
+  ServiceScenario s = MakeScenario(options);
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  Counter* const pops = registry.GetCounter("ifls_query_queue_pops_total");
+  Counter* const check_list =
+      registry.GetCounter("ifls_query_check_list_calls_total");
+  Counter* const check_answer =
+      registry.GetCounter("ifls_query_check_answer_calls_total");
+
+  for (IflsObjective objective :
+       {IflsObjective::kMinMax, IflsObjective::kMinDist,
+        IflsObjective::kMaxSum}) {
+    SCOPED_TRACE(IflsObjectiveName(objective));
+    const std::uint64_t pops_before = pops->value();
+    const std::uint64_t check_list_before = check_list->value();
+    const std::uint64_t check_answer_before = check_answer->value();
+    ServiceRequest req;
+    req.objective = objective;
+    req.clients = s.clients;
+    const ServiceReply reply = s.service->Query(std::move(req));
+    ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+    const QueryStats& stats = reply.result.stats;
+    EXPECT_GT(stats.queue_pops, 0);
+    EXPECT_GT(stats.check_answer_calls, 0);
+    EXPECT_EQ(pops->value() - pops_before,
+              static_cast<std::uint64_t>(stats.queue_pops));
+    EXPECT_EQ(check_list->value() - check_list_before,
+              static_cast<std::uint64_t>(stats.check_list_calls));
+    EXPECT_EQ(check_answer->value() - check_answer_before,
+              static_cast<std::uint64_t>(stats.check_answer_calls));
   }
 }
 
