@@ -9,6 +9,9 @@
 #include <cstring>
 #include <fstream>
 #include <ostream>
+#include <string_view>
+
+#include "src/common/json.h"
 
 namespace ifls {
 
@@ -298,21 +301,10 @@ std::vector<TraceEvent> TraceRecorder::SnapshotLocalTrace(
 
 namespace {
 
-void WriteJsonString(std::ostream& out, const char* s) {
-  out << '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out << buf;
-    } else {
-      out << c;
-    }
-  }
-  out << '"';
+void WriteJsonString(std::ostream& out, std::string_view s) {
+  std::string quoted;
+  AppendJsonString(&quoted, s);
+  out << quoted;
 }
 
 /// Emits one Chrome trace event line. `ph` is "B" or "E"; ts is in
@@ -365,9 +357,9 @@ Status TraceRecorder::ExportChromeTrace(std::ostream& out) const {
   for (const auto& [key, value] : metadata) {
     out << (first_meta ? "\n    " : ",\n    ");
     first_meta = false;
-    WriteJsonString(out, key.c_str());
+    WriteJsonString(out, key);
     out << ": ";
-    WriteJsonString(out, value.c_str());
+    WriteJsonString(out, value);
   }
   out << (first_meta ? "},\n" : "\n  },\n") << "  \"traceEvents\": [\n";
   bool first = true;

@@ -42,7 +42,6 @@ class EfficientSolver {
 
   void Setup() {
     TraceSpan setup_span(TraceCategory::kSolver, "efficient/setup");
-    candidate_collected_.assign(ctx_.candidates.size(), 0);
     core_.Setup();
     if (core_.alive_count() == 0) {
       FinishNoAnswer();
@@ -98,8 +97,7 @@ class EfficientSolver {
   // ---- Retrieval core hooks ---------------------------------------------
 
   void OnCandidateEvent(std::size_t ord, double /*dist*/) {
-    if (core_.counts()[ord] == core_.alive_count() &&
-        !candidate_collected_[ord]) {
+    if (core_.counts()[ord] == core_.alive_count() && !core_.collected(ord)) {
       CheckAnswerSingle(ctx_.candidates[ord]);
     }
     ++stats_.check_answer_calls;
@@ -126,12 +124,14 @@ class EfficientSolver {
     FinishWithCommonCandidates({candidate});
   }
 
+  /// Collected candidates stay exact, so in ranked mode any_exact() holds
+  /// after the first collection; the scan runs only when an exact
+  /// candidate is still uncollected.
   void CheckAnswerFullScan() {
-    if (!core_.any_exact()) return;
+    if (core_.uncollected_exact() == 0) return;
     std::vector<PartitionId> common;
     for (std::size_t i = 0; i < ctx_.candidates.size(); ++i) {
-      if (core_.counts()[i] == core_.alive_count() &&
-          !candidate_collected_[i]) {
+      if (core_.counts()[i] == core_.alive_count() && !core_.collected(i)) {
         common.push_back(ctx_.candidates[i]);
       }
     }
@@ -192,8 +192,8 @@ class EfficientSolver {
   void CollectForTopK(const std::vector<PartitionId>& common) {
     for (PartitionId n : common) {
       const std::size_t ord = core_.ordinal(n);
-      if (candidate_collected_[ord]) continue;
-      candidate_collected_[ord] = 1;
+      if (core_.collected(ord)) continue;
+      core_.Collect(ord);
       collected_.emplace_back(n, ExactObjective(n, AliveMaxDistance(n)));
       if (streaming_) uncertified_.push(collected_.back().second);
     }
@@ -244,7 +244,7 @@ class EfficientSolver {
       // pruned clients, so the ranking can be completed exactly.
       if (core_.alive_count() == 0) {
         for (std::size_t i = 0; i < ctx_.candidates.size(); ++i) {
-          if (candidate_collected_[i]) continue;
+          if (core_.collected(i)) continue;
           collected_.emplace_back(ctx_.candidates[i],
                                   ExactObjective(ctx_.candidates[i], 0.0));
         }
@@ -290,7 +290,6 @@ class EfficientSolver {
   QueryStats& stats_;
   internal::RetrievalCore<EfficientSolver> core_;
 
-  std::vector<char> candidate_collected_;  // top-k bookkeeping
   std::vector<std::pair<PartitionId, double>> collected_;
   /// Streaming: objectives of collected entries not yet below Gd.
   std::priority_queue<double, std::vector<double>, std::greater<double>>

@@ -128,6 +128,7 @@ class RetrievalCore {
     count_.assign(ctx_.candidates.size(), 0);
     with_k_.assign(ctx_.clients.size() + 1, 0);
     with_k_[0] = static_cast<std::int32_t>(ctx_.candidates.size());
+    collected_.assign(ctx_.candidates.size(), 0);
     clients_.resize(ctx_.clients.size());
     alive_count_ = static_cast<std::int64_t>(ctx_.clients.size());
     for (std::size_t i = 0; i < ctx_.clients.size(); ++i) {
@@ -226,6 +227,22 @@ class RetrievalCore {
   /// an answer test can succeed, so a test may stop here when it is false.
   bool any_exact() const {
     return with_k_[static_cast<std::size_t>(alive_count_)] > 0;
+  }
+  /// Marks candidate `ord`, which must be exact, collected by a ranked
+  /// objective (MinMax top-k and streams). It stays exact for the rest of
+  /// the traversal: every alive client has it within d_low, so no event
+  /// raises its count, and a prune lowers its count with alive_count().
+  void Collect(std::size_t ord) {
+    IFLS_DCHECK(count_[ord] == alive_count_ && !collected_[ord]);
+    collected_[ord] = 1;
+    ++num_collected_;
+  }
+  bool collected(std::size_t ord) const { return collected_[ord] != 0; }
+  /// Exact candidates not yet collected, in O(1): a scan for newly common
+  /// candidates finds none when this is 0. Defined between prunes and in
+  /// OnPrune, not in OnPrunedCandidate, where the rollback is half done.
+  std::int64_t uncollected_exact() const {
+    return with_k_[static_cast<std::size_t>(alive_count_)] - num_collected_;
   }
   std::size_t ordinal(PartitionId candidate) const {
     const std::int32_t ord = ordinal_[static_cast<std::size_t>(candidate)];
@@ -396,6 +413,8 @@ class RetrievalCore {
   std::vector<std::int32_t> ordinal_;  // partition -> Fn ordinal
   TrackedVector<std::int32_t> count_;  // per Fn ordinal
   TrackedVector<std::int32_t> with_k_;  // per count k: candidates at k
+  std::vector<char> collected_;         // per Fn ordinal, see Collect()
+  std::int64_t num_collected_ = 0;
   /// One bit per (group, node or partition) already enqueued, group-major.
   TrackedVector<std::uint64_t> visited_;
   std::size_t num_nodes_ = 0;

@@ -6,12 +6,12 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <string_view>
 #include <utility>
 
+#include "src/common/json.h"
 #include "src/common/trace.h"
 #include "src/service/cost_ledger.h"
 
@@ -116,23 +116,6 @@ std::string HttpResponse(int code, const char* reason,
          "\r\nConnection: close\r\n\r\n";
   out += body;
   return out;
-}
-
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out->append(buf);
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
 }
 
 }  // namespace
@@ -587,7 +570,7 @@ std::string IflsServer::VenuesJson() const {
     out += first ? "\n    {" : ",\n    {";
     first = false;
     out += "\"venue_id\": ";
-    AppendJsonEscaped(&out, v.venue_id);
+    AppendJsonString(&out, v.venue_id);
     out += v.resident ? ", \"resident\": true" : ", \"resident\": false";
     out += ", \"resident_bytes\": " + std::to_string(v.resident_bytes);
     out += ", \"mapped_bytes\": " + std::to_string(v.mapped_bytes);

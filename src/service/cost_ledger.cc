@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "src/common/json.h"
 #include "src/index/minplus_kernels.h"
 
 namespace ifls {
@@ -21,21 +22,29 @@ const char* ObjectiveLabel(IflsObjective objective) {
   return "unknown";
 }
 
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out->append(buf);
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
+/// The ifls_query_* rollups: one series name and one QueryStats field each.
+constexpr std::array<const char*, QueryCostLedger::kNumRollups> kRollupNames =
+    {"ifls_query_distance_computations_total",
+     "ifls_query_lower_bound_computations_total",
+     "ifls_query_nn_searches_total",
+     "ifls_query_clients_pruned_total",
+     "ifls_query_queue_pops_total",
+     "ifls_query_check_list_calls_total",
+     "ifls_query_check_answer_calls_total",
+     "ifls_query_cache_hits_total",
+     "ifls_query_cache_misses_total"};
+
+std::array<std::uint64_t, QueryCostLedger::kNumRollups> RollupValues(
+    const QueryStats& s) {
+  return {static_cast<std::uint64_t>(s.distance_computations),
+          static_cast<std::uint64_t>(s.lower_bound_computations),
+          static_cast<std::uint64_t>(s.nn_searches),
+          static_cast<std::uint64_t>(s.clients_pruned),
+          static_cast<std::uint64_t>(s.queue_pops),
+          static_cast<std::uint64_t>(s.check_list_calls),
+          static_cast<std::uint64_t>(s.check_answer_calls),
+          s.cache_hits,
+          s.cache_misses};
 }
 
 void AppendJsonDouble(std::string* out, double v) {
@@ -52,6 +61,12 @@ QueryCostLedger& QueryCostLedger::Global() {
   // their registrations die with this object.
   static QueryCostLedger* instance = new QueryCostLedger();
   return *instance;
+}
+
+QueryCostLedger::QueryCostLedger() {
+  for (std::size_t i = 0; i < kNumRollups; ++i) {
+    rollups_[i] = MetricsRegistry::Global().GetCounter(kRollupNames[i]);
+  }
 }
 
 QueryCostLedger::Aggregate* QueryCostLedger::AggregateFor(
@@ -99,6 +114,8 @@ QueryCostLedger::Aggregate* QueryCostLedger::AggregateFor(
 
 void QueryCostLedger::RecordQuery(const QueryCostSample& sample,
                                   bool capture_spans) {
+  const auto rollups = RollupValues(sample.stats);
+  for (std::size_t i = 0; i < kNumRollups; ++i) rollups_[i]->Add(rollups[i]);
   const char* tier = kernels::ActiveKernelName();
   Aggregate* agg = AggregateFor(sample.venue, sample.objective, tier);
   const std::uint64_t now = TraceNowNanos();

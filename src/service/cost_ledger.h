@@ -42,7 +42,13 @@ struct SlowQueryRecord {
   std::vector<TraceEvent> spans;
 };
 
-/// Process-wide per-query cost ledger (DESIGN.md §15). Two products:
+/// Process-wide per-query cost ledger (DESIGN.md §15), the one place a
+/// completed query's QueryStats are folded. Three products:
+///
+///  - The unlabeled `ifls_query_*_total` rollups in MetricsRegistry
+///    (distance computations, lower bounds, NN searches, clients pruned,
+///    queue pops, checkList and checkAnswer calls, door-cache hits and
+///    misses), summed over every recorded query.
 ///
 ///  - Per-{venue, objective, tier} aggregates: every completed query folds
 ///    its phase times and work counters into exponentially-decayed means
@@ -54,7 +60,8 @@ struct SlowQueryRecord {
 ///
 ///  - A fixed-capacity ring of the K worst queries by total latency
 ///    (queue + solve), each retaining its full span tree for post-hoc
-///    retrieval through the /slow admin endpoint. Admission is a lock-free
+///    retrieval through the /slow admin endpoint; the process's one
+///    slow-query surface. Admission is a lock-free
 ///    scan of K atomic latency words: the common case (query not among the
 ///    K worst) costs K relaxed loads and allocates nothing. A query that
 ///    beats the current minimum claims the slot by CAS on the latency word,
@@ -68,12 +75,14 @@ class QueryCostLedger {
  public:
   static constexpr std::size_t kSlowRingSlots = 8;
   static constexpr double kDecayTauSeconds = 60.0;
+  /// Number of ifls_query_*_total rollup series.
+  static constexpr std::size_t kNumRollups = 9;
 
   static QueryCostLedger& Global();
 
-  /// Folds one completed query into the aggregates and offers it to the
-  /// slow ring. `capture_spans` controls whether a ring winner snapshots its
-  /// span tree (callers pass the query's sampling verdict).
+  /// Folds one completed query into the rollups and aggregates and offers
+  /// it to the slow ring. `capture_spans` controls whether a ring winner
+  /// snapshots its span tree (callers pass the query's sampling verdict).
   void RecordQuery(const QueryCostSample& sample, bool capture_spans);
 
   /// The retained worst queries, worst (highest total latency) first.
@@ -115,7 +124,7 @@ class QueryCostLedger {
     std::shared_ptr<const SlowQueryRecord> record;
   };
 
-  QueryCostLedger() = default;
+  QueryCostLedger();
   ~QueryCostLedger() = default;  // never runs: Global() leaks the singleton
 
   Aggregate* AggregateFor(const std::string& venue, IflsObjective objective,
@@ -123,6 +132,8 @@ class QueryCostLedger {
   void OfferSlow(const QueryCostSample& sample, const char* tier,
                  bool capture_spans);
 
+  /// Registry-owned, resolved once for the process.
+  std::array<Counter*, kNumRollups> rollups_{};
   mutable std::mutex map_mu_;
   std::map<std::string, std::unique_ptr<Aggregate>> aggregates_;
   std::array<SlowSlot, kSlowRingSlots> slow_ring_;

@@ -1,6 +1,5 @@
 #include "src/service/service.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -27,6 +26,14 @@ double Seconds(Clock::duration d) {
   return std::chrono::duration<double>(d).count();
 }
 
+/// True when `position` lies inside partition `partition` of `venue`.
+bool PlacedInside(const Venue& venue, PartitionId partition,
+                  const Point& position) {
+  return partition >= 0 &&
+         static_cast<std::size_t>(partition) < venue.num_partitions() &&
+         venue.partition(partition).rect.Contains(position);
+}
+
 /// Distinguishes concurrently-live services in the metrics registry.
 std::string NextInstanceLabel() {
   static std::atomic<std::uint64_t> next_instance{0};
@@ -43,7 +50,7 @@ std::string ServiceMetrics::ToString() const {
       buf, sizeof(buf),
       "submitted=%llu admitted=%llu shed=%llu completed=%llu failed=%llu "
       "deadline_expired=%llu mutations=%llu rejected=%llu compactions=%llu "
-      "cache_hit=%llu cache_miss=%llu cache_entries=%llu cache_evict=%llu "
+      "cache_entries=%llu cache_evict=%llu "
       "iterators=%llu subs=%zu sub_events=%llu sub_pushes=%llu "
       "sub_solves=%llu sub_skips=%llu "
       "epoch=%llu overlay=%zu queue_depth=%zu p50=%.1fus p99=%.1fus",
@@ -56,8 +63,6 @@ std::string ServiceMetrics::ToString() const {
       static_cast<unsigned long long>(mutations_applied),
       static_cast<unsigned long long>(mutations_rejected),
       static_cast<unsigned long long>(compactions),
-      static_cast<unsigned long long>(oracle_cache_hits),
-      static_cast<unsigned long long>(oracle_cache_misses),
       static_cast<unsigned long long>(oracle_cache_entries),
       static_cast<unsigned long long>(oracle_cache_evictions),
       static_cast<unsigned long long>(iterators_opened), subscriptions_active,
@@ -128,21 +133,6 @@ IflsService::~IflsService() {
 
 void IflsService::RegisterMetrics() {
   MetricsRegistry& registry = MetricsRegistry::Global();
-
-  query_distance_computations_ =
-      registry.GetCounter("ifls_query_distance_computations_total");
-  query_lower_bound_computations_ =
-      registry.GetCounter("ifls_query_lower_bound_computations_total");
-  query_nn_searches_ = registry.GetCounter("ifls_query_nn_searches_total");
-  query_clients_pruned_ =
-      registry.GetCounter("ifls_query_clients_pruned_total");
-  query_queue_pops_ = registry.GetCounter("ifls_query_queue_pops_total");
-  query_check_list_calls_ =
-      registry.GetCounter("ifls_query_check_list_calls_total");
-  query_check_answer_calls_ =
-      registry.GetCounter("ifls_query_check_answer_calls_total");
-  query_cache_hits_ = registry.GetCounter("ifls_query_cache_hits_total");
-  query_cache_misses_ = registry.GetCounter("ifls_query_cache_misses_total");
   iterator_pages_ = registry.GetCounter("ifls_iterator_pages_total");
   subscription_push_seconds_ =
       registry.GetHistogram("ifls_subscription_push_seconds");
@@ -161,8 +151,6 @@ void IflsService::RegisterMetrics() {
   counter("ifls_service_mutations_applied_total", &mutations_applied_);
   counter("ifls_service_mutations_rejected_total", &mutations_rejected_);
   counter("ifls_service_compactions_total", &compactions_);
-  counter("ifls_service_oracle_cache_hits_total", &oracle_cache_hits_);
-  counter("ifls_service_oracle_cache_misses_total", &oracle_cache_misses_);
   counter("ifls_service_iterators_opened_total", &iterators_opened_);
   counter("ifls_subscription_events_total", &subscription_events_);
   counter("ifls_subscription_pushes_total", &subscription_pushes_);
@@ -205,7 +193,10 @@ void IflsService::RegisterMetrics() {
 void IflsService::StartThreads() {
   workers_.reserve(static_cast<std::size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this] {
+      while (RunOneTask(/*take_queries=*/true, /*block=*/true)) {
+      }
+    });
   }
 }
 
@@ -215,6 +206,12 @@ std::shared_ptr<const ServingState> IflsService::AcquireState() const {
 
 std::uint64_t IflsService::snapshot_epoch() const {
   return state_.Acquire()->snapshot->epoch();
+}
+
+Status IflsService::CheckRunning() const {
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  return stopping_ ? Status::Unavailable("service is stopping")
+                   : Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -264,27 +261,22 @@ Status IflsService::Admit(PendingQuery item) {
   return Status::OK();
 }
 
-void IflsService::Deliver(PendingQuery* item, ServiceReply reply) {
-  if (item->done) {
-    item->done(std::move(reply));
-  } else {
-    item->promise.set_value(std::move(reply));
-  }
-}
-
-Result<std::future<ServiceReply>> IflsService::SubmitQuery(
-    ServiceRequest request) {
-  PendingQuery item = MakePending(std::move(request), Clock::now());
-  std::future<ServiceReply> future = item.promise.get_future();
-  IFLS_RETURN_NOT_OK(Admit(std::move(item)));
-  return future;
-}
-
 Status IflsService::SubmitQueryAsync(ServiceRequest request,
                                      std::function<void(ServiceReply)> done) {
   PendingQuery item = MakePending(std::move(request), Clock::now());
   item.done = std::move(done);
   return Admit(std::move(item));
+}
+
+Result<std::future<ServiceReply>> IflsService::SubmitQuery(
+    ServiceRequest request) {
+  // std::function needs a copyable callable, hence the shared promise.
+  auto promise = std::make_shared<std::promise<ServiceReply>>();
+  std::future<ServiceReply> future = promise->get_future();
+  IFLS_RETURN_NOT_OK(SubmitQueryAsync(
+      std::move(request),
+      [promise](ServiceReply reply) { promise->set_value(std::move(reply)); }));
+  return future;
 }
 
 ServiceReply IflsService::RunAdmitted(ServiceRequest request,
@@ -326,45 +318,33 @@ ServiceReply IflsService::Query(ServiceRequest request) {
   return future.get();
 }
 
-bool IflsService::ProcessOneInline() {
-  PendingQuery item;
+bool IflsService::RunOneTask(bool take_queries, bool block) {
+  PendingQuery query;
   std::shared_ptr<Subscription> pump;
-  bool have_query = false;
   {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (!queue_.empty()) {
-      item = std::move(queue_.front());
+    std::unique_lock<std::mutex> lock(queue_mu_);
+    const auto has_work = [&] {
+      return (take_queries && !queue_.empty()) || !sub_pumps_.empty();
+    };
+    if (block) {
+      queue_cv_.wait(lock, [&] { return stopping_ || has_work(); });
+    }
+    if (!has_work()) return false;
+    if (take_queries && !queue_.empty()) {
+      query = std::move(queue_.front());
       queue_.pop_front();
-      have_query = true;
-    } else if (!sub_pumps_.empty()) {
+    } else {
       pump = std::move(sub_pumps_.front());
       sub_pumps_.pop_front();
       pump->scheduled_ = false;
-    } else {
-      return false;
     }
     ++executing_;
   }
-  if (have_query) {
-    Deliver(&item, Execute(&item));
-  } else {
+  if (pump != nullptr) {
     pump->Pump();
+  } else {
+    query.done(Execute(&query));
   }
-  FinishOneTask();
-  return true;
-}
-
-bool IflsService::ProcessOnePumpInline() {
-  std::shared_ptr<Subscription> pump;
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (sub_pumps_.empty()) return false;
-    pump = std::move(sub_pumps_.front());
-    sub_pumps_.pop_front();
-    pump->scheduled_ = false;
-    ++executing_;
-  }
-  pump->Pump();
   FinishOneTask();
   return true;
 }
@@ -374,38 +354,6 @@ void IflsService::FinishOneTask() {
   --executing_;
   if (queue_.empty() && sub_pumps_.empty() && executing_ == 0) {
     drained_cv_.notify_all();
-  }
-}
-
-void IflsService::WorkerLoop() {
-  for (;;) {
-    PendingQuery item;
-    std::shared_ptr<Subscription> pump;
-    bool have_query = false;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] {
-        return stopping_ || !queue_.empty() || !sub_pumps_.empty();
-      });
-      // stopping_, both queues already drained
-      if (queue_.empty() && sub_pumps_.empty()) return;
-      if (!queue_.empty()) {
-        item = std::move(queue_.front());
-        queue_.pop_front();
-        have_query = true;
-      } else {
-        pump = std::move(sub_pumps_.front());
-        sub_pumps_.pop_front();
-        pump->scheduled_ = false;
-      }
-      ++executing_;
-    }
-    if (have_query) {
-      Deliver(&item, Execute(&item));
-    } else {
-      pump->Pump();
-    }
-    FinishOneTask();
   }
 }
 
@@ -472,30 +420,10 @@ ServiceReply IflsService::Execute(PendingQuery* item) {
   completed_.fetch_add(1, std::memory_order_relaxed);
   if (solved.ok()) {
     reply.result = std::move(solved).value();
-    // Fold the query's per-thread-attributed memo traffic into the service
-    // totals; the sink mechanism guarantees these are exactly this query's.
-    const QueryStats& stats = reply.result.stats;
-    oracle_cache_hits_.fetch_add(stats.cache_hits, std::memory_order_relaxed);
-    oracle_cache_misses_.fetch_add(stats.cache_misses,
-                                   std::memory_order_relaxed);
-    query_distance_computations_->Add(
-        static_cast<std::uint64_t>(stats.distance_computations));
-    query_lower_bound_computations_->Add(
-        static_cast<std::uint64_t>(stats.lower_bound_computations));
-    query_nn_searches_->Add(static_cast<std::uint64_t>(stats.nn_searches));
-    query_clients_pruned_->Add(
-        static_cast<std::uint64_t>(stats.clients_pruned));
-    query_queue_pops_->Add(static_cast<std::uint64_t>(stats.queue_pops));
-    query_check_list_calls_->Add(
-        static_cast<std::uint64_t>(stats.check_list_calls));
-    query_check_answer_calls_->Add(
-        static_cast<std::uint64_t>(stats.check_answer_calls));
-    query_cache_hits_->Add(stats.cache_hits);
-    query_cache_misses_->Add(stats.cache_misses);
-    // Cost ledger (DESIGN.md §15): fold this query into the per-{venue,
-    // objective, tier} decayed aggregates and offer it to the slow-query
-    // ring. Span capture follows the sampling verdict — an unsampled query
-    // has no spans to retain.
+    // The cost ledger (DESIGN.md §15) is the one place a completed query's
+    // QueryStats are folded: the ifls_query_* rollups, the per-{venue,
+    // objective, tier} aggregates and the slow-query ring. Span capture
+    // follows the sampling verdict — an unsampled query has no spans.
     QueryCostSample sample;
     sample.venue = options_.venue_label;
     sample.objective = item->request.objective;
@@ -503,43 +431,14 @@ ServiceReply IflsService::Execute(PendingQuery* item) {
     sample.parent_span_id = item->request.parent_span_id;
     sample.queue_seconds = reply.queue_seconds;
     sample.solve_seconds = reply.solve_seconds;
-    sample.stats = stats;
+    sample.stats = reply.result.stats;
     QueryCostLedger::Global().RecordQuery(sample, sampled);
   } else {
     reply.status = solved.status();
     failed_.fetch_add(1, std::memory_order_relaxed);
   }
-  const double elapsed = Seconds(Clock::now() - item->admitted_at);
-  latency_.Record(elapsed);
-  if (options_.slow_query_threshold_seconds > 0.0 &&
-      elapsed >= options_.slow_query_threshold_seconds) {
-    LogSlowQuery(reply, item->request.objective, elapsed);
-  }
+  latency_.Record(Seconds(Clock::now() - item->admitted_at));
   return reply;
-}
-
-void IflsService::LogSlowQuery(const ServiceReply& reply,
-                               IflsObjective objective,
-                               double elapsed_seconds) const {
-  char header[256];
-  std::snprintf(
-      header, sizeof(header),
-      "slow query trace_id=%llu objective=%s elapsed=%.3fms "
-      "(threshold=%.3fms) queue=%.3fms solve=%.3fms epoch=%llu overlay=%zu",
-      static_cast<unsigned long long>(reply.trace_id),
-      IflsObjectiveName(objective), elapsed_seconds * 1e3,
-      options_.slow_query_threshold_seconds * 1e3, reply.queue_seconds * 1e3,
-      reply.solve_seconds * 1e3,
-      static_cast<unsigned long long>(reply.snapshot_epoch),
-      reply.overlay_size);
-  std::string message(header);
-  if (reply.trace_id != 0) {
-    // Spans of this query only; rings are per-thread so the whole query's
-    // tree lives in the executing thread's buffer (plus none elsewhere).
-    message += FormatSpanTree(
-        TraceRecorder::Global().SnapshotLocalTrace(reply.trace_id));
-  }
-  IFLS_LOG(WARNING) << message;
 }
 
 // ---------------------------------------------------------------------------
@@ -586,7 +485,7 @@ Status IflsService::Mutate(const Mutation& mutation,
   if (!to_pump.empty() && options_.num_workers == 0) {
     // Admission-only mode: deliver invalidations synchronously, so Mutate
     // returning means every affected subscription has been pushed/skipped.
-    while (ProcessOnePumpInline()) {
+    while (RunOneTask(/*take_queries=*/false, /*block=*/false)) {
     }
   }
   return Status::OK();
@@ -603,10 +502,7 @@ void IflsService::PublishStateLocked() {
 
 Result<std::unique_ptr<ResultIterator>> IflsService::OpenIterator(
     ServiceRequest request) {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (stopping_) return Status::Unavailable("service is stopping");
-  }
+  IFLS_RETURN_NOT_OK(CheckRunning());
   TraceSpan span(TraceCategory::kService, "iterator_open");
   std::shared_ptr<const ServingState> state = state_.Acquire();
   const std::uint64_t version = state->version;
@@ -626,10 +522,7 @@ Result<std::unique_ptr<ResultIterator>> IflsService::OpenIterator(
 Result<std::shared_ptr<Subscription>> IflsService::Subscribe(
     const std::vector<Client>& clients, const SubscriptionOptions& options,
     SubscriptionCallback callback) {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (stopping_) return Status::Unavailable("service is stopping");
-  }
+  IFLS_RETURN_NOT_OK(CheckRunning());
   if (options.tolerance < 0.0) {
     return Status::InvalidArgument("tolerance must be non-negative");
   }
@@ -640,9 +533,7 @@ Result<std::shared_ptr<Subscription>> IflsService::Subscribe(
   {
     const Venue& venue = state_.Acquire()->snapshot->venue();
     for (const Client& c : clients) {
-      if (c.partition < 0 ||
-          static_cast<std::size_t>(c.partition) >= venue.num_partitions() ||
-          !venue.partition(c.partition).rect.Contains(c.position)) {
+      if (!PlacedInside(venue, c.partition, c.position)) {
         return Status::InvalidArgument(
             "subscription client outside its partition");
       }
@@ -707,10 +598,7 @@ Status IflsService::Unsubscribe(std::uint64_t subscription_id) {
 Status IflsService::TickSubscription(std::uint64_t subscription_id,
                                      ClientId client, const Point& position,
                                      PartitionId partition) {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (stopping_) return Status::Unavailable("service is stopping");
-  }
+  IFLS_RETURN_NOT_OK(CheckRunning());
   std::shared_ptr<Subscription> sub;
   {
     std::lock_guard<std::mutex> lock(subs_mu_);
@@ -721,16 +609,13 @@ Status IflsService::TickSubscription(std::uint64_t subscription_id,
     }
     sub = it->second;
   }
-  const Venue& venue = sub->pinned_->snapshot->venue();
-  if (partition < 0 ||
-      static_cast<std::size_t>(partition) >= venue.num_partitions() ||
-      !venue.partition(partition).rect.Contains(position)) {
+  if (!PlacedInside(sub->pinned_->snapshot->venue(), partition, position)) {
     return Status::InvalidArgument("tick position outside the partition");
   }
   sub->EnqueueTick(client, position, partition, Clock::now());
   SchedulePump(sub);
   if (options_.num_workers == 0) {
-    while (ProcessOnePumpInline()) {
+    while (RunOneTask(/*take_queries=*/false, /*block=*/false)) {
     }
   }
   return Status::OK();
@@ -751,10 +636,7 @@ void IflsService::SchedulePump(const std::shared_ptr<Subscription>& sub) {
 // ---------------------------------------------------------------------------
 
 Status IflsService::CompactNow() {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (stopping_) return Status::Unavailable("service is stopping");
-  }
+  IFLS_RETURN_NOT_OK(CheckRunning());
   std::lock_guard<std::mutex> lock(writer_mu_);
   return CompactLocked();
 }
@@ -811,7 +693,7 @@ void IflsService::Stop() {
     ServiceReply reply;
     reply.status = Status::Unavailable("service stopped before execution");
     shed_.fetch_add(1, std::memory_order_relaxed);
-    Deliver(&item, std::move(reply));
+    item.done(std::move(reply));
   }
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
@@ -836,9 +718,6 @@ ServiceMetrics IflsService::Metrics() const {
   m.mutations_applied = mutations_applied_.load(std::memory_order_relaxed);
   m.mutations_rejected = mutations_rejected_.load(std::memory_order_relaxed);
   m.compactions = compactions_.load(std::memory_order_relaxed);
-  m.oracle_cache_hits = oracle_cache_hits_.load(std::memory_order_relaxed);
-  m.oracle_cache_misses =
-      oracle_cache_misses_.load(std::memory_order_relaxed);
   m.iterators_opened = iterators_opened_.load(std::memory_order_relaxed);
   m.subscription_events =
       subscription_events_.load(std::memory_order_relaxed);

@@ -54,11 +54,6 @@ struct ServiceOptions {
   /// A request whose deadline passes while still queued is answered with
   /// Status::kDeadlineExceeded without running the solver.
   double default_deadline_seconds = 0.0;
-  /// When > 0, a query whose admission-to-reply latency reaches this many
-  /// seconds is dumped to the log as a span tree (queue wait, snapshot pin,
-  /// solver phases, oracle work) — provided tracing is enabled and the query
-  /// won the sampling draw; otherwise only the summary line is logged.
-  double slow_query_threshold_seconds = 0.0;
   VipTreeOptions tree = DefaultServiceTreeOptions();
   SolverOptionSet solvers;
   /// Venue label stamped on this service's per-query cost-ledger samples
@@ -118,10 +113,6 @@ struct ServiceMetrics {
   std::uint64_t mutations_applied = 0;
   std::uint64_t mutations_rejected = 0;
   std::uint64_t compactions = 0;
-  /// Oracle door-distance memo traffic attributed to completed queries
-  /// (per-thread sinks -> QueryStats -> these totals).
-  std::uint64_t oracle_cache_hits = 0;
-  std::uint64_t oracle_cache_misses = 0;
   /// Streaming/standing-query traffic.
   std::uint64_t iterators_opened = 0;
   std::uint64_t subscription_events = 0;  // events folded into monitors
@@ -176,20 +167,18 @@ class IflsService {
   IflsService(const IflsService&) = delete;
   IflsService& operator=(const IflsService&) = delete;
 
-  /// Admits `request` into the bounded queue. Returns kUnavailable without
-  /// queuing when the queue is full (backpressure) or the service is
-  /// stopping; otherwise the future carries the reply.
-  Result<std::future<ServiceReply>> SubmitQuery(ServiceRequest request);
-
-  /// Callback-completion variant of SubmitQuery for event-driven callers
-  /// (the end-to-end benchmark's in-process replay): on admission, `done`
-  /// fires exactly once — on the worker thread that executed the query (or
-  /// the pumping thread in admission-only mode), or on the Stop() caller for
-  /// requests orphaned in the queue. Returns kUnavailable *without invoking the callback* when
-  /// the request is shed at admission, so the caller can map backpressure to
-  /// its own error path synchronously. `done` must not re-enter the service.
+  /// Admits `request` into the bounded queue. On admission `done` fires
+  /// exactly once — on the worker thread that executed the query (or the
+  /// pumping thread in admission-only mode), or on the Stop() caller for
+  /// requests orphaned in the queue. Returns kUnavailable *without invoking
+  /// the callback* when the queue is full (backpressure) or the service is
+  /// stopping, so the caller can map shedding to its own error path
+  /// synchronously. `done` must not re-enter the service.
   Status SubmitQueryAsync(ServiceRequest request,
                           std::function<void(ServiceReply)> done);
+
+  /// SubmitQueryAsync with a callback that fulfils the returned future.
+  Result<std::future<ServiceReply>> SubmitQuery(ServiceRequest request);
 
   /// Runs `request` on the calling thread, for a front that owns its own
   /// bounded admission queue (the network server's dispatch queue): the
@@ -260,7 +249,9 @@ class IflsService {
   /// empty, one pending subscription pump — on the calling thread
   /// (admission-only mode or manual pumping). Returns false when there is
   /// nothing to do.
-  bool ProcessOneInline();
+  bool ProcessOneInline() {
+    return RunOneTask(/*take_queries=*/true, /*block=*/false);
+  }
 
   /// The state queries currently run against; pins its snapshot until the
   /// caller drops the pointer. Never null.
@@ -273,9 +264,8 @@ class IflsService {
  private:
   struct PendingQuery {
     ServiceRequest request;
-    /// Exactly one completion channel is armed: `done` when submitted via
-    /// SubmitQueryAsync, the promise otherwise. Deliver() routes the reply.
-    std::promise<ServiceReply> promise;
+    /// Completion callback of a queued query; unset under RunAdmitted,
+    /// which returns the reply itself.
     std::function<void(ServiceReply)> done;
     std::chrono::steady_clock::time_point admitted_at;
     /// time_point::max() when the request has no deadline.
@@ -288,8 +278,6 @@ class IflsService {
     bool trace_sampled = false;
   };
 
-  /// Routes `reply` to the item's completion channel (callback or promise).
-  static void Deliver(PendingQuery* item, ServiceReply reply);
   /// Stamps admission time, trace id and deadline; shared by every query
   /// front.
   PendingQuery MakePending(ServiceRequest request,
@@ -302,7 +290,14 @@ class IflsService {
               std::size_t num_partitions);
 
   void StartThreads();
-  void WorkerLoop();
+  /// The one pop-and-run routine of workers and inline pumps: takes a
+  /// query (only when `take_queries`; queries go before pumps) or else a
+  /// subscription pump, runs it on the calling thread and returns true.
+  /// Without `block` it returns false when nothing is pending; with it, it
+  /// waits for work and returns false once stopping with nothing left.
+  bool RunOneTask(bool take_queries, bool block);
+  /// kUnavailable once Stop() has begun.
+  Status CheckRunning() const;
   /// Builds a snapshot over the effective sets, folds the overlay into it
   /// and publishes the result. Caller holds writer_mu_.
   Status CompactLocked();
@@ -313,19 +308,13 @@ class IflsService {
   /// Queues `sub` for pumping unless it is already queued or the service is
   /// stopping, and wakes a worker.
   void SchedulePump(const std::shared_ptr<Subscription>& sub);
-  /// Pops and runs one pending subscription pump only (the inline drain used
-  /// by Mutate/TickSubscription in admission-only mode). Returns false when
-  /// none is pending.
-  bool ProcessOnePumpInline();
   /// Drops the executing_ count taken when a query or pump was popped and
   /// wakes Drain() when everything ran dry.
   void FinishOneTask();
-  /// Exposes the service's counters/gauges/latency histogram plus the
-  /// ifls_query_* solver-work rollups through MetricsRegistry::Global(),
-  /// labeled instance="<n>" so concurrent services don't collide.
+  /// Exposes the service's counters/gauges/latency histogram through
+  /// MetricsRegistry::Global(), labeled instance="<n>" so concurrent
+  /// services don't collide.
   void RegisterMetrics();
-  void LogSlowQuery(const ServiceReply& reply, IflsObjective objective,
-                    double elapsed_seconds) const;
 
   const ServiceOptions options_;
 
@@ -371,27 +360,13 @@ class IflsService {
   std::atomic<std::uint64_t> mutations_applied_{0};
   std::atomic<std::uint64_t> mutations_rejected_{0};
   std::atomic<std::uint64_t> compactions_{0};
-  std::atomic<std::uint64_t> oracle_cache_hits_{0};
-  std::atomic<std::uint64_t> oracle_cache_misses_{0};
   std::atomic<std::uint64_t> iterators_opened_{0};
   std::atomic<std::uint64_t> subscription_events_{0};
   std::atomic<std::uint64_t> subscription_pushes_{0};
   std::atomic<std::uint64_t> subscription_solves_{0};
   std::atomic<std::uint64_t> subscription_skips_{0};
 
-  /// Process-wide solver-work rollups (registry-owned, unlabeled): the
-  /// QueryStats of every completed query fold into these.
-  Counter* query_distance_computations_ = nullptr;
-  Counter* query_lower_bound_computations_ = nullptr;
-  Counter* query_nn_searches_ = nullptr;
-  Counter* query_clients_pruned_ = nullptr;
-  Counter* query_queue_pops_ = nullptr;
-  Counter* query_check_list_calls_ = nullptr;
-  Counter* query_check_answer_calls_ = nullptr;
-  Counter* query_cache_hits_ = nullptr;
-  Counter* query_cache_misses_ = nullptr;
-  /// Registry-owned streaming/standing-query series (process-wide, like the
-  /// ifls_query_* rollups).
+  /// Registry-owned streaming/standing-query series (process-wide).
   Counter* iterator_pages_ = nullptr;
   LatencyHistogram* subscription_push_seconds_ = nullptr;
   /// Callback registrations for this instance's series; cleared first thing

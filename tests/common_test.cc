@@ -4,9 +4,11 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/common/logging.h"
 #include "src/common/memory_tracker.h"
 #include "src/common/metrics.h"
@@ -413,6 +415,27 @@ TEST(StopwatchTest, MeasuresElapsedTime) {
   EXPECT_GE(sw.ElapsedMicros(), 0);
   sw.Restart();
   EXPECT_LT(sw.ElapsedSeconds(), 1.0);
+}
+
+// ------------------------------------------------------------------ JSON
+
+TEST(JsonTest, AppendJsonStringEscapesQuotesBackslashAndControlBytes) {
+  std::string out = "x=";
+  AppendJsonString(&out, "say \"hi\" \\ bye");
+  EXPECT_EQ(out, "x=\"say \\\"hi\\\" \\\\ bye\"");
+
+  out.clear();
+  AppendJsonString(&out, std::string("a\nb\tc\x01\x1f\0d", 9));
+  EXPECT_EQ(out, "\"a\\u000ab\\u0009c\\u0001\\u001f\\u0000d\"");
+
+  // UTF-8 (and DEL) pass through byte for byte.
+  out.clear();
+  AppendJsonString(&out, "caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x99\x82\x7f");
+  EXPECT_EQ(out, "\"caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x99\x82\x7f\"");
+
+  out.clear();
+  AppendJsonString(&out, "");
+  EXPECT_EQ(out, "\"\"");
 }
 
 }  // namespace

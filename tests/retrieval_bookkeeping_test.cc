@@ -1,7 +1,8 @@
 // The retrieval core's per-pop bookkeeping (src/core/retrieval.h): the count
-// histogram behind any_exact() must give a full recount's verdict at every
-// point of a traversal, under every ablation switch, and the solvers built
-// on it must keep agreeing with brute force. Clients sit on small integer
+// histogram behind any_exact() and uncollected_exact() must give a full
+// recount's verdict at every point of a traversal, under every ablation
+// switch and under ranked collection, and the solvers built on it must keep
+// agreeing with brute force. Clients sit on small integer
 // coordinates of a few shared partitions, so distances and counts tie.
 
 #include <gtest/gtest.h>
@@ -105,49 +106,93 @@ IflsContext TieHeavyContext(VenuePreset preset, std::uint64_t seed) {
   return ctx;
 }
 
-/// An objective that never decides and, at every hook, compares the core's
-/// any_exact() with a recount over counts() and alive_count().
+/// An objective that, at every hook, compares the core's any_exact() and
+/// uncollected_exact() with a recount over counts(), alive_count() and
+/// collected(). With a `collect_limit` it collects like ranked MinMax
+/// (src/core/efficient.cc): an event's candidate once exact, every exact
+/// candidate after a prune, and it decides once `collect_limit` are in.
 class RecountObjective {
  public:
-  void Attach(const internal::RetrievalCore<RecountObjective>* core) {
+  explicit RecountObjective(std::size_t collect_limit = 0)
+      : collect_limit_(collect_limit) {}
+
+  void Attach(internal::RetrievalCore<RecountObjective>* core) {
     core_ = core;
   }
 
-  bool done() const { return false; }
-  void OnCandidateEvent(std::size_t /*ord*/, double /*dist*/) { Check(); }
+  bool done() const {
+    return collect_limit_ > 0 && collected_ >= collect_limit_;
+  }
+  void OnCandidateEvent(std::size_t ord, double /*dist*/) {
+    Check();
+    if (collect_limit_ > 0 && !done() &&
+        core_->counts()[ord] == core_->alive_count() &&
+        !core_->collected(ord)) {
+      core_->Collect(ord);
+      ++collected_;
+    }
+  }
+  // Mid-rollback a collected candidate's count may still be one above
+  // alive_count(), so only any_exact() is defined here.
   void OnPrunedCandidate(std::size_t /*ord*/, double /*dist*/,
                          bool /*counted*/, double /*nef*/) {
-    Check();
+    Check(/*between_prunes=*/false);
   }
-  void OnPrune(std::uint32_t /*ci*/, double /*nef*/) { Check(); }
+  void OnPrune(std::uint32_t /*ci*/, double /*nef*/) {
+    Check();
+    if (collect_limit_ == 0 || done()) return;
+    for (std::size_t i = 0; i < core_->counts().size(); ++i) {
+      if (core_->counts()[i] == core_->alive_count() &&
+          !core_->collected(i)) {
+        core_->Collect(i);
+        ++collected_;
+      }
+    }
+  }
 
-  void Check() {
+  void Check(bool between_prunes = true) {
     bool exact = false;
-    for (const std::int32_t count : core_->counts()) {
-      if (count == core_->alive_count()) exact = true;
+    std::int64_t uncollected_exact = 0;
+    const auto& counts = core_->counts();
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      if (counts[i] != core_->alive_count()) continue;
+      exact = true;
+      if (!core_->collected(i)) ++uncollected_exact;
     }
     ++checks_;
     if (exact) ++exact_;
     if (core_->any_exact() != exact) ++mismatches_;
+    if (!between_prunes) return;
+    if (exact && uncollected_exact == 0) ++all_collected_;
+    if (core_->uncollected_exact() != uncollected_exact) ++mismatches_;
   }
 
   std::int64_t checks() const { return checks_; }
   std::int64_t exact() const { return exact_; }
+  /// Checks where some candidate was exact but every exact one collected:
+  /// the state in which a ranked answer scan returns early.
+  std::int64_t all_collected() const { return all_collected_; }
   std::int64_t mismatches() const { return mismatches_; }
+  std::size_t collected() const { return collected_; }
 
  private:
-  const internal::RetrievalCore<RecountObjective>* core_ = nullptr;
+  internal::RetrievalCore<RecountObjective>* core_ = nullptr;
+  const std::size_t collect_limit_;
+  std::size_t collected_ = 0;
   std::int64_t checks_ = 0;
   std::int64_t exact_ = 0;
+  std::int64_t all_collected_ = 0;
   std::int64_t mismatches_ = 0;
 };
 
-/// Runs the whole traversal (to exhaustion) with checks after every Step +
-/// ProcessEvents, and returns the objective's tallies.
+/// Runs the traversal (to exhaustion, or until the objective decides) with
+/// checks after every Step + ProcessEvents, and returns the objective's
+/// tallies.
 RecountObjective DriveCore(const IflsContext& ctx,
-                           const EfficientOptions& options) {
+                           const EfficientOptions& options,
+                           std::size_t collect_limit = 0) {
   QueryStats stats;
-  RecountObjective objective;
+  RecountObjective objective(collect_limit);
   internal::RetrievalCore<RecountObjective> core(ctx, options, &stats,
                                                  &objective);
   objective.Attach(&core);
@@ -155,12 +200,12 @@ RecountObjective DriveCore(const IflsContext& ctx,
   core.ProcessEvents(0.0);
   objective.Check();
   core.SeedQueue();
-  while (!core.exhausted()) {
+  while (!objective.done() && !core.exhausted()) {
     core.Step();
     core.ProcessEvents(core.gd());
     objective.Check();
   }
-  core.Flush();
+  if (!objective.done()) core.Flush();
   objective.Check();
   return objective;
 }
@@ -209,6 +254,22 @@ TEST_P(RetrievalBookkeepingTest, AnyExactMatchesRecountEverywhere) {
     // Both verdicts occur, so the comparison tests something.
     EXPECT_GT(tally.exact(), 0);
     EXPECT_LT(tally.exact(), tally.checks());
+  }
+}
+
+TEST_P(RetrievalBookkeepingTest, UncollectedExactMatchesRecountWhenRanked) {
+  const IflsContext ctx = TieHeavyContext(GetParam().preset, GetParam().seed);
+  // top_k = 3 stops after three; a ranked stream collects every candidate
+  // (its pauses between pages leave the core untouched).
+  for (const std::size_t limit : {std::size_t{3}, ctx.candidates.size()}) {
+    for (const auto& [name, options] : AblationVariants()) {
+      SCOPED_TRACE(name + " limit " + std::to_string(limit));
+      const RecountObjective tally = DriveCore(ctx, options, limit);
+      EXPECT_EQ(tally.mismatches(), 0) << "of " << tally.checks() << " checks";
+      EXPECT_GT(tally.collected(), 0u);
+      // The early-out state occurs, so the new count is exercised.
+      EXPECT_GT(tally.all_collected(), 0);
+    }
   }
 }
 

@@ -1,6 +1,6 @@
 // End-to-end coverage of the tracing subsystem (src/common/trace.h): the
 // recorder's enable/sample/overflow mechanics, the bit-identity contract
-// (spans never change answers), slow-query capture through the log sink,
+// (spans never change answers), slow-query capture in the cost ledger's ring,
 // Prometheus round-trips of service counters, and — the load-bearing part —
 // that a Chrome trace exported from a *multi-threaded* service run parses as
 // well-formed JSON with balanced B/E pairs and monotonic per-thread
@@ -22,12 +22,12 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/logging.h"
 #include "src/common/metrics_registry.h"
 #include "src/core/efficient.h"
 #include "src/core/maxsum.h"
 #include "src/core/mindist.h"
 #include "src/index/graph_oracle.h"
+#include "src/service/cost_ledger.h"
 #include "src/service/service.h"
 #include "tests/test_util.h"
 
@@ -539,53 +539,65 @@ TEST_F(TraceTest, PrometheusExpositionRoundTripsServiceCounters) {
 
 // ------------------------------------------------------------- slow queries
 
-class CapturingSink : public LogSink {
- public:
-  void Write(LogLevel, const std::string& line) override {
-    lines_.push_back(line);
-  }
-  const std::vector<std::string>& lines() const { return lines_; }
-
- private:
-  std::vector<std::string> lines_;
-};
-
-TEST_F(TraceTest, SlowQueryDumpsSpanTreeThroughLogger) {
+TEST_F(TraceTest, SlowQueryRingRetainsServiceQueriesWithTheirSpans) {
   TraceRecorder::Global().Enable();
+  QueryCostLedger& ledger = QueryCostLedger::Global();
+  ledger.Reset();
   ServiceOptions options;
   options.num_workers = 0;
-  options.slow_query_threshold_seconds = 1e-9;  // everything is "slow"
   TracedScenario s = MakeTracedScenario(options, /*seed=*/17);
 
-  CapturingSink sink;
-  LogSink* previous = SwapLogSink(&sink);
-  ServiceRequest request;
-  request.objective = IflsObjective::kMinDist;
-  request.clients = s.clients;
-  std::future<ServiceReply> f =
-      Unwrap(s.service->SubmitQuery(std::move(request)));
-  while (s.service->ProcessOneInline()) {
-  }
-  const ServiceReply reply = f.get();
-  SwapLogSink(previous);
-
-  ASSERT_TRUE(reply.status.ok());
-  ASSERT_NE(reply.trace_id, 0u);
-  std::string slow_line;
-  for (const std::string& line : sink.lines()) {
-    if (line.find("slow query trace_id=") != std::string::npos) {
-      slow_line = line;
-      break;
+  const auto run = [&s](std::uint64_t trace_id) {
+    ServiceRequest request;
+    request.objective = IflsObjective::kMinDist;
+    request.clients = s.clients;
+    request.trace_id = trace_id;
+    std::future<ServiceReply> f =
+        Unwrap(s.service->SubmitQuery(std::move(request)));
+    while (s.service->ProcessOneInline()) {
     }
+    return f.get();
+  };
+  // A locally minted id wins the 1-in-1 draw; a propagated context whose
+  // caller did not sample records no spans at all.
+  const ServiceReply sampled = run(0);
+  const std::uint64_t unsampled_id = std::uint64_t{1} << 62;
+  const ServiceReply unsampled = run(unsampled_id);
+  ASSERT_TRUE(sampled.status.ok());
+  ASSERT_TRUE(unsampled.status.ok());
+  ASSERT_NE(sampled.trace_id, 0u);
+  ASSERT_EQ(unsampled.trace_id, unsampled_id);
+
+  const auto records = ledger.SlowQueries();
+  const auto record_of =
+      [&records](std::uint64_t trace_id) -> const SlowQueryRecord* {
+    for (const auto& record : records) {
+      if (record->sample.trace_id == trace_id) return record.get();
+    }
+    return nullptr;
+  };
+  ASSERT_EQ(records.size(), 2u);
+  const SlowQueryRecord* with_spans = record_of(sampled.trace_id);
+  const SlowQueryRecord* without_spans = record_of(unsampled_id);
+  ASSERT_NE(with_spans, nullptr);
+  ASSERT_NE(without_spans, nullptr);
+  EXPECT_EQ(with_spans->sample.objective, IflsObjective::kMinDist);
+  EXPECT_EQ(with_spans->sample.solve_seconds, sampled.solve_seconds);
+  EXPECT_TRUE(without_spans->spans.empty());
+
+  const auto has_span = [with_spans](TraceCategory category,
+                                     const std::string& name) {
+    for (const TraceEvent& e : with_spans->spans) {
+      if (e.category == category && name == e.name) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(has_span(TraceCategory::kService, "solve"));
+  EXPECT_TRUE(has_span(TraceCategory::kSolver, "mindist"));
+  for (const TraceEvent& e : with_spans->spans) {
+    EXPECT_EQ(e.trace_id, sampled.trace_id) << e.name;
   }
-  ASSERT_FALSE(slow_line.empty()) << "no slow-query line captured";
-  EXPECT_NE(
-      slow_line.find("trace_id=" + std::to_string(reply.trace_id)),
-      std::string::npos);
-  EXPECT_NE(slow_line.find("objective=MinDist"), std::string::npos);
-  // The span tree rides along: the query's own service + solver spans.
-  EXPECT_NE(slow_line.find("[service] solve"), std::string::npos);
-  EXPECT_NE(slow_line.find("[solver] mindist"), std::string::npos);
+  ledger.Reset();
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 //   render       --venue FILE [--workload FILE] [--level L] --out FILE.svg
 //   trace        --preset MC|CH|CPH|MZB [--existing N] [--candidates N]
 //                [--clients N] [--queries N] [--workers N] [--sample N]
-//                [--slow-ms MS] [--seed S] [--metrics] --out FILE.trace.json
+//                [--seed S] [--metrics] --out FILE.trace.json
 //   trace        --remote [HOST:]PORT [--preset MC|CH|CPH|MZB] [--queries N]
 //                [--clients N] [--sample N] [--seed S] --out FILE.trace.json
 //   subscribe    --preset MC|CH|CPH|MZB [--existing N] [--candidates N]
@@ -29,7 +29,8 @@
 // objectives, a facility-mutation + compaction cycle, and a graph-oracle
 // differential solve) and exports the spans as Chrome trace-event JSON for
 // Perfetto / chrome://tracing. --metrics additionally prints the Prometheus
-// text exposition of the telemetry registry.
+// text exposition of the telemetry registry. It ends by printing the worst
+// query of the cost ledger's slow-query ring with its span tree.
 //
 // `trace --remote` instead runs a traced client session against a live
 // `ifls_cli serve` process (DESIGN.md §15): it estimates the client/server
@@ -106,6 +107,7 @@
 #include "src/net/client.h"
 #include "src/net/server.h"
 #include "src/net/wire.h"
+#include "src/service/cost_ledger.h"
 #include "src/service/fleet_store.h"
 #include "src/service/service.h"
 #include "src/service/venue_router.h"
@@ -455,7 +457,6 @@ int Trace(const Args& args) {
 
   ServiceOptions options;
   options.num_workers = static_cast<int>(args.GetInt("workers", 0));
-  options.slow_query_threshold_seconds = args.GetDouble("slow-ms", 0.0) / 1e3;
   Result<std::unique_ptr<IflsService>> service = IflsService::Create(
       std::move(venue).value(), sets->existing, sets->candidates, options);
   if (!service.ok()) return Fail(service.status());
@@ -578,6 +579,19 @@ int Trace(const Args& args) {
       service_reply.result.answer, service_objective);
   if (args.Has("metrics")) {
     std::printf("%s", DumpMetricsText().c_str());
+  }
+  const auto slow = QueryCostLedger::Global().SlowQueries();
+  if (!slow.empty()) {
+    const SlowQueryRecord& worst = *slow.front();
+    std::printf(
+        "slowest query: trace_id=%llu objective=%s queue=%.3fms "
+        "solve=%.3fms tier=%s%s\n",
+        static_cast<unsigned long long>(worst.sample.trace_id),
+        IflsObjectiveName(worst.sample.objective),
+        worst.sample.queue_seconds * 1e3, worst.sample.solve_seconds * 1e3,
+        worst.tier.c_str(),
+        worst.spans.empty() ? " (not sampled)"
+                            : FormatSpanTree(worst.spans).c_str());
   }
   recorder.Disable();
   return 0;
