@@ -379,7 +379,6 @@ void WriteLayoutReport(const std::string& path) {
           w.Field("memory_footprint_bytes", r.memory_footprint_bytes);
           w.Field("arena_id_bytes", r.stats.id_bytes);
           w.Field("arena_dist_bytes", r.stats.dist_bytes);
-          w.Field("arena_hop_bytes", r.stats.hop_bytes);
           w.Field("arena_used_bytes", r.stats.arena_used_bytes);
           w.Field("arena_capacity_bytes", r.stats.arena_capacity_bytes);
           w.Field("arena_utilization", r.stats.arena_utilization);

@@ -10,7 +10,7 @@ namespace {
 
 /// Min-heap order by distance only (matches the former priority_queue's
 /// comparator, so equal-distance pops settle in the same order and the
-/// reported first hops / predecessors are bit-identical).
+/// reported predecessors are bit-identical).
 bool HeapGreater(const DijkstraHeapEntry& a, const DijkstraHeapEntry& b) {
   return a.dist > b.dist;
 }
@@ -26,7 +26,6 @@ void RunDijkstra(const DoorGraph& graph, DoorId source,
 
   ShortestPaths& out = ws->paths;
   out.distance.assign(n, kInfDistance);
-  out.first_hop.assign(n, kInvalidDoor);
   out.predecessor.assign(n, kInvalidDoor);
 
   ws->settled.assign(n, 0);
@@ -64,8 +63,6 @@ void RunDijkstra(const DoorGraph& graph, DoorId source,
       if (cand < out.distance[v]) {
         out.distance[v] = cand;
         out.predecessor[v] = top.door;
-        out.first_hop[v] =
-            top.door == source ? e->to : out.first_hop[u];
         queue.push_back({cand, e->to});
         std::push_heap(queue.begin(), queue.end(), HeapGreater);
       }

@@ -15,11 +15,6 @@ struct ShortestPaths {
   /// distance[d] = shortest walking distance source -> d; kInfDistance when
   /// unreachable.
   std::vector<double> distance;
-  /// first_hop[d] = first door after the source on a shortest path to d
-  /// (== d when d is the source's direct neighbor; kInvalidDoor for the
-  /// source itself and unreachable doors). This is what VIP-tree matrices
-  /// store alongside every distance entry.
-  std::vector<DoorId> first_hop;
   /// predecessor[d] = previous door on the shortest path (kInvalidDoor for
   /// source/unreachable). Enables full path reconstruction.
   std::vector<DoorId> predecessor;
@@ -27,7 +22,7 @@ struct ShortestPaths {
 
 /// Binary-heap entry of a Dijkstra run. Ordered by distance only, exactly
 /// like the original std::priority_queue-based implementation, so tie
-/// handling (and therefore first_hop/predecessor choices) is unchanged.
+/// handling (and therefore predecessor choices) is unchanged.
 struct DijkstraHeapEntry {
   double dist = 0.0;
   DoorId door = kInvalidDoor;

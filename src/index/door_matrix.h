@@ -10,25 +10,23 @@
 
 namespace ifls {
 
-/// Non-owning dense distance matrix between two (sorted) door sets, with
-/// optional first-hop doors for path reconstruction. This is how VIP-tree
-/// nodes expose their matrices under the flat layout: the row/col id lists
-/// and the row-major payload all live in tree-owned arena buffers, and the
-/// view just carries spans/pointers into them — copyable, trivially
-/// destructible, and stable across tree moves (the arenas' heap blocks never
-/// move). Leaf nodes view all incident doors, internal nodes their
-/// children's access doors, and (VIP only) leaves additionally view one
-/// matrix per ancestor (rows = leaf doors, cols = ancestor access doors).
+/// Non-owning dense distance matrix between two (sorted) door sets. This is
+/// how VIP-tree nodes expose their matrices under the flat layout: the
+/// row/col id lists and the row-major payload all live in tree-owned arena
+/// buffers, and the view just carries spans/pointers into them — copyable,
+/// trivially destructible, and stable across tree moves (the arenas' heap
+/// blocks never move). Leaf nodes view all incident doors, internal nodes
+/// their children's access doors, and (VIP only) leaves additionally view
+/// one matrix per ancestor (rows = leaf doors, cols = ancestor access doors).
 class DoorMatrixView {
  public:
   DoorMatrixView() = default;
 
   /// `rows`/`cols` must be sorted ascending and duplicate-free. `dist` must
-  /// point at rows.size()*cols.size() row-major values; `first_hop` likewise
-  /// or nullptr when first hops are not stored.
+  /// point at rows.size()*cols.size() row-major values.
   DoorMatrixView(std::span<const DoorId> rows, std::span<const DoorId> cols,
-                 const double* dist, const DoorId* first_hop)
-      : rows_(rows), cols_(cols), dist_(dist), first_hop_(first_hop) {}
+                 const double* dist)
+      : rows_(rows), cols_(cols), dist_(dist) {}
 
   std::size_t num_rows() const { return rows_.size(); }
   std::size_t num_cols() const { return cols_.size(); }
@@ -51,11 +49,6 @@ class DoorMatrixView {
     return dist_[static_cast<std::size_t>(row) * cols_.size() +
                  static_cast<std::size_t>(col)];
   }
-  DoorId FirstHopAt(int row, int col) const {
-    if (first_hop_ == nullptr) return kInvalidDoor;
-    return first_hop_[static_cast<std::size_t>(row) * cols_.size() +
-                      static_cast<std::size_t>(col)];
-  }
 
   /// Distance between doors by id. Precondition: both present.
   double Distance(DoorId row, DoorId col) const {
@@ -75,7 +68,6 @@ class DoorMatrixView {
   std::span<const DoorId> rows_;
   std::span<const DoorId> cols_;
   const double* dist_ = nullptr;
-  const DoorId* first_hop_ = nullptr;
 };
 
 }  // namespace ifls

@@ -1,6 +1,5 @@
 #include "src/index/path.h"
 
-#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -31,25 +30,9 @@ Status ValidateEndpoint(const Venue& venue, const Point& p, PartitionId pid,
 }  // namespace
 
 std::vector<DoorId> PathReconstructor::DoorRoute(DoorId a, DoorId b) const {
-  std::vector<DoorId> route;
-  route.push_back(a);
-  DoorId cur = a;
-  const std::size_t max_hops = tree_->venue().num_doors() + 1;
-  while (cur != b && route.size() <= max_hops) {
-    const DoorId hop = tree_->FirstHop(cur, b);
-    if (hop == kInvalidDoor) {
-      // Crossed out of first-hop coverage (different leaves): finish with
-      // an exact graph search from the current door.
-      const ShortestPaths paths = ShortestPathsToTargets(graph_, cur, {b});
-      std::vector<DoorId> tail = ReconstructPath(paths, cur, b);
-      IFLS_CHECK(!tail.empty()) << "unreachable door pair in connected venue";
-      route.insert(route.end(), tail.begin() + 1, tail.end());
-      return route;
-    }
-    route.push_back(hop);
-    cur = hop;
-  }
-  IFLS_CHECK(cur == b) << "first-hop chain failed to terminate";
+  const ShortestPaths paths = ShortestPathsToTargets(graph_, a, {b});
+  std::vector<DoorId> route = ReconstructPath(paths, a, b);
+  IFLS_CHECK(!route.empty()) << "unreachable door pair in connected venue";
   return route;
 }
 

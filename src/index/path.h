@@ -27,10 +27,9 @@ struct IndoorPath {
 };
 
 /// Computes full door-level routes. Distances come from the VIP-tree (so a
-/// route's length always equals the index's iDist); the door sequence is
-/// reconstructed by following first-hop doors where the tree stores them
-/// (within leaves) and door-graph Dijkstra across node boundaries. The
-/// door graph is built once per reconstructor.
+/// route's length always equals the index's iDist); the door sequence comes
+/// from one door-graph Dijkstra between the chosen end doors, stopped once
+/// the target door settles. The door graph is built once per reconstructor.
 class PathReconstructor {
  public:
   /// The tree must outlive the reconstructor.

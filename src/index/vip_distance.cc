@@ -491,19 +491,4 @@ std::vector<double> VipTree::ComposePartitionToNodeTable() const {
   return table;
 }
 
-DoorId VipTree::FirstHop(DoorId a, DoorId b) const {
-  if (a == b) return kInvalidDoor;
-  const Door& door_a = venue_->door(a);
-  NodeId leaves_a[2];
-  int count_a = 0;
-  LeavesOfDoor(*this, door_a, leaves_a, &count_a);
-  for (int i = 0; i < count_a; ++i) {
-    const VipNode& leaf = node(leaves_a[i]);
-    const int row = leaf.matrix.RowIndex(a);
-    const int col = leaf.matrix.ColIndex(b);
-    if (row >= 0 && col >= 0) return leaf.matrix.FirstHopAt(row, col);
-  }
-  return kInvalidDoor;
-}
-
 }  // namespace ifls

@@ -141,7 +141,6 @@ VipTree::VipTree(VipTree&& other) noexcept
       options_(other.options_),
       ids_(std::move(other.ids_)),
       dist_(std::move(other.dist_)),
-      hops_(std::move(other.hops_)),
       ancestor_views_(std::move(other.ancestor_views_)),
       nodes_(std::move(other.nodes_)),
       leaf_of_partition_(std::move(other.leaf_of_partition_)),
@@ -166,7 +165,6 @@ VipTree& VipTree::operator=(VipTree&& other) noexcept {
   options_ = tmp.options_;
   ids_ = std::move(tmp.ids_);
   dist_ = std::move(tmp.dist_);
-  hops_ = std::move(tmp.hops_);
   ancestor_views_ = std::move(tmp.ancestor_views_);
   nodes_ = std::move(tmp.nodes_);
   leaf_of_partition_ = std::move(tmp.leaf_of_partition_);
@@ -357,9 +355,9 @@ Result<VipTree> VipTree::Build(const Venue* venue, VipTreeOptions options) {
   // so distinct doors write disjoint arena cells and the sweep parallelizes
   // without synchronization; the built index is bit-identical for any
   // thread count. Each run stops once every column of those rows is
-  // settled: settled labels and first hops are final, so the cells equal a
-  // full run's. Each worker leases a reusable Dijkstra workspace so the
-  // sweep is allocation-free after warmup.
+  // settled: settled labels are final, so the cells equal a full run's.
+  // Each worker leases a reusable Dijkstra workspace so the sweep is
+  // allocation-free after warmup.
   const int build_threads = tree.BuildThreads();
   WorkspacePool<DijkstraWorkspace> workspaces;
   const auto fill_rows_for_door = [&](std::size_t d) {
@@ -582,13 +580,11 @@ Status VipTree::InitFromStructure(const VipTreeStructure& structure) {
   }
   ids_.Reserve(id_total);
   dist_.Reserve(dist_total);
-  hops_.Reserve(dist_total);
   // Mapped arenas validate the computed totals against their section sizes
   // instead of allocating; a mismatch means the snapshot's descriptors and
   // payload disagree, and continuing would hand out spans past the mapping.
   IFLS_RETURN_NOT_OK(ids_.BackingStatus());
   IFLS_RETURN_NOT_OK(dist_.BackingStatus());
-  IFLS_RETURN_NOT_OK(hops_.BackingStatus());
   ancestor_views_.clear();
   ancestor_views_.reserve(anc_view_total);
   nodes_.assign(n_nodes, VipNode{});
@@ -621,10 +617,7 @@ Status VipTree::InitFromStructure(const VipTreeStructure& structure) {
                                       std::span<const DoorId> cols) {
     const std::size_t cells = rows.size() * cols.size();
     const std::size_t off = dist_.Allocate(cells, kInfDistance);
-    const std::size_t hop_off = hops_.Allocate(cells, kInvalidDoor);
-    IFLS_DCHECK(hop_off == off);
-    return DoorMatrixView(rows, cols, dist_.data() + off,
-                          hops_.data() + hop_off);
+    return DoorMatrixView(rows, cols, dist_.data() + off);
   };
   for (std::size_t i = 0; i < n_nodes; ++i) {
     VipNode& n = nodes_[i];
@@ -644,7 +637,6 @@ Status VipTree::InitFromStructure(const VipTreeStructure& structure) {
   // between the mapped ids section and the derived layout is sticky here.
   IFLS_RETURN_NOT_OK(ids_.BackingStatus());
   IFLS_RETURN_NOT_OK(dist_.BackingStatus());
-  IFLS_RETURN_NOT_OK(hops_.BackingStatus());
   return Status::OK();
 }
 
@@ -656,14 +648,10 @@ void VipTree::FillMatrixRow(const DoorMatrixView& view, DoorId row,
   const std::size_t base =
       static_cast<std::size_t>(view.dist_data() - dist_.data()) +
       static_cast<std::size_t>(r) * cols;
-  // First hops share the distance cells' offsets (see allocate_matrix).
   double* dist_row = dist_.mutable_data() + base;
-  DoorId* hop_row = hops_.mutable_data() + base;
   const std::span<const DoorId> col_ids = view.cols();
   for (std::size_t c = 0; c < cols; ++c) {
-    const auto target = static_cast<std::size_t>(col_ids[c]);
-    dist_row[c] = paths.distance[target];
-    hop_row[c] = paths.first_hop[target];
+    dist_row[c] = paths.distance[static_cast<std::size_t>(col_ids[c])];
   }
 }
 
@@ -681,7 +669,6 @@ std::size_t VipTree::MemoryFootprintBytes() const {
   total += nodes_.capacity() * sizeof(VipNode);
   total += ids_.MemoryFootprintBytes();
   total += dist_.MemoryFootprintBytes();
-  total += hops_.MemoryFootprintBytes();
   total += ancestor_views_.capacity() * sizeof(DoorMatrixView);
   total += leaf_of_partition_.capacity() * sizeof(NodeId);
   // Memoized door distances (conceptually part of the index; the bucket
@@ -700,15 +687,12 @@ VipTreeLayoutStats VipTree::LayoutStats() const {
   s.num_leaves = num_leaves_;
   s.id_bytes = ids_.size() * sizeof(std::int32_t);
   s.dist_bytes = dist_.size() * sizeof(double);
-  s.hop_bytes = hops_.size() * sizeof(DoorId);
-  s.arena_used_bytes = s.id_bytes + s.dist_bytes + s.hop_bytes;
+  s.arena_used_bytes = s.id_bytes + s.dist_bytes;
   // capacity() covers both backings (heap reservation or mapped section
   // size), so utilization stays meaningful for mapped trees too.
   s.arena_capacity_bytes = ids_.capacity() * sizeof(std::int32_t) +
-                           dist_.capacity() * sizeof(double) +
-                           hops_.capacity() * sizeof(DoorId);
-  s.mapped_bytes =
-      ids_.MappedBytes() + dist_.MappedBytes() + hops_.MappedBytes();
+                           dist_.capacity() * sizeof(double);
+  s.mapped_bytes = ids_.MappedBytes() + dist_.MappedBytes();
   s.arena_utilization =
       s.arena_capacity_bytes == 0
           ? 1.0

@@ -131,7 +131,6 @@ struct VipTreeLayoutStats {
   /// Used bytes per arena.
   std::size_t id_bytes = 0;
   std::size_t dist_bytes = 0;
-  std::size_t hop_bytes = 0;
   /// Used / reserved bytes across all arenas (reservation is exact, so
   /// utilization is 1.0 unless a layout bug under-fills).
   std::size_t arena_used_bytes = 0;
@@ -156,9 +155,9 @@ struct VipTreeLayoutStats {
 ///
 /// This is the materialized DistanceOracle backend: solvers consume it
 /// through the interface, while the v3 snapshot I/O, path reconstruction and
-/// the benches may use the concrete structure below. Every distance of a
-/// built tree carries a first-hop door (path reconstruction), and the one
-/// persisted form of the index is the v3 snapshot (vip_tree_io_v3.h).
+/// the benches may use the concrete structure below. The tree stores
+/// distances only; the one persisted form of the index is the v3 snapshot
+/// (vip_tree_io_v3.h).
 ///
 /// Thread-safety: after Build/LoadV3FromFile, every distance/structure
 /// accessor is a read-only path safe to call from any number of threads
@@ -262,10 +261,6 @@ class VipTree final : public DistanceOracle {
   /// over doors(pa) of the local leg plus the composed {d1} x AD(n) minimum.
   double PointToNode(const Point& a, PartitionId pa, NodeId n) const override;
 
-  /// First door to take from door `a` toward door `b` when both doors share
-  /// a leaf; kInvalidDoor otherwise.
-  DoorId FirstHop(DoorId a, DoorId b) const;
-
   // ---- Serialization (vip_tree_io_v3.cc) ---------------------------------
 
   /// Writes the complete index in the binary snapshot format v3
@@ -323,11 +318,11 @@ class VipTree final : public DistanceOracle {
   /// arena layout: derives depths, height, leaf-of-partition and index maps
   /// (returning InvalidArgument on inconsistencies), computes exact arena
   /// totals, and lays out every id list and matrix payload (distances
-  /// initialized to kInfDistance, first hops to kInvalidDoor) in
-  /// deterministic order — node id ascending; per node the main matrix then
-  /// ancestor matrices k = 0..depth-1. Shared by Build, which then fills
-  /// the payload cells in place, and LoadV3FromFile, whose mapped arenas
-  /// verify the replayed layout instead.
+  /// initialized to kInfDistance) in deterministic order — node id
+  /// ascending; per node the main matrix then ancestor matrices
+  /// k = 0..depth-1. Shared by Build, which then fills the payload cells in
+  /// place, and LoadV3FromFile, whose mapped arenas verify the replayed
+  /// layout instead.
   Status InitFromStructure(const VipTreeStructure& structure);
 
   /// A node's sorted door universe and its access doors (the doors with
@@ -397,12 +392,11 @@ class VipTree final : public DistanceOracle {
 
   /// Flat storage. All id-typed payloads (NodeId/PartitionId/DoorId and
   /// int32 index maps share the same representation) live in `ids_`; matrix
-  /// distances in `dist_`; first hops in `hops_`. Spans and views in nodes_
+  /// distances in `dist_`. Spans and views in nodes_
   /// point into these buffers — reservation is exact and up front, so the
   /// pointers are stable for the tree's lifetime and across moves.
   ArenaBuffer<std::int32_t> ids_;
   ArenaBuffer<double> dist_;
-  ArenaBuffer<DoorId> hops_;
   /// Per-leaf ancestor matrix views, concatenated in node order; each
   /// leaf's `ancestor_matrices` spans a slice of this vector.
   std::vector<DoorMatrixView> ancestor_views_;

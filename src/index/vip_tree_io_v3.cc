@@ -62,10 +62,6 @@ Status VipTree::SaveV3ToFile(const std::string& path) const {
   h.leaf_capacity = options_.leaf_capacity;
   h.internal_fanout = options_.internal_fanout;
   h.build_leaf_to_ancestor = options_.build_leaf_to_ancestor ? 1 : 0;
-  // Fixed: first hops are always stored, and the single-door shortcut
-  // always applies.
-  h.store_first_hop = 1;
-  h.single_door_optimization = 1;
   h.enable_door_distance_cache = options_.enable_door_distance_cache ? 1 : 0;
   h.num_partitions = venue_->num_partitions();
   h.num_doors = venue_->num_doors();
@@ -91,10 +87,8 @@ Status VipTree::SaveV3ToFile(const std::string& path) const {
   h.ids_count = ids_.size();
   h.dist_offset = V3AlignUp(h.ids_offset + h.ids_count * sizeof(std::int32_t));
   h.dist_count = dist_.size();
-  h.hops_offset = V3AlignUp(h.dist_offset + h.dist_count * sizeof(double));
-  h.hops_count = hops_.size();
   h.partition_node_offset =
-      V3AlignUp(h.hops_offset + h.hops_count * sizeof(DoorId));
+      V3AlignUp(h.dist_offset + h.dist_count * sizeof(double));
   h.partition_node_rows = venue_->num_partitions();
   h.partition_node_cols = nodes_.size();
   const std::uint64_t table_bytes =
@@ -111,7 +105,6 @@ Status VipTree::SaveV3ToFile(const std::string& path) const {
       Fnv1a64(records.data(), static_cast<std::size_t>(h.structure_bytes));
   std::uint64_t payload = Fnv1a64(ids_.data(), ids_.size() * sizeof(std::int32_t));
   payload = Fnv1a64Continue(payload, dist_.data(), dist_.size() * sizeof(double));
-  payload = Fnv1a64Continue(payload, hops_.data(), hops_.size() * sizeof(DoorId));
   h.payload_checksum = payload;
   h.partition_node_checksum =
       Fnv1a64(table, static_cast<std::size_t>(table_bytes));
@@ -134,12 +127,8 @@ Status VipTree::SaveV3ToFile(const std::string& path) const {
              h.dist_offset - (h.ids_offset + h.ids_count * sizeof(std::int32_t)));
   os.write(reinterpret_cast<const char*>(dist_.data()),
            static_cast<std::streamsize>(h.dist_count * sizeof(double)));
-  WriteZeros(os,
-             h.hops_offset - (h.dist_offset + h.dist_count * sizeof(double)));
-  os.write(reinterpret_cast<const char*>(hops_.data()),
-           static_cast<std::streamsize>(h.hops_count * sizeof(DoorId)));
   WriteZeros(os, h.partition_node_offset -
-                     (h.hops_offset + h.hops_count * sizeof(DoorId)));
+                     (h.dist_offset + h.dist_count * sizeof(double)));
   os.write(reinterpret_cast<const char*>(table),
            static_cast<std::streamsize>(table_bytes));
   if (!os.good()) {
@@ -213,18 +202,13 @@ Result<VipTree> VipTree::LoadV3FromFile(const Venue* venue,
                                   sizeof(std::int32_t), h.file_bytes));
   IFLS_RETURN_NOT_OK(CheckSection("dist", h.dist_offset, h.dist_count,
                                   sizeof(double), h.file_bytes));
-  IFLS_RETURN_NOT_OK(CheckSection("hops", h.hops_offset, h.hops_count,
-                                  sizeof(DoorId), h.file_bytes));
   const auto* ids = mapping->ViewAt<std::int32_t>(h.ids_offset);
   const auto* dist = mapping->ViewAt<double>(h.dist_offset);
-  const auto* hops = mapping->ViewAt<DoorId>(h.hops_offset);
   {
     std::uint64_t payload = Fnv1a64(
         ids, static_cast<std::size_t>(h.ids_count) * sizeof(std::int32_t));
     payload = Fnv1a64Continue(
         payload, dist, static_cast<std::size_t>(h.dist_count) * sizeof(double));
-    payload = Fnv1a64Continue(
-        payload, hops, static_cast<std::size_t>(h.hops_count) * sizeof(DoorId));
     if (payload != h.payload_checksum) {
       return Status::InvalidArgument("v3 snapshot payload checksum mismatch");
     }
@@ -235,13 +219,6 @@ Result<VipTree> VipTree::LoadV3FromFile(const Venue* venue,
     return Status::InvalidArgument(
         "index was built for a different venue (partition/door counts "
         "differ)");
-  }
-  // Every matrix cell carries a first hop; the header's single-door byte is
-  // ignored (the shortcut is bit-identical to the generic composition).
-  if (h.hops_count != h.dist_count) {
-    return Status::InvalidArgument(
-        "v3 snapshot first-hop section size differs from the distance "
-        "section");
   }
 
   // ---- iMinD(p, n) table: one row per partition, one column per node.
@@ -350,7 +327,6 @@ Result<VipTree> VipTree::LoadV3FromFile(const Venue* venue,
       h.enable_door_distance_cache != 0;
   tree.ids_.AdoptMapped(ids, static_cast<std::size_t>(h.ids_count));
   tree.dist_.AdoptMapped(dist, static_cast<std::size_t>(h.dist_count));
-  tree.hops_.AdoptMapped(hops, static_cast<std::size_t>(h.hops_count));
   IFLS_RETURN_NOT_OK(tree.InitFromStructure(structure));
   // The fixup pass checks the door sets only against each other; DoorToDoor
   // trusts them to hold every door of a leaf's partitions, so check them

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "src/common/hash.h"
 
@@ -10,16 +11,15 @@ namespace ifls {
 
 // On-disk layout of the IFLS VIP-tree snapshot format v3 (binary,
 // little-endian, page-aligned, checksummed), the index's only persisted
-// form. A v3 file is *directly mappable*: the three arena sections and the
+// form. A v3 file is *directly mappable*: the two arena sections and the
 // iMinD(p, n) table are the bytes the in-memory index reads at query time,
 // so loading is mmap + a descriptor fixup pass over the (small) node-record
 // table — never a parse or a copy of the bulk payload.
 //
 //   [ V3Header, zero-padded to kV3SectionAlignment ]
 //   [ num_nodes x V3NodeRecord  (the descriptor table) ]  -> checksummed
-//   [ pad ] [ ids section:  ids_count  x int32  ]  -+
-//   [ pad ] [ dist section: dist_count x double ]   +- checksummed together
-//   [ pad ] [ hops section: hops_count x int32  ]  -+
+//   [ pad ] [ ids section:  ids_count  x int32  ]  -+- checksummed together
+//   [ pad ] [ dist section: dist_count x double ]  -+
 //   [ pad ] [ partition-to-node table:              -> checksummed
 //             num_partitions x num_nodes double, row-major ]
 //
@@ -28,8 +28,11 @@ namespace ifls {
 // door-to-door distance, bit-identical to what a heap-built tree composes.
 // A mapped tree answers PartitionToNode with one cell read of it. The
 // loader checks its shape against the header's partition and node counts
-// and rejects NaN or negative cells. Version 4 added the table; older
-// images are rejected by the version check and must be rewritten.
+// and rejects NaN or negative cells. Version 4 added the table. Version 5
+// dropped the hops section (a first-hop door per distance cell, which no
+// query reads; path reconstruction runs a door-graph search instead) and
+// the header fields that described it. Older images are rejected by the
+// version check and must be rewritten.
 //
 // Every section offset is kV3SectionAlignment-aligned, so any mmap base
 // (page-aligned by definition) yields naturally aligned int32/double views.
@@ -42,7 +45,7 @@ namespace ifls {
 // tampered with.
 
 inline constexpr char kV3Magic[8] = {'I', 'F', 'L', 'S', 'S', 'N', 'P', '3'};
-inline constexpr std::uint32_t kV3Version = 4;
+inline constexpr std::uint32_t kV3Version = 5;
 /// Section alignment; one x86/arm64 page, so mapped sections start on page
 /// boundaries and the header occupies exactly one page.
 inline constexpr std::size_t kV3SectionAlignment = 4096;
@@ -60,13 +63,8 @@ struct V3Header {
   std::int32_t leaf_capacity = 0;
   std::int32_t internal_fanout = 0;
   std::uint8_t build_leaf_to_ancestor = 0;
-  /// Always 1: first hops are always stored, so hops_count == dist_count.
-  std::uint8_t store_first_hop = 0;
-  /// Always written as 1 and ignored on load: the single-door shortcut is
-  /// unconditional.
-  std::uint8_t single_door_optimization = 0;
   std::uint8_t enable_door_distance_cache = 0;
-  std::uint32_t reserved = 0;
+  std::uint8_t reserved[6] = {};
 
   // Venue fingerprint: a loaded tree must match the venue it is given.
   std::uint64_t num_partitions = 0;
@@ -81,8 +79,6 @@ struct V3Header {
   std::uint64_t ids_count = 0;
   std::uint64_t dist_offset = 0;
   std::uint64_t dist_count = 0;
-  std::uint64_t hops_offset = 0;
-  std::uint64_t hops_count = 0;
   /// iMinD(p, n) table: byte offset and shape (rows = num_partitions,
   /// cols = num_nodes).
   std::uint64_t partition_node_offset = 0;
@@ -91,8 +87,8 @@ struct V3Header {
 
   /// FNV-1a 64 over the descriptor table bytes.
   std::uint64_t structure_checksum = 0;
-  /// FNV-1a 64 over the ids, dist and hops section bytes, in that order
-  /// (padding between sections excluded).
+  /// FNV-1a 64 over the ids and dist section bytes, in that order (padding
+  /// between sections excluded).
   std::uint64_t payload_checksum = 0;
   /// FNV-1a 64 over the iMinD(p, n) table bytes.
   std::uint64_t partition_node_checksum = 0;
@@ -101,6 +97,8 @@ struct V3Header {
 };
 static_assert(sizeof(V3Header) <= kV3SectionAlignment,
               "v3 header must fit its page");
+static_assert(std::has_unique_object_representations_v<V3Header>,
+              "v3 header must have no padding: its bytes are checksummed");
 
 /// One node of the descriptor table. List *contents* live in the ids
 /// section; records carry only what the fixup pass needs to slice and

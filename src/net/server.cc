@@ -41,6 +41,7 @@ struct IflsServer::Connection {
   bool closed = false;
 
   /// Wire subscriptions living on this connection: id -> routing venue.
+  /// Subscription ids are process-wide, so the id alone is a unique key.
   /// The Subscription shared_ptr pins nothing extra (the service owns it
   /// too); it is kept for observability and dropped on close/unsubscribe.
   std::mutex subs_mu;
@@ -617,8 +618,7 @@ void IflsServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
     std::uint64_t id = sub_id;
     (void)Dispatch(
         [this, venue_id = std::move(venue_id), id] {
-          Result<std::shared_ptr<IflsService>> svc = Route(venue_id);
-          if (svc.ok()) (void)svc.value()->Unsubscribe(id);
+          (void)Unsubscribe(venue_id, id);
         },
         /*force=*/true);
   }
@@ -717,6 +717,15 @@ Result<std::shared_ptr<IflsService>> IflsServer::Route(
     return service_;
   }
   return router_->Service(venue_id);
+}
+
+Status IflsServer::Unsubscribe(const std::string& venue_id,
+                               std::uint64_t subscription_id) {
+  if (router_ != nullptr) {
+    return router_->Unsubscribe(venue_id, subscription_id);
+  }
+  IFLS_ASSIGN_OR_RETURN(std::shared_ptr<IflsService> service, Route(venue_id));
+  return service->Unsubscribe(subscription_id);
 }
 
 void IflsServer::RunQuery(std::shared_ptr<Connection> conn,
@@ -837,19 +846,21 @@ void IflsServer::RunTick(std::shared_ptr<Connection> conn,
 void IflsServer::RunUnsubscribe(std::shared_ptr<Connection> conn,
                                 std::uint64_t request_id,
                                 WireUnsubscribeRequest request) {
-  Result<std::shared_ptr<IflsService>> routed = Route(request.venue_id);
-  if (!routed.ok()) {
-    EnqueueError(shared_, conn, request_id, routed.status());
-    return;
-  }
-  Status status = routed.value()->Unsubscribe(request.subscription_id);
-  {
-    std::lock_guard<std::mutex> lock(conn->subs_mu);
-    conn->subs.erase(request.subscription_id);
-  }
+  const Status status = Unsubscribe(request.venue_id, request.subscription_id);
   if (!status.ok()) {
+    // The connection keeps the entry: a misrouted request must not stop
+    // its close from ending the subscription.
     EnqueueError(shared_, conn, request_id, status);
     return;
+  }
+  {
+    // Only the entry of the venue that ended it: a cold venue acks any id
+    // without looking, and must not unhook another venue's subscription.
+    std::lock_guard<std::mutex> lock(conn->subs_mu);
+    auto it = conn->subs.find(request.subscription_id);
+    if (it != conn->subs.end() && it->second.first == request.venue_id) {
+      conn->subs.erase(it);
+    }
   }
   EnqueueFrame(shared_, conn,
                EncodeEmptyFrame(WireOpcode::kAck, request_id));

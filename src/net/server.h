@@ -162,6 +162,11 @@ class IflsServer {
   /// Resolves the service a request routes to (single-venue or fleet). May
   /// hydrate — dispatcher threads only.
   Result<std::shared_ptr<IflsService>> Route(const std::string& venue_id);
+  /// Ends a subscription without hydrating: in fleet mode through
+  /// VenueRouter::Unsubscribe, so a cold venue is neither loaded nor made
+  /// to evict another one.
+  Status Unsubscribe(const std::string& venue_id,
+                     std::uint64_t subscription_id);
 
   // Dispatcher-side request executors.
   /// `received_at` is the frame's decode time: the query's admission stamp,

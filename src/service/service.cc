@@ -1,5 +1,6 @@
 #include "src/service/service.h"
 
+#include <atomic>
 #include <cstdio>
 #include <utility>
 
@@ -11,6 +12,10 @@ namespace ifls {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Subscription ids, process-wide: a service re-hydrated after eviction
+/// must not hand out an id a connection still holds for its predecessor.
+std::atomic<std::uint64_t> g_next_subscription_id{1};
 
 Clock::time_point DeadlineFor(Clock::time_point admitted_at,
                               double request_seconds,
@@ -553,11 +558,8 @@ Result<std::shared_ptr<Subscription>> IflsService::Subscribe(
     // atomically with the mutation stream, so no accepted mutation is ever
     // missed by or double-counted in the monitor.
     std::lock_guard<std::mutex> lock(writer_mu_);
-    std::uint64_t id = 0;
-    {
-      std::lock_guard<std::mutex> slock(subs_mu_);
-      id = next_subscription_id_++;
-    }
+    const std::uint64_t id =
+        g_next_subscription_id.fetch_add(1, std::memory_order_relaxed);
     sub = std::shared_ptr<Subscription>(
         new Subscription(id, options, std::move(callback), state_.Acquire(),
                          options_.solvers.minmax, sink));

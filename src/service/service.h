@@ -210,7 +210,9 @@ class IflsService {
   Result<std::unique_ptr<ResultIterator>> OpenIterator(ServiceRequest request);
 
   /// Registers a standing MinMax query over `clients` (ids within the
-  /// subscription are 0..clients.size()-1 in registration order). The
+  /// subscription are 0..clients.size()-1 in registration order).
+  /// Subscription ids are unique across every service of the process, so a
+  /// fleet connection can key its subscriptions by id alone. The
   /// initial answer (push sequence 0) is delivered synchronously before
   /// Subscribe returns; afterwards the subscription receives a push only
   /// when a mutation or trajectory tick actually invalidates its cached
@@ -334,7 +336,6 @@ class IflsService {
   /// was captured at.
   mutable std::mutex subs_mu_;
   std::map<std::uint64_t, std::shared_ptr<Subscription>> subscriptions_;
-  std::uint64_t next_subscription_id_ = 1;
 
   // Admission queue.
   mutable std::mutex queue_mu_;

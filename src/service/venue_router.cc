@@ -110,22 +110,6 @@ ServiceReply VenueRouter::Query(const std::string& venue_id,
   return service.value()->Query(std::move(request));
 }
 
-Status VenueRouter::Mutate(const std::string& venue_id,
-                           const Mutation& mutation,
-                           std::uint64_t* applied_version) {
-  IFLS_ASSIGN_OR_RETURN(std::shared_ptr<IflsService> service,
-                        Service(venue_id));
-  return service->Mutate(mutation, applied_version);
-}
-
-Result<std::shared_ptr<Subscription>> VenueRouter::Subscribe(
-    const std::string& venue_id, const std::vector<Client>& clients,
-    const SubscriptionOptions& options, SubscriptionCallback callback) {
-  IFLS_ASSIGN_OR_RETURN(std::shared_ptr<IflsService> service,
-                        Service(venue_id));
-  return service->Subscribe(clients, options, std::move(callback));
-}
-
 Status VenueRouter::Unsubscribe(const std::string& venue_id,
                                 std::uint64_t subscription_id) {
   // Deliberately does not hydrate: unsubscribing from an evicted venue is a
@@ -141,16 +125,6 @@ Status VenueRouter::Unsubscribe(const std::string& venue_id,
   }
   if (service == nullptr) return Status::OK();
   return service->Unsubscribe(subscription_id);
-}
-
-Status VenueRouter::TickSubscription(const std::string& venue_id,
-                                     std::uint64_t subscription_id,
-                                     ClientId client, const Point& position,
-                                     PartitionId partition) {
-  IFLS_ASSIGN_OR_RETURN(std::shared_ptr<IflsService> service,
-                        Service(venue_id));
-  return service->TickSubscription(subscription_id, client, position,
-                                   partition);
 }
 
 Status VenueRouter::Preload(const std::string& venue_id) {

@@ -82,19 +82,15 @@ class VenueRouter {
   /// eviction. NotFound for unknown venue ids.
   Result<std::shared_ptr<IflsService>> Service(const std::string& venue_id);
 
-  // ---- Routed request surface (thin forwards over Service()). ----------
-
+  /// Service(venue_id)->Query(request); a routing failure comes back as
+  /// the reply's status.
   ServiceReply Query(const std::string& venue_id, ServiceRequest request);
-  Status Mutate(const std::string& venue_id, const Mutation& mutation,
-                std::uint64_t* applied_version = nullptr);
-  Result<std::shared_ptr<Subscription>> Subscribe(
-      const std::string& venue_id, const std::vector<Client>& clients,
-      const SubscriptionOptions& options, SubscriptionCallback callback);
+
+  /// Ends a subscription of a resident venue. Never hydrates: on a cold
+  /// venue it is a no-op returning OK (eviction already closed the
+  /// service's subscriptions). NotFound for unknown venue ids.
   Status Unsubscribe(const std::string& venue_id,
                      std::uint64_t subscription_id);
-  Status TickSubscription(const std::string& venue_id,
-                          std::uint64_t subscription_id, ClientId client,
-                          const Point& position, PartitionId partition);
 
   // ---- Lifecycle ------------------------------------------------------
 

@@ -10,15 +10,12 @@ namespace ifls {
 namespace {
 
 // Views over local arrays, laid out the way the tree's arenas hold a node:
-// sorted row and column ids plus row-major distance and first-hop cells.
+// sorted row and column ids plus row-major distance cells.
 constexpr std::array<DoorId, 3> kRows = {2, 5, 9};
 constexpr std::array<DoorId, 2> kCols = {1, 9};
 constexpr std::array<double, 6> kDist = {1.5, 0.0,           // row 2
                                          4.5, kInfDistance,  // row 5
                                          7.0, 0.0};          // row 9
-constexpr std::array<DoorId, 6> kHops = {1, 9,               // row 2
-                                         7, kInvalidDoor,    // row 5
-                                         1, kInvalidDoor};   // row 9
 
 TEST(DoorMatrixViewTest, DefaultViewIsEmpty) {
   DoorMatrixView v;
@@ -29,7 +26,7 @@ TEST(DoorMatrixViewTest, DefaultViewIsEmpty) {
 }
 
 TEST(DoorMatrixViewTest, IndexLookups) {
-  DoorMatrixView v(kRows, kCols, kDist.data(), kHops.data());
+  DoorMatrixView v(kRows, kCols, kDist.data());
   EXPECT_FALSE(v.empty());
   EXPECT_EQ(v.num_rows(), 3u);
   EXPECT_EQ(v.num_cols(), 2u);
@@ -46,7 +43,7 @@ TEST(DoorMatrixViewTest, IndexLookups) {
 }
 
 TEST(DoorMatrixViewTest, AtAndDistance) {
-  DoorMatrixView v(kRows, kCols, kDist.data(), kHops.data());
+  DoorMatrixView v(kRows, kCols, kDist.data());
   EXPECT_EQ(v.dist_data(), kDist.data());
   EXPECT_DOUBLE_EQ(v.At(1, 0), 4.5);
   EXPECT_DOUBLE_EQ(v.At(2, 0), 7.0);
@@ -54,19 +51,6 @@ TEST(DoorMatrixViewTest, AtAndDistance) {
   EXPECT_DOUBLE_EQ(v.Distance(5, 1), 4.5);
   EXPECT_DOUBLE_EQ(v.Distance(2, 1), 1.5);
   EXPECT_DOUBLE_EQ(v.Distance(9, 9), 0.0);
-}
-
-TEST(DoorMatrixViewTest, FirstHops) {
-  DoorMatrixView v(kRows, kCols, kDist.data(), kHops.data());
-  EXPECT_EQ(v.FirstHopAt(1, 0), 7);
-  EXPECT_EQ(v.FirstHopAt(0, 1), 9);
-  EXPECT_EQ(v.FirstHopAt(1, 1), kInvalidDoor);
-}
-
-TEST(DoorMatrixViewTest, WithoutFirstHops) {
-  DoorMatrixView v(kRows, kCols, kDist.data(), /*first_hop=*/nullptr);
-  EXPECT_DOUBLE_EQ(v.At(1, 0), 4.5);
-  EXPECT_EQ(v.FirstHopAt(1, 0), kInvalidDoor);
 }
 
 }  // namespace

@@ -56,16 +56,6 @@ TEST(DijkstraTest, DistancesMatchHandComputedValues) {
                    std::sqrt(40.0) + 12.0);
 }
 
-TEST(DijkstraTest, FirstHopPointsThroughTheCorridor) {
-  TinyVenue t = BuildTinyVenue();
-  DoorGraph graph(t.venue);
-  const ShortestPaths paths = SingleSourceShortestPaths(graph, t.door_a);
-  EXPECT_EQ(paths.first_hop[static_cast<std::size_t>(t.door_a)],
-            kInvalidDoor);
-  EXPECT_EQ(paths.first_hop[static_cast<std::size_t>(t.door_b)], t.door_b);
-  EXPECT_EQ(paths.first_hop[static_cast<std::size_t>(t.door_d)], t.door_s0);
-}
-
 TEST(DijkstraTest, PathReconstruction) {
   TinyVenue t = BuildTinyVenue();
   DoorGraph graph(t.venue);

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "src/datasets/presets.h"
 #include "src/datasets/workload.h"
@@ -194,22 +196,115 @@ TEST_F(V3CorruptionTest, BadMagic) {
   EXPECT_NE(s.message().find("bad magic"), std::string::npos);
 }
 
-TEST_F(V3CorruptionTest, UnsupportedVersionRejected) {
-  std::string bytes = ReadBytes();
+/// Header layout of version 4 images, which stored a first-hop door per
+/// distance cell in a hops section between the dist section and the
+/// partition-to-node table.
+struct V4Header {
+  char magic[8];
+  std::uint32_t version;
+  std::uint32_t header_bytes;
+  std::uint64_t file_bytes;
+  std::int32_t leaf_capacity;
+  std::int32_t internal_fanout;
+  std::uint8_t build_leaf_to_ancestor;
+  std::uint8_t store_first_hop;
+  std::uint8_t single_door_optimization;
+  std::uint8_t enable_door_distance_cache;
+  std::uint32_t reserved;
+  std::uint64_t num_partitions;
+  std::uint64_t num_doors;
+  std::uint64_t num_nodes;
+  std::uint64_t structure_offset;
+  std::uint64_t structure_bytes;
+  std::uint64_t ids_offset;
+  std::uint64_t ids_count;
+  std::uint64_t dist_offset;
+  std::uint64_t dist_count;
+  std::uint64_t hops_offset;
+  std::uint64_t hops_count;
+  std::uint64_t partition_node_offset;
+  std::uint64_t partition_node_rows;
+  std::uint64_t partition_node_cols;
+  std::uint64_t structure_checksum;
+  std::uint64_t payload_checksum;
+  std::uint64_t partition_node_checksum;
+  std::uint64_t header_checksum;
+};
+
+/// Rewrites a current image the way version 4 laid it out: a hops section
+/// after the dist section, the table moved behind it, and every checksum
+/// resealed, so only the version check can refuse it.
+std::string AsVersion4Image(const std::string& bytes) {
   V3Header h;
   std::memcpy(&h, bytes.data(), sizeof(h));
+  V4Header old{};
+  std::memcpy(old.magic, h.magic, sizeof(old.magic));
+  old.version = 4;
+  old.header_bytes = h.header_bytes;
+  old.leaf_capacity = h.leaf_capacity;
+  old.internal_fanout = h.internal_fanout;
+  old.build_leaf_to_ancestor = h.build_leaf_to_ancestor;
+  old.store_first_hop = 1;
+  old.single_door_optimization = 1;
+  old.enable_door_distance_cache = h.enable_door_distance_cache;
+  old.num_partitions = h.num_partitions;
+  old.num_doors = h.num_doors;
+  old.num_nodes = h.num_nodes;
+  old.structure_offset = h.structure_offset;
+  old.structure_bytes = h.structure_bytes;
+  old.ids_offset = h.ids_offset;
+  old.ids_count = h.ids_count;
+  old.dist_offset = h.dist_offset;
+  old.dist_count = h.dist_count;
+  old.hops_offset = h.partition_node_offset;
+  old.hops_count = h.dist_count;
+  old.partition_node_offset =
+      V3AlignUp(old.hops_offset + old.hops_count * sizeof(DoorId));
+  old.partition_node_rows = h.partition_node_rows;
+  old.partition_node_cols = h.partition_node_cols;
+  old.structure_checksum = h.structure_checksum;
+  old.partition_node_checksum = h.partition_node_checksum;
+
+  std::string image = bytes.substr(0, h.partition_node_offset);
+  const std::string hops(old.hops_count * sizeof(DoorId), '\xff');
+  image += hops;
+  image.resize(old.partition_node_offset, '\0');
+  image += bytes.substr(h.partition_node_offset);
+  old.file_bytes = image.size();
+  old.payload_checksum =
+      Fnv1a64Continue(h.payload_checksum, hops.data(), hops.size());
+  old.header_checksum = Fnv1a64(&old, sizeof(old));
+  std::fill(image.begin(), image.begin() + sizeof(V3Header), '\0');
+  std::memcpy(image.data(), &old, sizeof(old));
+  return image;
+}
+
+TEST_F(V3CorruptionTest, UnsupportedVersionRejected) {
+  const std::string bytes = ReadBytes();
   // A future version with a valid header checksum: the version check itself
   // (not the checksum) must refuse it.
+  std::string future = bytes;
+  V3Header h;
+  std::memcpy(&h, future.data(), sizeof(h));
   h.version = kV3Version + 1;
   h.header_checksum = 0;
   h.header_checksum = Fnv1a64(&h, sizeof(h));
-  std::memcpy(bytes.data(), &h, sizeof(h));
-  WriteBytes(bytes);
-  const Status s = Load();
-  ASSERT_TRUE(s.IsInvalidArgument()) << s.ToString();
-  EXPECT_NE(s.message().find("unsupported v3 snapshot version " +
-                            std::to_string(kV3Version + 1)),
-            std::string::npos);
+  std::memcpy(future.data(), &h, sizeof(h));
+  // The previous version, laid out with its hops section.
+  static_assert(kV3Version - 1 == 4, "update the previous-version layout");
+  const std::string previous = AsVersion4Image(bytes);
+  for (const auto& [version, image] :
+       {std::pair<std::uint32_t, const std::string&>{kV3Version + 1, future},
+        std::pair<std::uint32_t, const std::string&>{kV3Version - 1,
+                                                     previous}}) {
+    SCOPED_TRACE(version);
+    WriteBytes(image);
+    const Status s = Load();
+    ASSERT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_NE(s.message().find("unsupported v3 snapshot version " +
+                              std::to_string(version)),
+              std::string::npos);
+  }
 }
 
 TEST_F(V3CorruptionTest, HeaderChecksumMismatch) {
@@ -226,7 +321,7 @@ TEST_F(V3CorruptionTest, PayloadChecksumMismatch) {
   std::string bytes = ReadBytes();
   V3Header h;
   std::memcpy(&h, bytes.data(), sizeof(h));
-  // Flip one distance byte; the continued ids->dist->hops checksum catches
+  // Flip one distance byte; the continued ids->dist checksum catches
   // it before any query can read the poisoned cell.
   bytes[h.dist_offset + 3] ^= 0xff;
   WriteBytes(bytes);
@@ -309,8 +404,6 @@ TEST_F(V3CorruptionTest, DoorSetMismatchRejected) {
                                   h.ids_count * sizeof(std::int32_t));
   payload = Fnv1a64Continue(payload, bytes.data() + h.dist_offset,
                             h.dist_count * sizeof(double));
-  payload = Fnv1a64Continue(payload, bytes.data() + h.hops_offset,
-                            h.hops_count * sizeof(DoorId));
   h.payload_checksum = payload;
   h.header_checksum = 0;
   h.header_checksum = Fnv1a64(&h, sizeof(h));

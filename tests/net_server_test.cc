@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -708,29 +709,51 @@ TEST(NetServerTest, SingleVenueServerRejectsVenueIds) {
 
 // ----------------------------------------------------------- fleet routing
 
-TEST(NetServerTest, FleetServerRoutesByVenueId) {
-  // Two distinct venues in a fleet directory; the wire venue_id picks which
-  // one answers, hydrating lazily on first touch.
-  const std::string root =
-      ::testing::TempDir() + "/ifls_net_fleet";
+/// Writes two distinct small venues, "venue0" and "venue1", as a fleet
+/// directory under `root` (replacing what was there); returns the venues.
+std::vector<Venue> WriteTwoVenueFleet(const std::string& root) {
   std::filesystem::remove_all(root);
   std::vector<Venue> venues;
-  std::vector<FacilitySets> sets;
   for (int i = 0; i < 2; ++i) {
     VenueGeneratorSpec spec = testing_util::SmallVenueSpec();
     spec.name = "venue" + std::to_string(i);
     spec.rooms_per_level += 4 * i;
     spec.door_jitter_seed = static_cast<std::uint64_t>(i + 1);
     venues.push_back(Unwrap(GenerateVenue(spec)));
-    Venue& venue = venues.back();
+    const Venue& venue = venues.back();
     VipTree tree = Unwrap(VipTree::Build(&venue));
     Rng rng(static_cast<std::uint64_t>(100 + i));
-    sets.push_back(Unwrap(SelectUniformFacilities(venue, 3, 6, &rng)));
-    ASSERT_TRUE(WriteVenueSnapshot(root + "/" + spec.name, venue, tree,
-                                   sets.back().existing,
-                                   sets.back().candidates)
+    const FacilitySets sets =
+        Unwrap(SelectUniformFacilities(venue, 3, 6, &rng));
+    EXPECT_TRUE(WriteVenueSnapshot(root + "/" + spec.name, venue, tree,
+                                   sets.existing, sets.candidates)
                     .ok());
   }
+  return venues;
+}
+
+/// Polls `done` for up to five seconds.
+bool Eventually(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
+/// Standing queries of a resident venue (hydrates a cold one).
+std::size_t ActiveSubscriptions(VenueRouter& router,
+                                const std::string& venue_id) {
+  return Unwrap(router.Service(venue_id))->Metrics().subscriptions_active;
+}
+
+TEST(NetServerTest, FleetServerRoutesByVenueId) {
+  // Two distinct venues in a fleet directory; the wire venue_id picks which
+  // one answers, hydrating lazily on first touch.
+  const std::string root = ::testing::TempDir() + "/ifls_net_fleet";
+  const std::vector<Venue> venues = WriteTwoVenueFleet(root);
   std::shared_ptr<VenueRouter> router = Unwrap(VenueRouter::Open(root));
   std::unique_ptr<IflsServer> server = Unwrap(IflsServer::CreateFleet(router));
   std::unique_ptr<IflsClient> client =
@@ -770,6 +793,111 @@ TEST(NetServerTest, FleetServerRoutesByVenueId) {
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(client->Ping().ok());
+  server->Stop();
+}
+
+TEST(NetServerTest, FleetConnectionCloseEndsItsSubscriptionsOnEveryVenue) {
+  // One connection subscribes on two venues. Closing it must end both
+  // standing queries, so neither venue keeps solving into a dead socket.
+  const std::string root = ::testing::TempDir() + "/ifls_net_fleet_leak";
+  const std::vector<Venue> venues = WriteTwoVenueFleet(root);
+  std::shared_ptr<VenueRouter> router = Unwrap(VenueRouter::Open(root));
+  std::unique_ptr<IflsServer> server = Unwrap(IflsServer::CreateFleet(router));
+  std::unique_ptr<IflsClient> client =
+      Unwrap(IflsClient::Connect(server->port()));
+
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 2; ++i) {
+    WireSubscribeRequest subscribe;
+    subscribe.venue_id = "venue" + std::to_string(i);
+    subscribe.clients =
+        SomeClients(venues[static_cast<std::size_t>(i)], 4, 40 + i);
+    ids.push_back(Unwrap(client->Subscribe(subscribe)).subscription_id);
+    EXPECT_EQ(ActiveSubscriptions(*router, subscribe.venue_id), 1u);
+  }
+  EXPECT_NE(ids[0], ids[1]);
+
+  client.reset();
+  for (const std::string venue_id : {"venue0", "venue1"}) {
+    EXPECT_TRUE(Eventually(
+        [&] { return ActiveSubscriptions(*router, venue_id) == 0; }))
+        << venue_id << " still has a standing query after the close";
+  }
+  server->Stop();
+}
+
+TEST(NetServerTest, FleetMisroutedUnsubscribeLeavesTheSubscriptionToClose) {
+  // An unsubscribe that names the wrong, cold venue is acked without a
+  // lookup. It must not unhook the connection's entry for the real venue,
+  // or the close would leave that venue solving into a dead socket.
+  const std::string root = ::testing::TempDir() + "/ifls_net_fleet_misroute";
+  const std::vector<Venue> venues = WriteTwoVenueFleet(root);
+  std::shared_ptr<VenueRouter> router = Unwrap(VenueRouter::Open(root));
+  std::unique_ptr<IflsServer> server = Unwrap(IflsServer::CreateFleet(router));
+  std::unique_ptr<IflsClient> client =
+      Unwrap(IflsClient::Connect(server->port()));
+
+  WireSubscribeRequest subscribe;
+  subscribe.venue_id = "venue0";
+  subscribe.clients = SomeClients(venues[0], 4, 60);
+  const WireSubscription sub = Unwrap(client->Subscribe(subscribe));
+  ASSERT_FALSE(router->IsResident("venue1"));
+  WireUnsubscribeRequest misrouted;
+  misrouted.venue_id = "venue1";
+  misrouted.subscription_id = sub.subscription_id;
+  EXPECT_TRUE(client->Unsubscribe(misrouted).ok());
+  EXPECT_FALSE(router->IsResident("venue1"));
+  EXPECT_EQ(ActiveSubscriptions(*router, "venue0"), 1u);
+
+  client.reset();
+  EXPECT_TRUE(
+      Eventually([&] { return ActiveSubscriptions(*router, "venue0") == 0; }))
+      << "venue0 still has a standing query after the close";
+  server->Stop();
+}
+
+TEST(NetServerTest, FleetCloseCleanupLeavesARehydratedVenuesSubscriptions) {
+  // Connection A subscribes on venue0, which is then evicted; connection B
+  // subscribes on the re-hydrated venue0. A's close must end only A's
+  // subscription (already gone with the evicted service), must not hydrate
+  // anything, and B's subscription must keep working.
+  const std::string root = ::testing::TempDir() + "/ifls_net_fleet_hijack";
+  const std::vector<Venue> venues = WriteTwoVenueFleet(root);
+  VenueRouterOptions router_options;
+  router_options.max_resident_venues = 1;
+  std::shared_ptr<VenueRouter> router =
+      Unwrap(VenueRouter::Open(root, router_options));
+  // One dispatcher runs jobs in order, so A's close-time cleanup runs
+  // before B's next request.
+  ServerOptions server_options;
+  server_options.num_dispatchers = 1;
+  std::unique_ptr<IflsServer> server =
+      Unwrap(IflsServer::CreateFleet(router, server_options));
+  std::unique_ptr<IflsClient> a = Unwrap(IflsClient::Connect(server->port()));
+  std::unique_ptr<IflsClient> b = Unwrap(IflsClient::Connect(server->port()));
+
+  WireSubscribeRequest subscribe;
+  subscribe.venue_id = "venue0";
+  subscribe.clients = SomeClients(venues[0], 4, 50);
+  const WireSubscription sub_a = Unwrap(a->Subscribe(subscribe));
+  ASSERT_TRUE(router->Evict("venue0").ok());
+  const WireSubscription sub_b = Unwrap(b->Subscribe(subscribe));
+  EXPECT_NE(sub_a.subscription_id, sub_b.subscription_id);
+  const std::uint64_t loads = router->Metrics().loads;
+
+  a.reset();
+  ASSERT_TRUE(
+      Eventually([&] { return server->Metrics().connections_active == 1; }));
+  WireTickRequest tick;
+  tick.venue_id = "venue0";
+  tick.subscription_id = sub_b.subscription_id;
+  tick.client = 0;
+  tick.position = subscribe.clients[0].position;
+  tick.partition = subscribe.clients[0].partition;
+  EXPECT_TRUE(b->Tick(tick).ok());
+  EXPECT_EQ(router->Metrics().loads, loads);
+  EXPECT_TRUE(router->IsResident("venue0"));
+  EXPECT_EQ(ActiveSubscriptions(*router, "venue0"), 1u);
   server->Stop();
 }
 

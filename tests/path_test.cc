@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 
+#include "src/datasets/bsp_venue.h"
 #include "src/index/graph_oracle.h"
 #include "tests/test_util.h"
 
@@ -18,8 +21,10 @@ using testing_util::Unwrap;
 
 class PathTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    venue_ = Unwrap(GenerateVenue(SmallVenueSpec()));
+  void SetUp() override { Init(Unwrap(GenerateVenue(SmallVenueSpec()))); }
+
+  void Init(Venue venue) {
+    venue_ = std::move(venue);
     tree_ = std::make_unique<VipTree>(Unwrap(VipTree::Build(&venue_)));
     reconstructor_ = std::make_unique<PathReconstructor>(tree_.get());
   }
@@ -69,36 +74,81 @@ TEST_F(PathTest, PathDistanceMatchesIndexDistance) {
   }
 }
 
-TEST_F(PathTest, WalkingTheDoorsReproducesTheDistance) {
-  Rng rng(43);
-  for (int i = 0; i < 100; ++i) {
-    const Client a = RandomClient(venue_, &rng, 0);
-    const Client b = RandomClient(venue_, &rng, 1);
-    IndoorPath path = Unwrap(reconstructor_->PointToPoint(
+/// Random point-to-point routes: walking each route's doors reproduces its
+/// distance, which equals the index's iDist.
+void ExpectWalksReproduceTheDistance(const Venue& venue, const VipTree& tree,
+                                     const PathReconstructor& reconstructor,
+                                     std::uint64_t seed, int trials) {
+  Rng rng(seed);
+  for (int i = 0; i < trials; ++i) {
+    const Client a = RandomClient(venue, &rng, 0);
+    const Client b = RandomClient(venue, &rng, 1);
+    IndoorPath path = Unwrap(reconstructor.PointToPoint(
         a.position, a.partition, b.position, b.partition));
-    EXPECT_NEAR(WalkPath(venue_, path), path.distance, 1e-9) << "trial " << i;
+    EXPECT_NEAR(path.distance,
+                tree.PointToPoint(a.position, a.partition, b.position,
+                                  b.partition),
+                1e-9)
+        << "trial " << i;
+    EXPECT_NEAR(WalkPath(venue, path), path.distance, 1e-9) << "trial " << i;
   }
 }
 
-TEST_F(PathTest, ConsecutiveDoorsShareAPartition) {
-  Rng rng(44);
-  for (int i = 0; i < 50; ++i) {
-    const Client a = RandomClient(venue_, &rng, 0);
-    const Client b = RandomClient(venue_, &rng, 1);
-    IndoorPath path = Unwrap(reconstructor_->PointToPoint(
+/// Random point-to-point routes: the first door is on the start partition,
+/// the last on the end partition, and consecutive doors share a partition.
+void ExpectConsecutiveDoorsShareAPartition(
+    const Venue& venue, const PathReconstructor& reconstructor,
+    std::uint64_t seed, int trials) {
+  Rng rng(seed);
+  for (int i = 0; i < trials; ++i) {
+    const Client a = RandomClient(venue, &rng, 0);
+    const Client b = RandomClient(venue, &rng, 1);
+    IndoorPath path = Unwrap(reconstructor.PointToPoint(
         a.position, a.partition, b.position, b.partition));
     if (path.doors.empty()) continue;
-    // First door on the start partition, last door on the end partition.
-    EXPECT_TRUE(venue_.door(path.doors.front()).Connects(a.partition));
-    EXPECT_TRUE(venue_.door(path.doors.back()).Connects(b.partition));
+    EXPECT_TRUE(venue.door(path.doors.front()).Connects(a.partition));
+    EXPECT_TRUE(venue.door(path.doors.back()).Connects(b.partition));
     for (std::size_t j = 1; j < path.doors.size(); ++j) {
-      const Door& prev = venue_.door(path.doors[j - 1]);
-      const Door& cur = venue_.door(path.doors[j]);
+      const Door& prev = venue.door(path.doors[j - 1]);
+      const Door& cur = venue.door(path.doors[j]);
       const bool share =
           prev.Connects(cur.partition_a) || prev.Connects(cur.partition_b);
-      EXPECT_TRUE(share) << "hop " << j << " jumps between partitions";
+      EXPECT_TRUE(share) << "trial " << i << " hop " << j
+                         << " jumps between partitions";
     }
   }
+}
+
+TEST_F(PathTest, WalkingTheDoorsReproducesTheDistance) {
+  ExpectWalksReproduceTheDistance(venue_, *tree_, *reconstructor_, 43, 100);
+}
+
+TEST_F(PathTest, ConsecutiveDoorsShareAPartition) {
+  ExpectConsecutiveDoorsShareAPartition(venue_, *reconstructor_, 44, 50);
+}
+
+/// The same route checks on a two-level BSP venue: rooms open into each
+/// other and extra doors add alternative routes, so equal-length routes
+/// (ties) are common and any of them must satisfy the checks.
+class BspPathTest : public PathTest {
+ protected:
+  void SetUp() override {
+    BspVenueSpec spec;
+    spec.levels = 2;
+    spec.rooms_per_level = 28;
+    spec.width = 90;
+    spec.height = 70;
+    Rng rng(17);
+    Init(Unwrap(GenerateBspVenue(spec, &rng)));
+  }
+};
+
+TEST_F(BspPathTest, WalkingTheDoorsReproducesTheDistance) {
+  ExpectWalksReproduceTheDistance(venue_, *tree_, *reconstructor_, 47, 200);
+}
+
+TEST_F(BspPathTest, ConsecutiveDoorsShareAPartition) {
+  ExpectConsecutiveDoorsShareAPartition(venue_, *reconstructor_, 48, 200);
 }
 
 TEST_F(PathTest, PointToPartitionEndsAtTargetDoor) {

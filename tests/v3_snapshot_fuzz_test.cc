@@ -68,8 +68,6 @@ constexpr Field kHeaderFields[] = {
     {offsetof(V3Header, leaf_capacity), 4},
     {offsetof(V3Header, internal_fanout), 4},
     {offsetof(V3Header, build_leaf_to_ancestor), 1},
-    {offsetof(V3Header, store_first_hop), 1},
-    {offsetof(V3Header, single_door_optimization), 1},
     {offsetof(V3Header, enable_door_distance_cache), 1},
     {offsetof(V3Header, num_partitions), 8},
     {offsetof(V3Header, num_doors), 8},
@@ -80,8 +78,6 @@ constexpr Field kHeaderFields[] = {
     {offsetof(V3Header, ids_count), 8},
     {offsetof(V3Header, dist_offset), 8},
     {offsetof(V3Header, dist_count), 8},
-    {offsetof(V3Header, hops_offset), 8},
-    {offsetof(V3Header, hops_count), 8},
     {offsetof(V3Header, partition_node_offset), 8},
     {offsetof(V3Header, partition_node_rows), 8},
     {offsetof(V3Header, partition_node_cols), 8},
@@ -203,17 +199,13 @@ void Reseal(std::string* bytes, bool fix_file_bytes) {
                 static_cast<std::size_t>(h.structure_bytes));
   }
   if (InImage(*bytes, h.ids_offset, h.ids_count, sizeof(std::int32_t)) &&
-      InImage(*bytes, h.dist_offset, h.dist_count, sizeof(double)) &&
-      InImage(*bytes, h.hops_offset, h.hops_count, sizeof(DoorId))) {
+      InImage(*bytes, h.dist_offset, h.dist_count, sizeof(double))) {
     std::uint64_t payload =
         Fnv1a64(bytes->data() + h.ids_offset,
                 static_cast<std::size_t>(h.ids_count) * sizeof(std::int32_t));
     payload = Fnv1a64Continue(
         payload, bytes->data() + h.dist_offset,
         static_cast<std::size_t>(h.dist_count) * sizeof(double));
-    payload = Fnv1a64Continue(
-        payload, bytes->data() + h.hops_offset,
-        static_cast<std::size_t>(h.hops_count) * sizeof(DoorId));
     h.payload_checksum = payload;
   }
   if (h.partition_node_cols != 0 &&

@@ -283,15 +283,12 @@ TEST_F(VenueRouterTest, MutationsRouteToTheRightVenue) {
   std::unique_ptr<VenueRouter> router = Unwrap(VenueRouter::Open(root_, {}));
   // Remove venue0's last candidate; venue1 must still see its full set.
   const PartitionId removed = sets_[0].candidates.back();
+  std::shared_ptr<IflsService> v0 = Unwrap(router->Service("venue0"));
   std::uint64_t version = 0;
-  ASSERT_TRUE(router
-                  ->Mutate("venue0",
-                           {MutationKind::kRemoveCandidate, removed},
-                           &version)
-                  .ok());
+  ASSERT_TRUE(
+      v0->Mutate({MutationKind::kRemoveCandidate, removed}, &version).ok());
   EXPECT_GT(version, 0u);
 
-  std::shared_ptr<IflsService> v0 = Unwrap(router->Service("venue0"));
   std::shared_ptr<IflsService> v1 = Unwrap(router->Service("venue1"));
   EXPECT_EQ(
       v0->AcquireState()->effective_candidates.size(),

@@ -4,8 +4,8 @@
 // down the byte stability of the v3 image and the resident-vs-mapped memory
 // accounting the fleet router's eviction budget relies on. The VipTreeIoTest
 // suite holds the general save/load checks of the index file: round trips
-// against the graph oracle, first hops, and rejection of garbage, truncated
-// and wrong-venue files.
+// against the graph oracle and rejection of garbage, truncated and
+// wrong-venue files.
 
 #include <gtest/gtest.h>
 
@@ -69,7 +69,6 @@ void ExpectSamePayload(const VipTree& built, const VipTree& loaded) {
           const int ri = static_cast<int>(r);
           const int ci = static_cast<int>(c);
           ASSERT_EQ(ma.At(ri, ci), mb.At(ri, ci));
-          ASSERT_EQ(ma.FirstHopAt(ri, ci), mb.FirstHopAt(ri, ci));
         }
       }
     };
@@ -328,10 +327,6 @@ TEST(VipTreeIoTest, RoundTripPreservesDistances) {
     ASSERT_DOUBLE_EQ(
         loaded.PointToPoint(a.position, a.partition, b.position, b.partition),
         built.PointToPoint(a.position, a.partition, b.position, b.partition));
-  }
-  // First hops survive too.
-  for (DoorId d = 0; d < static_cast<DoorId>(venue.num_doors()); ++d) {
-    EXPECT_EQ(loaded.FirstHop(0, d), built.FirstHop(0, d));
   }
 }
 
