@@ -1,7 +1,9 @@
 // Experiment A2 — index micro-benchmarks (google-benchmark): the distance
 // oracles behind every IFLS query. Compares VIP-tree lookups, IP-tree chain
 // composition and raw door-graph Dijkstra (via the memoised oracle, cold
-// and warm), plus NN search and index construction per venue.
+// and warm), plus NN search and index construction per venue, and the
+// layers of a fleet hydration (image checksum, venue text parse, the whole
+// snapshot load) on one fleet-shaped venue.
 //
 // Beyond the google-benchmark suite, the binary has a custom main() that
 // measures the flat arena layout directly — bytes/node, arena utilization,
@@ -12,17 +14,22 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "src/benchlib/json_report.h"
+#include "src/common/hash.h"
 #include "src/common/memory_tracker.h"
 #include "src/common/rng.h"
 #include "src/common/stopwatch.h"
@@ -37,6 +44,9 @@
 #include "src/index/graph_oracle.h"
 #include "src/index/nn_search.h"
 #include "src/index/vip_tree.h"
+#include "src/io/venue_io.h"
+#include "src/service/fleet_store.h"
+#include "src/service/service.h"
 
 namespace ifls {
 namespace {
@@ -281,6 +291,92 @@ void BM_MatrixLookupFlat(benchmark::State& state) {
 }
 BENCHMARK(BM_MatrixLookupFlat)->DenseRange(0, 3)->Name(
     "MatrixLookup/flat-arena");
+
+// ------------------------------------------------------ fleet hydration
+
+/// One fleet-shaped venue (three levels, 240 rooms, jittered doors, the
+/// serving tree options) written as a fleet snapshot directory, for the
+/// per-layer costs of a hydration: checksumming the image, parsing the
+/// venue text, and the whole LoadVenueSnapshot. The directory is removed at
+/// exit.
+struct FleetEnv {
+  std::string dir;
+
+  FleetEnv() {
+    VenueGeneratorSpec spec;
+    spec.name = "fleet-venue";
+    spec.levels = 3;
+    spec.total_rooms = 240;
+    spec.door_jitter_seed = 1;
+    Result<Venue> venue = GenerateVenue(spec);
+    IFLS_CHECK(venue.ok()) << venue.status().ToString();
+    Result<VipTree> tree =
+        VipTree::Build(&venue.value(), DefaultServiceTreeOptions());
+    IFLS_CHECK(tree.ok()) << tree.status().ToString();
+    Rng rng(3);
+    Result<FacilitySets> sets =
+        SelectUniformFacilities(venue.value(), 20, 40, &rng);
+    IFLS_CHECK(sets.ok()) << sets.status().ToString();
+    dir = (std::filesystem::temp_directory_path() /
+           ("ifls_bench_fleet_" + std::to_string(::getpid())))
+              .string();
+    const Status written =
+        WriteVenueSnapshot(dir, venue.value(), tree.value(),
+                           sets->existing, sets->candidates);
+    IFLS_CHECK(written.ok()) << written.ToString();
+  }
+  ~FleetEnv() {
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+  }
+  FleetEnv(const FleetEnv&) = delete;
+  FleetEnv& operator=(const FleetEnv&) = delete;
+};
+
+FleetEnv& Fleet() {
+  static FleetEnv env;
+  return env;
+}
+
+void BM_Checksum64(benchmark::State& state) {
+  // Runtime bytes of the v3 image size the fleet serves (547 kB).
+  std::vector<unsigned char> bytes(static_cast<std::size_t>(state.range(0)));
+  Rng rng(11);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Checksum64(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Checksum64)->Arg(547 * 1024)->Name("Checksum64/547kB");
+
+void BM_LoadVenueFromFile(benchmark::State& state) {
+  const std::string path = Fleet().dir + "/" + kFleetVenueFileName;
+  for (auto _ : state) {
+    Result<Venue> venue = LoadVenueFromFile(path);
+    IFLS_CHECK(venue.ok()) << venue.status().ToString();
+    benchmark::DoNotOptimize(venue.value().num_doors());
+  }
+}
+BENCHMARK(BM_LoadVenueFromFile)
+    ->Name("LoadVenueFromFile/fleet-venue")
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_LoadVenueSnapshot(benchmark::State& state) {
+  const FleetEnv& env = Fleet();
+  state.counters["image_bytes"] = static_cast<double>(
+      std::filesystem::file_size(env.dir + "/" + kFleetIndexV3FileName));
+  for (auto _ : state) {
+    Result<LoadedVenueSnapshot> snapshot =
+        LoadVenueSnapshot(env.dir, SnapshotLoadMode::kMmap);
+    IFLS_CHECK(snapshot.ok()) << snapshot.status().ToString();
+    benchmark::DoNotOptimize(snapshot.value().tree.get());
+  }
+}
+BENCHMARK(BM_LoadVenueSnapshot)
+    ->Name("LoadVenueSnapshot/fleet-venue")
+    ->Unit(benchmark::kMicrosecond);
 
 // --------------------------------------------------------- layout report
 

@@ -24,17 +24,6 @@ namespace ifls {
 
 namespace {
 
-/// Writes `bytes` zero bytes (section padding).
-bool WriteZeros(std::ofstream& os, std::uint64_t bytes) {
-  static constexpr char kZeros[256] = {};
-  while (bytes > 0) {
-    const std::uint64_t chunk = std::min<std::uint64_t>(bytes, sizeof(kZeros));
-    os.write(kZeros, static_cast<std::streamsize>(chunk));
-    bytes -= chunk;
-  }
-  return os.good();
-}
-
 /// Validates that a section `[offset, offset + count * elem_bytes)` lies
 /// inside the file and starts on a section boundary.
 Status CheckSection(const char* what, std::uint64_t offset,
@@ -101,36 +90,36 @@ Status VipTree::SaveV3ToFile(const std::string& path) const {
     table = composed.data();
   }
 
+  // The image is assembled in memory, zero padding included, so each
+  // checksum covers one contiguous range of the bytes the loader maps.
+  const std::uint64_t dist_end = h.dist_offset + h.dist_count * sizeof(double);
+  std::string image(static_cast<std::size_t>(h.file_bytes), '\0');
+  const auto place = [&image](std::uint64_t offset, const void* src,
+                              std::uint64_t bytes) {
+    if (bytes > 0) std::memcpy(image.data() + offset, src, bytes);
+  };
+  place(h.structure_offset, records.data(), h.structure_bytes);
+  place(h.ids_offset, ids_.data(), h.ids_count * sizeof(std::int32_t));
+  place(h.dist_offset, dist_.data(), h.dist_count * sizeof(double));
+  place(h.partition_node_offset, table, table_bytes);
   h.structure_checksum =
-      Fnv1a64(records.data(), static_cast<std::size_t>(h.structure_bytes));
-  std::uint64_t payload = Fnv1a64(ids_.data(), ids_.size() * sizeof(std::int32_t));
-  payload = Fnv1a64Continue(payload, dist_.data(), dist_.size() * sizeof(double));
-  h.payload_checksum = payload;
+      Checksum64(image.data() + h.structure_offset,
+                 static_cast<std::size_t>(h.structure_bytes));
+  h.payload_checksum =
+      Checksum64(image.data() + h.ids_offset,
+                 static_cast<std::size_t>(dist_end - h.ids_offset));
   h.partition_node_checksum =
-      Fnv1a64(table, static_cast<std::size_t>(table_bytes));
+      Checksum64(image.data() + h.partition_node_offset,
+                 static_cast<std::size_t>(table_bytes));
   h.header_checksum = 0;
-  h.header_checksum = Fnv1a64(&h, sizeof(h));
+  h.header_checksum = Checksum64(&h, sizeof(h));
+  std::memcpy(image.data(), &h, sizeof(h));
 
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   if (!os.is_open()) {
     return Status::IOError("cannot open '" + path + "' for writing");
   }
-  os.write(reinterpret_cast<const char*>(&h),
-           static_cast<std::streamsize>(sizeof(h)));
-  WriteZeros(os, kV3SectionAlignment - sizeof(h));
-  os.write(reinterpret_cast<const char*>(records.data()),
-           static_cast<std::streamsize>(h.structure_bytes));
-  WriteZeros(os, h.ids_offset - (h.structure_offset + h.structure_bytes));
-  os.write(reinterpret_cast<const char*>(ids_.data()),
-           static_cast<std::streamsize>(h.ids_count * sizeof(std::int32_t)));
-  WriteZeros(os,
-             h.dist_offset - (h.ids_offset + h.ids_count * sizeof(std::int32_t)));
-  os.write(reinterpret_cast<const char*>(dist_.data()),
-           static_cast<std::streamsize>(h.dist_count * sizeof(double)));
-  WriteZeros(os, h.partition_node_offset -
-                     (h.dist_offset + h.dist_count * sizeof(double)));
-  os.write(reinterpret_cast<const char*>(table),
-           static_cast<std::streamsize>(table_bytes));
+  os.write(image.data(), static_cast<std::streamsize>(image.size()));
   if (!os.good()) {
     return Status::IOError("failed writing v3 snapshot '" + path + "'");
   }
@@ -168,7 +157,7 @@ Result<VipTree> VipTree::LoadV3FromFile(const Venue* venue,
   {
     V3Header check = h;
     check.header_checksum = 0;
-    if (Fnv1a64(&check, sizeof(check)) != h.header_checksum) {
+    if (Checksum64(&check, sizeof(check)) != h.header_checksum) {
       return Status::InvalidArgument("v3 snapshot header checksum mismatch");
     }
   }
@@ -191,7 +180,7 @@ Result<VipTree> VipTree::LoadV3FromFile(const Venue* venue,
         "v3 snapshot descriptor table is truncated or mis-sized");
   }
   const auto* records = mapping->ViewAt<V3NodeRecord>(h.structure_offset);
-  if (Fnv1a64(records, static_cast<std::size_t>(h.structure_bytes)) !=
+  if (Checksum64(records, static_cast<std::size_t>(h.structure_bytes)) !=
       h.structure_checksum) {
     return Status::InvalidArgument(
         "v3 snapshot descriptor table checksum mismatch");
@@ -202,17 +191,22 @@ Result<VipTree> VipTree::LoadV3FromFile(const Venue* venue,
                                   sizeof(std::int32_t), h.file_bytes));
   IFLS_RETURN_NOT_OK(CheckSection("dist", h.dist_offset, h.dist_count,
                                   sizeof(double), h.file_bytes));
+  // One checksum covers the ids section, the padding after it and the dist
+  // section, so the dist section must start past the ids section's end.
+  // CheckSection bounded both ends by the file size, so neither sum wraps.
+  const std::uint64_t ids_end = h.ids_offset + h.ids_count * sizeof(std::int32_t);
+  const std::uint64_t dist_end = h.dist_offset + h.dist_count * sizeof(double);
+  if (h.dist_offset < ids_end) {
+    return Status::InvalidArgument(
+        "v3 snapshot dist section does not follow the ids section");
+  }
+  if (Checksum64(mapping->data() + h.ids_offset,
+                 static_cast<std::size_t>(dist_end - h.ids_offset)) !=
+      h.payload_checksum) {
+    return Status::InvalidArgument("v3 snapshot payload checksum mismatch");
+  }
   const auto* ids = mapping->ViewAt<std::int32_t>(h.ids_offset);
   const auto* dist = mapping->ViewAt<double>(h.dist_offset);
-  {
-    std::uint64_t payload = Fnv1a64(
-        ids, static_cast<std::size_t>(h.ids_count) * sizeof(std::int32_t));
-    payload = Fnv1a64Continue(
-        payload, dist, static_cast<std::size_t>(h.dist_count) * sizeof(double));
-    if (payload != h.payload_checksum) {
-      return Status::InvalidArgument("v3 snapshot payload checksum mismatch");
-    }
-  }
 
   if (h.num_partitions != venue->num_partitions() ||
       h.num_doors != venue->num_doors()) {
@@ -243,7 +237,7 @@ Result<VipTree> VipTree::LoadV3FromFile(const Venue* venue,
                                   sizeof(double), h.file_bytes));
   const auto* table = mapping->ViewAt<double>(h.partition_node_offset);
   const auto table_count = static_cast<std::size_t>(table_cells);
-  if (Fnv1a64(table, table_count * sizeof(double)) !=
+  if (Checksum64(table, table_count * sizeof(double)) !=
       h.partition_node_checksum) {
     return Status::InvalidArgument(
         "v3 snapshot partition-to-node table checksum mismatch");

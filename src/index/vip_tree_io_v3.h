@@ -16,10 +16,10 @@ namespace ifls {
 // so loading is mmap + a descriptor fixup pass over the (small) node-record
 // table — never a parse or a copy of the bulk payload.
 //
-//   [ V3Header, zero-padded to kV3SectionAlignment ]
+//   [ V3Header, zero-padded to kV3SectionAlignment ]   -> checksummed
 //   [ num_nodes x V3NodeRecord  (the descriptor table) ]  -> checksummed
-//   [ pad ] [ ids section:  ids_count  x int32  ]  -+- checksummed together
-//   [ pad ] [ dist section: dist_count x double ]  -+
+//   [ pad ] [ ids section:  ids_count  x int32  ]  -+- one checksum, from
+//   [ pad ] [ dist section: dist_count x double ]  -+  ids start to dist end
 //   [ pad ] [ partition-to-node table:              -> checksummed
 //             num_partitions x num_nodes double, row-major ]
 //
@@ -31,7 +31,10 @@ namespace ifls {
 // and rejects NaN or negative cells. Version 4 added the table. Version 5
 // dropped the hops section (a first-hop door per distance cell, which no
 // query reads; path reconstruction runs a door-graph search instead) and
-// the header fields that described it. Older images are rejected by the
+// the header fields that described it. Version 6 replaced the byte-serial
+// FNV-1a-64 checksums with the four-lane Checksum64 (src/common/hash.h) and
+// made the payload checksum one contiguous range that includes the padding
+// between the ids and dist sections. Older images are rejected by the
 // version check and must be rewritten.
 //
 // Every section offset is kV3SectionAlignment-aligned, so any mmap base
@@ -45,7 +48,7 @@ namespace ifls {
 // tampered with.
 
 inline constexpr char kV3Magic[8] = {'I', 'F', 'L', 'S', 'S', 'N', 'P', '3'};
-inline constexpr std::uint32_t kV3Version = 5;
+inline constexpr std::uint32_t kV3Version = 6;
 /// Section alignment; one x86/arm64 page, so mapped sections start on page
 /// boundaries and the header occupies exactly one page.
 inline constexpr std::size_t kV3SectionAlignment = 4096;
@@ -85,14 +88,14 @@ struct V3Header {
   std::uint64_t partition_node_rows = 0;
   std::uint64_t partition_node_cols = 0;
 
-  /// FNV-1a 64 over the descriptor table bytes.
+  /// Checksum64 over the descriptor table bytes.
   std::uint64_t structure_checksum = 0;
-  /// FNV-1a 64 over the ids and dist section bytes, in that order (padding
-  /// between sections excluded).
+  /// Checksum64 over the file bytes [ids_offset, dist_offset + dist_count *
+  /// 8): the ids section, the zero padding after it and the dist section.
   std::uint64_t payload_checksum = 0;
-  /// FNV-1a 64 over the iMinD(p, n) table bytes.
+  /// Checksum64 over the iMinD(p, n) table bytes.
   std::uint64_t partition_node_checksum = 0;
-  /// FNV-1a 64 over this struct's bytes with this field zeroed.
+  /// Checksum64 over this struct's bytes with this field zeroed.
   std::uint64_t header_checksum = 0;
 };
 static_assert(sizeof(V3Header) <= kV3SectionAlignment,
@@ -117,7 +120,7 @@ struct V3NodeRecord {
 };
 static_assert(sizeof(V3NodeRecord) == 32, "v3 node record layout drifted");
 
-// The v3 checksum primitive is the shared FNV-1a 64 from src/common/hash.h
+// The v3 checksum primitive is the shared Checksum64 from src/common/hash.h
 // (re-exported through the include above); the wire codec (net/wire) uses
 // the same one, so a frame checksum and a snapshot checksum are computed by
 // one implementation.

@@ -3,9 +3,10 @@
 #include <fstream>
 #include <iomanip>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 
 #include "src/indoor/venue_builder.h"
+#include "src/io/text_scanner.h"
 
 namespace ifls {
 namespace {
@@ -25,11 +26,12 @@ const char* KindToken(PartitionKind kind) {
   return "?";
 }
 
-Result<PartitionKind> KindFromToken(const std::string& token) {
+Result<PartitionKind> KindFromToken(std::string_view token) {
   if (token == "room") return PartitionKind::kRoom;
   if (token == "corridor") return PartitionKind::kCorridor;
   if (token == "stairwell") return PartitionKind::kStairwell;
-  return Status::InvalidArgument("unknown partition kind '" + token + "'");
+  return Status::InvalidArgument("unknown partition kind '" +
+                                 std::string(token) + "'");
 }
 
 }  // namespace
@@ -65,57 +67,67 @@ Status SaveVenueToFile(const Venue& venue, const std::string& path) {
   return SaveVenue(venue, &out);
 }
 
-Result<Venue> LoadVenue(std::istream* in) {
-  if (in == nullptr) return Status::InvalidArgument("null input stream");
-  std::string magic;
+namespace {
+
+/// Parses a whole IFLS_VENUE text; LoadVenue and LoadVenueFromFile both end
+/// here.
+Result<Venue> ParseVenue(std::string_view text) {
+  TextScanner in(text);
+  std::string_view magic;
   int version = 0;
-  if (!(*in >> magic >> version) || magic != kMagic) {
+  if (!in.Next(&magic) || magic != kMagic || !in.Next(&version)) {
     return Status::InvalidArgument("not an IFLS_VENUE stream");
   }
   if (version != kVersion) {
     return Status::InvalidArgument("unsupported venue format version " +
                                    std::to_string(version));
   }
-  std::string keyword;
-  if (!(*in >> keyword) || keyword != "name") {
+  std::string_view keyword;
+  if (!in.Next(&keyword) || keyword != "name") {
     return Status::InvalidArgument("expected 'name'");
   }
-  std::string name;
-  std::getline(*in, name);
-  if (!name.empty() && name.front() == ' ') name.erase(0, 1);
+  const std::string name(in.RestOfLine());
 
   std::size_t num_partitions = 0;
-  if (!(*in >> keyword >> num_partitions) || keyword != "partitions") {
+  if (!in.Next(&keyword) || keyword != "partitions" ||
+      !in.Next(&num_partitions)) {
     return Status::InvalidArgument("expected 'partitions <count>'");
   }
   VenueBuilder builder(name);
   for (std::size_t i = 0; i < num_partitions; ++i) {
-    std::string tag, kind_token;
+    std::string_view tag, kind_token;
     Level level = 0;
     double x0, y0, x1, y1;
-    if (!(*in >> tag >> kind_token >> level >> x0 >> y0 >> x1 >> y1) ||
-        tag != "p") {
+    if (!in.Next(&tag) || tag != "p" || !in.Next(&kind_token) ||
+        !in.Next(&level) || !in.Next(&x0) || !in.Next(&y0) ||
+        !in.Next(&x1) || !in.Next(&y1)) {
       return Status::InvalidArgument("malformed partition line " +
                                      std::to_string(i));
     }
     IFLS_ASSIGN_OR_RETURN(PartitionKind kind, KindFromToken(kind_token));
-    std::string category;
-    std::getline(*in, category);
-    if (!category.empty() && category.front() == ' ') category.erase(0, 1);
+    // Levels index per-level tables (num_levels is the highest level + 1),
+    // so a level below 0 or past the partition count is refused here.
+    if (level < 0 || static_cast<std::size_t>(level) >= num_partitions) {
+      return Status::InvalidArgument(
+          "partition " + std::to_string(i) + " has level " +
+          std::to_string(level) + " outside [0, partition count)");
+    }
     builder.AddPartition(Rect(x0, y0, x1, y1, level), kind,
-                         std::move(category));
+                         std::string(in.RestOfLine()));
   }
 
   std::size_t num_doors = 0;
-  if (!(*in >> keyword >> num_doors) || keyword != "doors") {
+  if (!in.Next(&keyword) || keyword != "doors" || !in.Next(&num_doors)) {
     return Status::InvalidArgument("expected 'doors <count>'");
   }
   for (std::size_t i = 0; i < num_doors; ++i) {
-    std::string tag;
+    std::string_view tag;
     PartitionId a, b;
     double x, y, vcost;
     Level level;
-    if (!(*in >> tag >> a >> b >> x >> y >> level >> vcost) || tag != "d") {
+    if (!in.Next(&tag) || tag != "d" || !in.Next(&a) || !in.Next(&b) ||
+        !in.Next(&x) || !in.Next(&y) || !in.Next(&level) ||
+        !in.Next(&vcost)) {
       return Status::InvalidArgument("malformed door line " +
                                      std::to_string(i));
     }
@@ -124,6 +136,10 @@ Result<Venue> LoadVenue(std::istream* in) {
         static_cast<std::size_t>(b) >= builder.num_partitions()) {
       return Status::InvalidArgument("door " + std::to_string(i) +
                                      " references unknown partition");
+    }
+    if (a == b) {
+      return Status::InvalidArgument("door " + std::to_string(i) +
+                                     " connects a partition to itself");
     }
     if (vcost > 0.0) {
       builder.AddStairDoor(a, b, Point(x, y, level), vcost);
@@ -134,12 +150,16 @@ Result<Venue> LoadVenue(std::istream* in) {
   return builder.Build();
 }
 
+}  // namespace
+
+Result<Venue> LoadVenue(std::istream* in) {
+  if (in == nullptr) return Status::InvalidArgument("null input stream");
+  return ParseVenue(ReadAll(*in));
+}
+
 Result<Venue> LoadVenueFromFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  return LoadVenue(&in);
+  IFLS_ASSIGN_OR_RETURN(const std::string text, ReadTextFile(path));
+  return ParseVenue(text);
 }
 
 }  // namespace ifls

@@ -22,7 +22,9 @@ namespace ifls {
 Status SaveVenue(const Venue& venue, std::ostream* out);
 Status SaveVenueToFile(const Venue& venue, const std::string& path);
 
-/// Parses the format above and rebuilds (and re-validates) the venue.
+/// Parses the format above and rebuilds (and re-validates) the venue. Both
+/// read their input whole and parse it with one TextScanner
+/// (io/text_scanner.h); LoadVenue consumes the rest of its stream.
 Result<Venue> LoadVenue(std::istream* in);
 Result<Venue> LoadVenueFromFile(const std::string& path);
 

@@ -167,26 +167,27 @@ void AppendFrame(std::string* out, WireOpcode opcode, std::uint64_t request_id,
                  std::string_view payload, const TraceContext* trace_context) {
   const bool with_context =
       trace_context != nullptr && trace_context->valid();
-  std::string context_bytes;
-  if (with_context) {
-    context_bytes.reserve(kWireTraceContextBytes);
-    AppendLE(&context_bytes, trace_context->trace_id);
-    AppendLE(&context_bytes, trace_context->parent_span_id);
-    AppendLE(&context_bytes,
-             static_cast<std::uint8_t>(trace_context->sampled ? 1 : 0));
-    AppendLE(&context_bytes, trace_context->client_send_nanos);
-  }
+  const std::size_t start = out->size();
+  const std::size_t region_bytes =
+      payload.size() + (with_context ? kWireTraceContextBytes : 0);
   AppendLE(out, kWireMagic);
   AppendLE(out, kWireVersion);
   AppendLE(out, static_cast<std::uint16_t>(opcode));
   AppendLE(out, request_id);
-  AppendLE(out,
-           static_cast<std::uint32_t>(payload.size() + context_bytes.size()));
+  AppendLE(out, static_cast<std::uint32_t>(region_bytes));
   AppendLE(out, with_context ? kWireFlagTraceContext : std::uint32_t{0});
-  AppendLE(out, Fnv1a64Continue(Fnv1a64(payload.data(), payload.size()),
-                                context_bytes.data(), context_bytes.size()));
+  AppendLE(out, std::uint64_t{0});  // checksum, written below
   out->append(payload.data(), payload.size());
-  out->append(context_bytes);
+  if (with_context) {
+    AppendLE(out, trace_context->trace_id);
+    AppendLE(out, trace_context->parent_span_id);
+    AppendLE(out, static_cast<std::uint8_t>(trace_context->sampled ? 1 : 0));
+    AppendLE(out, trace_context->client_send_nanos);
+  }
+  // The checksum covers the payload region as one range, the trace-context
+  // suffix included, exactly as TryDecodeFrame verifies it.
+  StoreLE(out->data() + start + kWireHeaderBytes - sizeof(std::uint64_t),
+          Checksum64(out->data() + start + kWireHeaderBytes, region_bytes));
 }
 
 Result<std::optional<WireFrame>> TryDecodeFrame(ByteRing* ring) {
@@ -228,7 +229,7 @@ Result<std::optional<WireFrame>> TryDecodeFrame(ByteRing* ring) {
   if (ring->size() < kWireHeaderBytes + payload_bytes) {
     return std::optional<WireFrame>();  // incomplete; wait for more bytes
   }
-  if (Fnv1a64(p + kWireHeaderBytes, payload_bytes) != checksum) {
+  if (Checksum64(p + kWireHeaderBytes, payload_bytes) != checksum) {
     return Status::InvalidArgument("wire frame payload checksum mismatch");
   }
   WireFrame frame;

@@ -22,29 +22,32 @@ namespace ifls {
 //
 //   offset  size  field
 //        0     4  magic            "IFLW" (0x574C4649 LE)
-//        4     2  version          kWireVersion (1)
+//        4     2  version          kWireVersion (2)
 //        6     2  opcode           WireOpcode
 //        8     8  request_id       client-chosen; responses echo it, and
 //                                  subscription pushes carry the id of the
 //                                  Subscribe request that created them
 //       16     4  payload_bytes    length of the payload that follows
 //       20     4  flags            extension bits (0 before PR 10)
-//       24     8  payload_checksum FNV-1a-64 of the payload bytes
+//       24     8  payload_checksum Checksum64 of the payload bytes
 //
 // Payload integers/doubles are little-endian (src/common/endian.h); strings
-// encode as u32 length + raw bytes; the checksum reuses the v3 snapshot's
-// FNV-1a-64 (src/common/hash.h). Responses are matched by request id, not
-// order: a pipelined connection may receive replies out of submission order
-// (concurrent dispatcher threads reorder freely), and
-// subscription pushes interleave with responses on the same stream.
+// encode as u32 length + raw bytes; the checksum is the v3 snapshot's
+// four-lane Checksum64 (src/common/hash.h) over the whole payload region,
+// trace-context suffix included. Version 2 replaced version 1's FNV-1a-64
+// checksum; a version-1 frame fails the version check. Responses are
+// matched by request id, not order: a pipelined connection may receive
+// replies out of submission order (concurrent dispatcher threads reorder
+// freely), and subscription pushes interleave with responses on the same
+// stream.
 //
 // Frame extensions (DESIGN.md §15): the former reserved word at offset 20 is
 // a flags field. kWireFlagTraceContext marks a fixed-size trace-context
 // block (trace id, parent span id, sampling verdict, client send timestamp)
 // appended as a *suffix of the payload region* — payload_bytes and the
 // checksum cover it, so pre-extension decoders that treated the word as
-// reserved-zero never see a flagged frame, and flag-free frames are
-// byte-identical to what PR 8 produced. TryDecodeFrame strips the suffix
+// reserved-zero never see a flagged frame, and flag-free frames carry no
+// suffix at all. TryDecodeFrame strips the suffix
 // into WireFrame::trace_context before any message decoder (all of which
 // reject trailing bytes) sees the payload. Unknown flag bits are a corrupt
 // envelope: the decoder cannot know how many trailing bytes they claim.
@@ -57,7 +60,7 @@ namespace ifls {
 // a best-effort kError with request id 0.
 
 inline constexpr std::uint32_t kWireMagic = 0x574C4649u;  // "IFLW"
-inline constexpr std::uint16_t kWireVersion = 1;
+inline constexpr std::uint16_t kWireVersion = 2;
 /// Frames larger than this are rejected as corrupt before any allocation —
 /// the bound keeps a malicious or desynchronized length field from forcing
 /// a giant buffer. Generous enough for ~400k-client query payloads.

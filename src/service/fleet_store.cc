@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 #include <system_error>
 #include <utility>
 
+#include "src/io/text_scanner.h"
 #include "src/io/venue_io.h"
 
 namespace ifls {
@@ -34,17 +36,25 @@ Status SaveFacilities(const std::string& path,
   return Status::OK();
 }
 
-Status LoadFacilityList(std::istream& in, const char* tag,
+Status LoadFacilityList(TextScanner& in, const char* tag,
                         std::vector<PartitionId>* out) {
-  std::string keyword;
+  std::string_view keyword;
   std::size_t count = 0;
-  if (!(in >> keyword >> count) || keyword != tag) {
+  if (!in.Next(&keyword) || keyword != tag || !in.Next(&count)) {
     return Status::InvalidArgument(std::string("expected '") + tag +
                                    "' in facilities file");
   }
+  // Every id takes at least one byte of the file, so a larger count is a
+  // lie; checking it first keeps a hostile count from sizing the vector.
+  if (count > in.remaining()) {
+    return Status::InvalidArgument(
+        std::string("'") + tag + "' count " + std::to_string(count) +
+        " exceeds the " + std::to_string(in.remaining()) +
+        " bytes left in facilities file");
+  }
   out->resize(count);
   for (PartitionId& p : *out) {
-    if (!(in >> p)) {
+    if (!in.Next(&p)) {
       return Status::InvalidArgument(std::string("truncated '") + tag +
                                      "' list in facilities file");
     }
@@ -54,13 +64,11 @@ Status LoadFacilityList(std::istream& in, const char* tag,
 
 Result<std::pair<std::vector<PartitionId>, std::vector<PartitionId>>>
 LoadFacilities(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  std::string magic;
+  IFLS_ASSIGN_OR_RETURN(const std::string text, ReadTextFile(path));
+  TextScanner in(text);
+  std::string_view magic;
   int version = 0;
-  if (!(in >> magic >> version) || magic != kFacilitiesMagic) {
+  if (!in.Next(&magic) || magic != kFacilitiesMagic || !in.Next(&version)) {
     return Status::InvalidArgument("'" + path +
                                    "' is not an IFLS facilities file");
   }

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/datasets/presets.h"
 #include "src/datasets/workload.h"
@@ -90,7 +92,94 @@ TEST(VenueIoTest, RejectsGarbage) {
   EXPECT_TRUE(LoadVenue(&wrong_version).status().IsInvalidArgument());
   std::stringstream truncated("IFLS_VENUE 1\nname x\npartitions 2\n");
   EXPECT_FALSE(LoadVenue(&truncated).ok());
+  // Well-formed lines with hostile values: a level that would overflow the
+  // level count or index before the per-level tables, and a door that
+  // connects a partition to itself.
+  for (const char* level : {"2147483647", "-1"}) {
+    std::stringstream bad_level(
+        std::string("IFLS_VENUE 1\nname x\npartitions 2\np room ") + level +
+        " 0 0 1 1\np room 0 1 0 2 1\ndoors 1\nd 0 1 1 0.5 0 0\n");
+    const Status s = LoadVenue(&bad_level).status();
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_NE(s.message().find("outside [0, partition count)"),
+              std::string::npos)
+        << s.ToString();
+  }
+  std::stringstream self_door(
+      "IFLS_VENUE 1\nname x\npartitions 2\np room 0 0 0 1 1\n"
+      "p room 0 1 0 2 1\ndoors 1\nd 1 1 1 0.5 0 0\n");
+  const Status self = LoadVenue(&self_door).status();
+  EXPECT_TRUE(self.IsInvalidArgument()) << self.ToString();
+  EXPECT_NE(self.message().find("connects a partition to itself"),
+            std::string::npos)
+      << self.ToString();
   EXPECT_TRUE(LoadVenueFromFile("/no/such/path").status().IsIOError());
+}
+
+std::uint64_t Bits(double x) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+/// Every field SaveVenue writes, doubles compared as bit patterns.
+void ExpectVenuesBitIdentical(const Venue& a, const Venue& b) {
+  ASSERT_EQ(a.num_partitions(), b.num_partitions());
+  ASSERT_EQ(a.num_doors(), b.num_doors());
+  EXPECT_EQ(a.name(), b.name());
+  for (std::size_t i = 0; i < a.num_partitions(); ++i) {
+    SCOPED_TRACE("partition " + std::to_string(i));
+    const Partition& pa = a.partition(static_cast<PartitionId>(i));
+    const Partition& pb = b.partition(static_cast<PartitionId>(i));
+    EXPECT_EQ(pa.kind, pb.kind);
+    EXPECT_EQ(pa.level(), pb.level());
+    EXPECT_EQ(Bits(pa.rect.min_x), Bits(pb.rect.min_x));
+    EXPECT_EQ(Bits(pa.rect.min_y), Bits(pb.rect.min_y));
+    EXPECT_EQ(Bits(pa.rect.max_x), Bits(pb.rect.max_x));
+    EXPECT_EQ(Bits(pa.rect.max_y), Bits(pb.rect.max_y));
+    EXPECT_EQ(pa.category, pb.category);
+    EXPECT_EQ(pa.doors, pb.doors);
+  }
+  for (std::size_t i = 0; i < a.num_doors(); ++i) {
+    SCOPED_TRACE("door " + std::to_string(i));
+    const Door& da = a.door(static_cast<DoorId>(i));
+    const Door& db = b.door(static_cast<DoorId>(i));
+    EXPECT_EQ(da.partition_a, db.partition_a);
+    EXPECT_EQ(da.partition_b, db.partition_b);
+    EXPECT_EQ(Bits(da.position.x), Bits(db.position.x));
+    EXPECT_EQ(Bits(da.position.y), Bits(db.position.y));
+    EXPECT_EQ(da.position.level, db.position.level);
+    EXPECT_EQ(Bits(da.vertical_cost), Bits(db.vertical_cost));
+  }
+}
+
+TEST(VenueIoTest, SaveLoadIsBitIdenticalOnPresetsAndFleetShapes) {
+  std::vector<Venue> venues;
+  for (const VenuePreset preset :
+       {VenuePreset::kMelbourneCentral, VenuePreset::kChadstone,
+        VenuePreset::kCopenhagenAirport, VenuePreset::kMenziesBuilding}) {
+    venues.push_back(Unwrap(BuildPresetVenue(preset)));
+  }
+  ASSERT_TRUE(AssignMelbourneCentralCategories(&venues[0]).ok());
+  // Fleet venue shapes: three levels, 240-280 rooms, jittered doors.
+  for (int i = 0; i < 3; ++i) {
+    VenueGeneratorSpec spec;
+    spec.name = "fleet" + std::to_string(i);
+    spec.levels = 3;
+    spec.total_rooms = 240 + 20 * i;
+    spec.door_jitter_seed = 0xf1ee7 + static_cast<std::uint64_t>(i);
+    venues.push_back(Unwrap(GenerateVenue(spec)));
+  }
+  const std::string path = ::testing::TempDir() + "/ifls_venue_bits.txt";
+  for (const Venue& venue : venues) {
+    SCOPED_TRACE(venue.name());
+    std::stringstream stream;
+    ASSERT_TRUE(SaveVenue(venue, &stream).ok());
+    ExpectVenuesBitIdentical(venue, Unwrap(LoadVenue(&stream)));
+    ASSERT_TRUE(SaveVenueToFile(venue, path).ok());
+    ExpectVenuesBitIdentical(venue, Unwrap(LoadVenueFromFile(path)));
+  }
+  std::remove(path.c_str());
 }
 
 TEST(WorkloadIoTest, RoundTrips) {
@@ -233,7 +322,8 @@ struct V4Header {
 
 /// Rewrites a current image the way version 4 laid it out: a hops section
 /// after the dist section, the table moved behind it, and every checksum
-/// resealed, so only the version check can refuse it.
+/// resealed with the current primitive, so only the version check can
+/// refuse it.
 std::string AsVersion4Image(const std::string& bytes) {
   V3Header h;
   std::memcpy(&h, bytes.data(), sizeof(h));
@@ -271,9 +361,12 @@ std::string AsVersion4Image(const std::string& bytes) {
   image.resize(old.partition_node_offset, '\0');
   image += bytes.substr(h.partition_node_offset);
   old.file_bytes = image.size();
-  old.payload_checksum =
-      Fnv1a64Continue(h.payload_checksum, hops.data(), hops.size());
-  old.header_checksum = Fnv1a64(&old, sizeof(old));
+  // Version 4 checksummed the ids, dist and hops sections back to back.
+  const std::string payload =
+      bytes.substr(h.ids_offset, h.ids_count * sizeof(std::int32_t)) +
+      bytes.substr(h.dist_offset, h.dist_count * sizeof(double)) + hops;
+  old.payload_checksum = Checksum64(payload.data(), payload.size());
+  old.header_checksum = Checksum64(&old, sizeof(old));
   std::fill(image.begin(), image.begin() + sizeof(V3Header), '\0');
   std::memcpy(image.data(), &old, sizeof(old));
   return image;
@@ -281,22 +374,28 @@ std::string AsVersion4Image(const std::string& bytes) {
 
 TEST_F(V3CorruptionTest, UnsupportedVersionRejected) {
   const std::string bytes = ReadBytes();
-  // A future version with a valid header checksum: the version check itself
-  // (not the checksum) must refuse it.
-  std::string future = bytes;
-  V3Header h;
-  std::memcpy(&h, future.data(), sizeof(h));
-  h.version = kV3Version + 1;
-  h.header_checksum = 0;
-  h.header_checksum = Fnv1a64(&h, sizeof(h));
-  std::memcpy(future.data(), &h, sizeof(h));
-  // The previous version, laid out with its hops section.
-  static_assert(kV3Version - 1 == 4, "update the previous-version layout");
-  const std::string previous = AsVersion4Image(bytes);
+  // The current layout under another version number, with a valid header
+  // checksum: the version check itself (not the checksum) must refuse it.
+  const auto relabeled = [&bytes](std::uint32_t version) {
+    std::string image = bytes;
+    V3Header h;
+    std::memcpy(&h, image.data(), sizeof(h));
+    h.version = version;
+    h.header_checksum = 0;
+    h.header_checksum = Checksum64(&h, sizeof(h));
+    std::memcpy(image.data(), &h, sizeof(h));
+    return image;
+  };
+  // A future version; version 5, which had this layout but FNV-1a-64
+  // checksums; and version 4, laid out with its hops section.
+  static_assert(kV3Version == 6, "update the previous-version layouts");
+  const std::string future = relabeled(kV3Version + 1);
+  const std::string version5 = relabeled(5);
+  const std::string version4 = AsVersion4Image(bytes);
   for (const auto& [version, image] :
        {std::pair<std::uint32_t, const std::string&>{kV3Version + 1, future},
-        std::pair<std::uint32_t, const std::string&>{kV3Version - 1,
-                                                     previous}}) {
+        std::pair<std::uint32_t, const std::string&>{5, version5},
+        std::pair<std::uint32_t, const std::string&>{4, version4}}) {
     SCOPED_TRACE(version);
     WriteBytes(image);
     const Status s = Load();
@@ -321,8 +420,8 @@ TEST_F(V3CorruptionTest, PayloadChecksumMismatch) {
   std::string bytes = ReadBytes();
   V3Header h;
   std::memcpy(&h, bytes.data(), sizeof(h));
-  // Flip one distance byte; the continued ids->dist checksum catches
-  // it before any query can read the poisoned cell.
+  // Flip one distance byte; the ids-to-dist checksum catches it before
+  // any query can read the poisoned cell.
   bytes[h.dist_offset + 3] ^= 0xff;
   WriteBytes(bytes);
   const Status s = Load();
@@ -349,7 +448,7 @@ TEST_F(V3CorruptionTest, TruncatedDescriptorTable) {
   // the size check itself (not the checksum) must catch the lie.
   h.num_nodes += 1;
   h.header_checksum = 0;
-  h.header_checksum = Fnv1a64(&h, sizeof(h));
+  h.header_checksum = Checksum64(&h, sizeof(h));
   std::memcpy(bytes.data(), &h, sizeof(h));
   WriteBytes(bytes);
   const Status s = Load();
@@ -400,13 +499,11 @@ TEST_F(V3CorruptionTest, DoorSetMismatchRejected) {
   std::memcpy(bytes.data() + h.ids_offset + target * sizeof(std::int32_t),
               &replacement, sizeof(replacement));
 
-  std::uint64_t payload = Fnv1a64(bytes.data() + h.ids_offset,
-                                  h.ids_count * sizeof(std::int32_t));
-  payload = Fnv1a64Continue(payload, bytes.data() + h.dist_offset,
-                            h.dist_count * sizeof(double));
-  h.payload_checksum = payload;
+  h.payload_checksum =
+      Checksum64(bytes.data() + h.ids_offset,
+                 h.dist_offset + h.dist_count * sizeof(double) - h.ids_offset);
   h.header_checksum = 0;
-  h.header_checksum = Fnv1a64(&h, sizeof(h));
+  h.header_checksum = Checksum64(&h, sizeof(h));
   std::memcpy(bytes.data(), &h, sizeof(h));
   WriteBytes(bytes);
   const Status s = Load();

@@ -195,31 +195,29 @@ void Reseal(std::string* bytes, bool fix_file_bytes) {
   if (fix_file_bytes) h.file_bytes = bytes->size();
   if (InImage(*bytes, h.structure_offset, h.structure_bytes, 1)) {
     h.structure_checksum =
-        Fnv1a64(bytes->data() + h.structure_offset,
-                static_cast<std::size_t>(h.structure_bytes));
+        Checksum64(bytes->data() + h.structure_offset,
+                   static_cast<std::size_t>(h.structure_bytes));
   }
   if (InImage(*bytes, h.ids_offset, h.ids_count, sizeof(std::int32_t)) &&
-      InImage(*bytes, h.dist_offset, h.dist_count, sizeof(double))) {
-    std::uint64_t payload =
-        Fnv1a64(bytes->data() + h.ids_offset,
-                static_cast<std::size_t>(h.ids_count) * sizeof(std::int32_t));
-    payload = Fnv1a64Continue(
-        payload, bytes->data() + h.dist_offset,
-        static_cast<std::size_t>(h.dist_count) * sizeof(double));
-    h.payload_checksum = payload;
+      InImage(*bytes, h.dist_offset, h.dist_count, sizeof(double)) &&
+      h.dist_offset >= h.ids_offset) {
+    h.payload_checksum = Checksum64(
+        bytes->data() + h.ids_offset,
+        static_cast<std::size_t>(h.dist_offset + h.dist_count * sizeof(double) -
+                                 h.ids_offset));
   }
   if (h.partition_node_cols != 0 &&
       h.partition_node_rows <= bytes->size() / h.partition_node_cols &&
       InImage(*bytes, h.partition_node_offset,
               h.partition_node_rows * h.partition_node_cols, sizeof(double))) {
     h.partition_node_checksum =
-        Fnv1a64(bytes->data() + h.partition_node_offset,
-                static_cast<std::size_t>(h.partition_node_rows *
-                                         h.partition_node_cols) *
-                    sizeof(double));
+        Checksum64(bytes->data() + h.partition_node_offset,
+                   static_cast<std::size_t>(h.partition_node_rows *
+                                            h.partition_node_cols) *
+                       sizeof(double));
   }
   h.header_checksum = 0;
-  h.header_checksum = Fnv1a64(&h, sizeof(h));
+  h.header_checksum = Checksum64(&h, sizeof(h));
   std::memcpy(bytes->data(), &h, sizeof(h));
 }
 

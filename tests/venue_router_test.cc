@@ -258,6 +258,37 @@ TEST_F(VenueRouterTest, CorruptSnapshotFailsTypedAndStaysCold) {
   EXPECT_TRUE(router->IsResident("venue0"));
 }
 
+TEST_F(VenueRouterTest, HostileFacilitiesCountFailsTypedAndStaysCold) {
+  BuildFleet(2);
+  // A count no file of this size can hold: sized from the file, the list
+  // would ask for ~400 TB before the first id is read.
+  {
+    std::ofstream out(root_ + "/venue0/" + kFleetFacilitiesFileName,
+                      std::ios::trunc);
+    out << "IFLS_FACILITIES 1\nexisting 99999999999999 1 2\ncandidates 1 3\n";
+  }
+  const Status load =
+      LoadVenueSnapshot(root_ + "/venue0", SnapshotLoadMode::kMmap).status();
+  EXPECT_TRUE(load.IsInvalidArgument()) << load.ToString();
+  EXPECT_NE(load.message().find("'existing' count 99999999999999"),
+            std::string::npos)
+      << load.ToString();
+
+  std::unique_ptr<VenueRouter> router = Unwrap(VenueRouter::Open(root_, {}));
+  ServiceRequest request;
+  request.objective = IflsObjective::kMinMax;
+  request.clients = ClientsFor(0, 23);
+  const ServiceReply failed = router->Query("venue0", request);
+  EXPECT_TRUE(failed.status.IsInvalidArgument()) << failed.status.ToString();
+  EXPECT_FALSE(router->IsResident("venue0"));
+
+  ServiceRequest other;
+  other.objective = IflsObjective::kMinMax;
+  other.clients = ClientsFor(1, 24);
+  EXPECT_TRUE(router->Query("venue1", other).status.ok());
+  EXPECT_TRUE(router->IsResident("venue1"));
+}
+
 /// An evicted service must be destroyed outside the router mutex: its
 /// destructor unregisters metrics under the registry mutex, and a scrape
 /// holds that mutex while the ifls_router_* callbacks take the router

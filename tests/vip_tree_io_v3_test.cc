@@ -241,13 +241,13 @@ TEST(VipTreeIoV3Test, PartitionToNodeTableDefectsAreTyped) {
     V3Header h = original;
     c.mutate(&h, &bytes);
     if (c.reseal_table) {
-      h.partition_node_checksum = Fnv1a64(
+      h.partition_node_checksum = Checksum64(
           bytes.data() + original.partition_node_offset,
           static_cast<std::size_t>(original.file_bytes -
                                    original.partition_node_offset));
     }
     h.header_checksum = 0;
-    h.header_checksum = Fnv1a64(&h, sizeof(h));
+    h.header_checksum = Checksum64(&h, sizeof(h));
     std::memcpy(bytes.data(), &h, sizeof(h));
     const std::string mutated = ::testing::TempDir() + "/table_defect_" +
                                 std::to_string(&c - cases.data()) +

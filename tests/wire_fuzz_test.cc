@@ -212,7 +212,7 @@ void Reseal(std::string* bytes) {
         LoadLE<std::uint32_t>(bytes->data() + start + kPayloadBytesOffset);
     if (length > bytes->size() - start - kWireHeaderBytes) return;
     WriteLE(bytes, start + kChecksumOffset,
-            Fnv1a64(bytes->data() + start + kWireHeaderBytes, length));
+            Checksum64(bytes->data() + start + kWireHeaderBytes, length));
     start += kWireHeaderBytes + length;
   }
 }
